@@ -61,13 +61,22 @@ def _phi(t):
     return np.exp(-0.5 * t * t) / _SQRT_2PI
 
 
+def _clamp_nonneg(out):
+    """max(out, 0).  Far in the left tail the two terms of the smoothed_pos_sq
+    forms cancel, and rounding can leave a tiny negative value; values that
+    are already >= 0 pass unchanged.  Arrays are clamped in place, so the
+    kernel allocates no extra temporary."""
+    return np.maximum(out, 0.0, out=out if out.ndim else None)
+
+
 def loss_value(spec: LossSpec, x):
     x = np.asarray(x, dtype=float)
     if spec.kind == QUADRATIC:
         out = x * x
     elif spec.kind == SMOOTHED_POS_SQ:
         t = x / spec.epsilon
-        out = (x * x + spec.epsilon**2) * ndtr(t) + x * spec.epsilon * _phi(t)
+        out = _clamp_nonneg((x * x + spec.epsilon**2) * ndtr(t)
+                            + x * spec.epsilon * _phi(t))
     else:
         # stable form of x + eps*log(1+exp(-x/eps)); exact for both tails
         t = np.abs(x) / spec.epsilon
@@ -81,7 +90,7 @@ def loss_deriv1(spec: LossSpec, x):
         out = 2.0 * x
     elif spec.kind == SMOOTHED_POS_SQ:
         t = x / spec.epsilon
-        out = 2.0 * x * ndtr(t) + 2.0 * spec.epsilon * _phi(t)
+        out = _clamp_nonneg(2.0 * x * ndtr(t) + 2.0 * spec.epsilon * _phi(t))
     else:
         # logistic 1/(1+exp(-x/eps)), evaluated without overflow
         t = x / spec.epsilon

@@ -13,6 +13,15 @@ the scenario set.  The solver is a damped Newton iteration on the full
 system with a backtracking line search that rejects any step leaving
 alpha <= 0 or making some E* base non-positive.
 
+The line search does only the work its accept test needs.  A trial with
+alpha <= 0 is rejected before any per-scenario work; any other trial
+evaluates the residual alone (l and l').  l'' and the Jacobian are built
+once per accepted iterate, from that trial's arrays, and the three
+Levenberg-Marquardt fallback directions are formed only after the Newton
+direction has failed.  Every value that feeds F, J or the accept test comes
+from the same floating-point operations as in a full assembly at every
+trial, so the iterates do not depend on this laziness.
+
 Residual and Jacobian assembly reduce over scenarios with numpy's
 deterministic pairwise summation, so repeated solves on the same scenario
 set are bitwise identical.
@@ -152,32 +161,46 @@ def _payoff_terms(u, scenarios, spec):
     return -loss_value(spec, x), loss_deriv1(spec, x), loss_deriv2(spec, x)
 
 
-def _assemble(z, scenarios, ball, spec, want_jacobian=True):
-    """Residual (and Jacobian) of the full system at z = (u, alpha, beta, theta).
+def _residual(z, scenarios, ball, spec):
+    """Residual of the full system at z = (u, alpha, beta, theta).
 
-    Returns None when the point is infeasible (alpha <= 0, non-positive E*
-    base, or E* overflow); the line search treats that as a rejected step.
+    Returns (F, arrays), where arrays holds the per-scenario terms that
+    _jacobian reuses, or None when the point is infeasible (alpha <= 0,
+    non-positive E* base, or E* overflow); the line search treats that as a
+    rejected step.  Only l and l' are evaluated, and an alpha <= 0 point is
+    rejected before any per-scenario work.
     """
     R, B = scenarios.R, scenarios.B
     N, d = R.shape
     u, alpha, beta, theta = z[:d], z[d], z[d + 1], z[d + 2]
-    lam = ball.lam
-    h, lp, lpp = _payoff_terms(u, scenarios, spec)
-    loge = _log_estar(h, alpha, beta, lam)
+    if alpha <= 0:
+        return None
+    x = B - R @ u
+    h = -loss_value(spec, x)
+    loge = _log_estar(h, alpha, beta, ball.lam)
     if loge is None:
         return None
     e = np.exp(loge)
-    s = (-beta - h) / alpha            # equals G'(E*) at feasible points
-    g = lp[:, None] * R                # per-scenario payoff gradients dH/du
+    g = loss_deriv1(spec, x)[:, None] * R   # per-scenario payoff gradients dH/du
 
     F = np.empty(d + 3)
     F[:d] = (g * e[:, None]).sum(axis=0) / N - theta
     F[d] = u.sum() - 1.0
-    F[d + 1] = _G_from_log(loge, lam).mean() - ball.eta
+    F[d + 1] = _G_from_log(loge, ball.lam).mean() - ball.eta
     F[d + 2] = e.mean() - 1.0
-    if not want_jacobian:
-        return F, None
+    return F, (x, h, loge, e, g)
 
+
+def _jacobian(z, arrays, scenarios, ball, spec):
+    """Analytic Jacobian at z from the arrays that _residual returned there;
+    l'' is the only loss kernel it runs."""
+    R = scenarios.R
+    N, d = R.shape
+    alpha, beta = z[d], z[d + 1]
+    lam = ball.lam
+    x, h, loge, e, g = arrays
+    lpp = loss_deriv2(spec, x)
+    s = (-beta - h) / alpha            # equals G'(E*) at feasible points
     psi = np.exp((1.0 - lam) * loge) / ((lam + 1.0) * alpha)
     spsi = s * psi
     J = np.zeros((d + 3, d + 3))
@@ -192,7 +215,16 @@ def _assemble(z, scenarios, ball, spec, want_jacobian=True):
     J[d + 2, :d] = J[:d, d + 1]
     J[d + 2, d] = -spsi.mean()
     J[d + 2, d + 1] = -psi.mean()
-    return F, J
+    return J
+
+
+def _assemble(z, scenarios, ball, spec):
+    """(F, J) at z, or None when z is infeasible."""
+    out = _residual(z, scenarios, ball, spec)
+    if out is None:
+        return None
+    F, arrays = out
+    return F, _jacobian(z, arrays, scenarios, ball, spec)
 
 
 def system_residual(u, alpha, beta, theta, scenarios: ScenarioSet,
@@ -200,7 +232,7 @@ def system_residual(u, alpha, beta, theta, scenarios: ScenarioSet,
     """Residual vector [stationarity (d), budget, divergence, normalization]."""
     z = np.concatenate([np.asarray(u, dtype=float),
                         [float(alpha), float(beta), float(theta)]])
-    out = _assemble(z, scenarios, ball, spec, want_jacobian=False)
+    out = _residual(z, scenarios, ball, spec)
     if out is None:
         raise FeasibilityError("infeasible point: alpha <= 0 or non-positive E* base")
     return out[0]
@@ -216,10 +248,56 @@ def system_jacobian(u, alpha, beta, theta, scenarios, ball, spec) -> np.ndarray:
     return out[1]
 
 
-def _newton(z0, scenarios, ball, spec, config):
-    """Damped Newton with a Levenberg-Marquardt fallback direction.
+def _directions(J, F):
+    """Search directions in the order the line search tries them: Newton,
+    then Levenberg-Marquardt with rising damping.  Each is formed only when
+    every earlier one has been rejected."""
+    try:
+        dz = np.linalg.solve(J, -F)
+    except np.linalg.LinAlgError:
+        dz = None
+    if dz is not None and np.all(np.isfinite(dz)):
+        yield dz
+    JtJ = J.T @ J
+    mu0 = 1e-10 * max(np.trace(JtJ), 1.0)
+    for bump in (1.0, 1e4, 1e8):
+        try:
+            dz = np.linalg.solve(JtJ + mu0 * bump * np.eye(J.shape[0]), -J.T @ F)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(dz)):
+            yield dz
 
-    Returns (z, residual, iterations) on success, None on failure.
+
+def _line_search(z, dz, merit, scenarios, ball, spec):
+    """Backtrack t = 1, 1/2, ... along dz until the merit 0.5|F|^2 drops.
+
+    Trials evaluate the residual only; the Jacobian is built once, at the
+    accepted point.  Returns (z, F, J) or None when t falls below 1e-14.
+    """
+    t = 1.0
+    while t > 1e-14:
+        z_t = z + t * dz
+        trial = _residual(z_t, scenarios, ball, spec)
+        if trial is not None:
+            F_t, arrays = trial
+            if 0.5 * float(F_t @ F_t) < merit:
+                return z_t, F_t, _jacobian(z_t, arrays, scenarios, ball, spec)
+            # release the rejected trial's arrays before the next trial
+            trial = arrays = None
+        t *= 0.5
+    return None
+
+
+def _newton(z0, scenarios, ball, spec, config):
+    """Damped Newton with Levenberg-Marquardt fallback directions.
+
+    Line-search trials compute the residual only (l and l'); l'' and the
+    Jacobian are built once per accepted iterate, and the fallback
+    directions only after the Newton direction has failed to lower the
+    merit.  Returns (z, F, steps) for the last iterate and the number of
+    Newton steps taken, whether or not F reached the tolerance, or None
+    when z0 is infeasible.
     """
     out = _assemble(z0, scenarios, ball, spec)
     if out is None:
@@ -230,43 +308,15 @@ def _newton(z0, scenarios, ball, spec, config):
     for it in range(config.max_iterations):
         if np.max(np.abs(F)) <= config.residual_tol:
             return z, F, it
-        directions = []
-        try:
-            dz = np.linalg.solve(J, -F)
-            if np.all(np.isfinite(dz)):
-                directions.append(dz)
-        except np.linalg.LinAlgError:
-            pass
-        JtJ = J.T @ J
-        mu0 = 1e-10 * max(np.trace(JtJ), 1.0)
-        for bump in (1.0, 1e4, 1e8):
-            try:
-                dz = np.linalg.solve(JtJ + mu0 * bump * np.eye(J.shape[0]), -J.T @ F)
-                if np.all(np.isfinite(dz)):
-                    directions.append(dz)
-            except np.linalg.LinAlgError:
-                continue
-        moved = False
-        for dz in directions:
-            t = 1.0
-            while t > 1e-14:
-                trial = _assemble(z + t * dz, scenarios, ball, spec)
-                if trial is not None:
-                    F_new, J_new = trial
-                    m_new = 0.5 * float(F_new @ F_new)
-                    if m_new < merit:
-                        z = z + t * dz
-                        F, J, merit = F_new, J_new, m_new
-                        moved = True
-                        break
-                t *= 0.5
-            if moved:
+        for dz in _directions(J, F):
+            step = _line_search(z, dz, merit, scenarios, ball, spec)
+            if step is not None:
                 break
-        if not moved:
-            return None
-    if np.max(np.abs(F)) <= config.residual_tol:
-        return z, F, config.max_iterations
-    return None
+        else:
+            return z, F, it            # no direction lowers the merit
+        z, F, J = step
+        merit = 0.5 * float(F @ F)
+    return z, F, config.max_iterations
 
 
 def _inner_tilt(h: np.ndarray, lam: float, eta: float):
@@ -363,15 +413,17 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
     # the default multiplier start can be infeasible for strong tilts; a
     # larger alpha only flattens the initial E*
     tries = 0
-    while _assemble(z0, scenarios, ball, spec, want_jacobian=False) is None:
+    while _residual(z0, scenarios, ball, spec) is None:
         z0[d] *= 2.0
         tries += 1
         if tries > 80:
             raise FeasibilityError("no feasible starting alpha found")
 
-    result = _newton(z0, scenarios, ball, spec, config)
+    tol = config.residual_tol
+    result = _newton(z0, scenarios, ball, spec, config)   # z0 is feasible
+    steps = result[2]
 
-    if result is None and config.warm_start_retry:
+    if np.max(np.abs(result[1])) > tol and config.warm_start_retry:
         try:
             u_w = solve_nonrobust(scenarios, spec)
             h, lp, _ = _payoff_terms(u_w, scenarios, spec)
@@ -381,17 +433,20 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             g = lp[:, None] * scenarios.R
             theta_w = float(((g * e[:, None]).sum(axis=0) / scenarios.n).mean())
             z_w = np.concatenate([u_w, [alpha_w, beta_w, theta_w]])
-            result = _newton(z_w, scenarios, ball, spec, config)
+            retry = _newton(z_w, scenarios, ball, spec, config)
         except SolverError:
-            result = None
+            retry = None
+        if retry is not None:
+            steps += retry[2]
+            if (np.max(np.abs(retry[1])) <= tol
+                    or float(retry[1] @ retry[1]) < float(result[1] @ result[1])):
+                result = retry
 
-    if result is None:
-        # report how far the best effort got
-        F0 = _assemble(z0, scenarios, ball, spec, want_jacobian=False)
-        rn = float(np.max(np.abs(F0[0]))) if F0 is not None else np.inf
+    if np.max(np.abs(result[1])) > tol:
+        # report the best iterate (lowest merit) of either attempt
         raise NonConvergenceError(
             f"robust solve did not reach residual tolerance {config.residual_tol}",
-            residual_norm=rn, iterations=config.max_iterations,
+            residual_norm=float(np.max(np.abs(result[1]))), iterations=steps,
         )
 
     z, F, iters = result

@@ -45,3 +45,15 @@ def make_scenarios(n=4000, seed=0, model=None, weights=WEIGHTS5, tracked=(0, 1, 
 @pytest.fixture(scope="session")
 def scenarios4k():
     return make_scenarios(n=4000, seed=11)
+
+
+def replicable_window(k, window=40):
+    """Window k of the fixed 60 x 4 panel whose index (column 0) is an exact
+    combination of the three stocks, as the CLI backtest builds it."""
+    rng = np.random.default_rng(8)
+    r = 0.02 * rng.standard_normal((60, 3)) + 0.001
+    w = np.linspace(0.5, 0.1, 3)
+    prices = 100.0 * np.cumprod(1.0 + np.column_stack([r @ w / w.sum(), r]), axis=0)
+    ret = prices[1:] / prices[:-1] - 1.0
+    return rt.scenarios_from(ret[k:k + window, 1:], ret[k:k + window, 0],
+                             source="historical-window")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import ndtr
+
+from robusttrack.loss import _phi
 
 import robusttrack as rt
 
@@ -81,9 +84,54 @@ class TestDerivatives:
         assert np.all(rt.loss_deriv2(L2, grid) > 0)
 
     @given(st.floats(-10, 10), st.floats(1e-4, 0.5))
+    @example(-9.0, 0.234375)
     def test_losses_nonnegative(self, x, eps):
         assert rt.loss_value(rt.LossSpec.smoothed_pos_sq(eps), x) >= 0
         assert rt.loss_value(rt.LossSpec.smoothed_plus(eps), x) >= 0
+
+
+SMOOTHED = st.sampled_from([rt.LossSpec.smoothed_pos_sq, rt.LossSpec.smoothed_plus])
+XS = st.floats(-1e3, 1e3)
+EPSILONS = st.floats(1e-4, 0.5)
+
+
+class TestSmoothedTails:
+    """Sign and monotonicity of the smoothed losses, far tails included."""
+
+    def test_pos_sq_left_tail_regression(self):
+        spec = rt.LossSpec.smoothed_pos_sq(0.234375)
+        assert rt.loss_value(spec, -9.0) == 0.0
+        assert rt.loss_deriv1(spec, -9.0) >= 0.0
+        xs = np.linspace(-10.0, 0.0, 10001)    # the array path clamps in place
+        assert np.all(rt.loss_value(spec, xs) >= 0)
+        assert np.all(rt.loss_deriv1(spec, xs) >= 0)
+
+    @given(SMOOTHED, XS, EPSILONS)
+    @example(rt.LossSpec.smoothed_pos_sq, -9.0, 0.234375)
+    def test_value_and_derivatives_nonnegative(self, kind, x, eps):
+        spec = kind(eps)
+        assert rt.loss_value(spec, x) >= 0
+        assert rt.loss_deriv1(spec, x) >= 0
+        assert rt.loss_deriv2(spec, x) >= 0
+
+    @given(SMOOTHED, XS, st.floats(0, 1e3), EPSILONS)
+    def test_value_nondecreasing(self, kind, x, dx, eps):
+        # up to rounding: in the pos_sq left tail the loss is the sum of two
+        # terms ~t^4/2 times larger than it, and below ~1e-300 only
+        # subnormals remain
+        spec = kind(eps)
+        lo, hi = rt.loss_value(spec, x), rt.loss_value(spec, x + dx)
+        assert lo <= hi * (1 + 1e-6) + 1e-300
+
+    @given(XS, EPSILONS)
+    def test_pos_sq_clamp_only_touches_negative_values(self, x, eps):
+        # wherever the closed form is already >= 0 it is returned bit for bit
+        t = x / eps
+        raw = (x * x + eps**2) * ndtr(t) + x * eps * _phi(t)
+        raw1 = 2.0 * x * ndtr(t) + 2.0 * eps * _phi(t)
+        spec = rt.LossSpec.smoothed_pos_sq(eps)
+        assert rt.loss_value(spec, x) == max(raw, 0.0)
+        assert rt.loss_deriv1(spec, x) == max(raw1, 0.0)
 
 
 class TestPayoff:

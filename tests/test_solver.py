@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 import robusttrack as rt
+import robusttrack.solver as solver
 from robusttrack.solver import _inner_tilt
 
-from conftest import make_scenarios
+from conftest import make_scenarios, replicable_window
+from eager_reference import eager_solve_robust
 
 QUAD = rt.LossSpec.quadratic()
 L1 = rt.LossSpec.smoothed_pos_sq(0.01)
+L2 = rt.LossSpec.smoothed_plus(0.01)
+# the replicable panel's ball and loss, as in the CLI backtest test
+REPL_BALL = rt.DivergenceBall(0.1, 0.02)
 
 
 class TestEstarValue:
@@ -290,3 +295,122 @@ class TestHessianDiagnostic:
         expected = (-2.0 * 1.03 ** 2 * 1.7
                     - grad ** 2 * 1.7 ** (1 - lam) / (alpha * (1 + lam)))
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+def _same_bytes(a, b):
+    return (a.u.tobytes() == b.u.tobytes() and a.alpha == b.alpha
+            and a.beta == b.beta and a.theta == b.theta
+            and a.estar.tobytes() == b.estar.tobytes()
+            and a.iterations == b.iterations)
+
+
+class TestLazyNewton:
+    """The lazy line search must take exactly the eager solver's steps."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_matches_eager_reference(self, scenarios4k, spec, lam):
+        for eta in (0.1, 2.0):
+            ball = rt.DivergenceBall(lam, eta)
+            assert _same_bytes(rt.solve_robust(scenarios4k, ball, spec),
+                               eager_solve_robust(scenarios4k, ball, spec))
+
+    def test_matches_eager_reference_on_fallback_directions(self):
+        # window 2 of the replicable panel needs Levenberg-Marquardt steps;
+        # window 1 fails in both solvers
+        calls = {"lm": 0}
+        directions = solver._directions
+
+        def counting(J, F):
+            for i, dz in enumerate(directions(J, F)):
+                calls["lm"] += i > 0
+                yield dz
+
+        scen = replicable_window(2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_directions", counting)
+            lazy = rt.solve_robust(scen, REPL_BALL, L1)
+        assert calls["lm"] > 0
+        assert _same_bytes(lazy, eager_solve_robust(scen, REPL_BALL, L1))
+        scen = replicable_window(1)
+        with pytest.raises(rt.NonConvergenceError):
+            rt.solve_robust(scen, REPL_BALL, L1)
+        with pytest.raises(rt.NonConvergenceError):
+            eager_solve_robust(scen, REPL_BALL, L1)
+
+    def test_work_counts(self, monkeypatch):
+        scen = make_scenarios(n=2000, seed=151)
+        ball = rt.DivergenceBall(0.0, 2.0)
+        d = scen.d
+        counts = {"l": 0, "lp": 0, "lpp": 0}
+        for name, key in (("loss_value", "l"), ("loss_deriv1", "lp"),
+                          ("loss_deriv2", "lpp")):
+            def counted(spec, x, fn=getattr(solver, name), key=key):
+                counts[key] += 1
+                return fn(spec, x)
+            monkeypatch.setattr(solver, name, counted)
+
+        residual = solver._residual
+        skipped, feasible = [], []
+
+        def watched(z, *args):
+            before = dict(counts)
+            out = residual(z, *args)
+            if z[d] <= 0:
+                skipped.append(counts == before and out is None)
+            elif out is not None:
+                feasible.append(z)
+            return out
+
+        monkeypatch.setattr(solver, "_residual", watched)
+        z0 = np.concatenate([np.full(d, 1.0 / d), [0.02, 0.01, -0.05]])
+        z, F, steps = solver._newton(z0, scen, ball, L1, rt.SolverConfig())
+        assert np.max(np.abs(F)) <= 1e-8
+        assert skipped and all(skipped)      # alpha <= 0 trials run no kernel
+        assert len(feasible) > steps + 1     # some feasible trials were rejected
+        assert counts["lpp"] == steps + 1    # start point plus each accepted step
+
+    def test_fallback_directions_formed_on_demand(self, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        J = np.array([[2.0, 1.0], [1.0, 3.0]])
+        F = np.array([1.0, -1.0])
+        directions = solver._directions(J, F)
+        assert np.allclose(next(directions), np.linalg.inv(J) @ -F)
+        assert len(solves) == 1
+        assert len(list(directions)) == 3 and len(solves) == 4
+
+    def test_repeat_solve_is_bit_identical(self, scenarios4k):
+        ball = rt.DivergenceBall(0.1, 1.0)
+        assert _same_bytes(rt.solve_robust(scenarios4k, ball, L1),
+                           rt.solve_robust(scenarios4k, ball, L1))
+
+
+class TestNonConvergenceReport:
+    def test_reports_best_iterate_and_steps_taken(self):
+        # both attempts run all 200 steps on window 1 and stall near 1e-5;
+        # the start point's residual is 0.37
+        with pytest.raises(rt.NonConvergenceError) as info:
+            rt.solve_robust(replicable_window(1), REPL_BALL, L1)
+        err = info.value
+        assert str(err) == "robust solve did not reach residual tolerance 1e-08"
+        assert err.iterations == 400
+        assert 1e-8 < err.residual_norm < 1e-4
+
+    def test_counts_only_the_attempts_made(self):
+        scen = replicable_window(1)
+        one = rt.SolverConfig(max_iterations=5, warm_start_retry=False)
+        two = rt.SolverConfig(max_iterations=5)
+        with pytest.raises(rt.NonConvergenceError) as first:
+            rt.solve_robust(scen, REPL_BALL, L1, one)
+        with pytest.raises(rt.NonConvergenceError) as both:
+            rt.solve_robust(scen, REPL_BALL, L1, two)
+        assert first.value.iterations == 5
+        assert both.value.iterations == 10
+        assert both.value.residual_norm <= first.value.residual_norm
