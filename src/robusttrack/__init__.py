@@ -15,9 +15,9 @@ from .model import (DataError, IndexComposition, LoadedPrices, NominalModel,
                     synthesize_index)
 from .solver import (DegenerateScenariosError, FeasibilityError,
                      NonConvergenceError, RobustSolution, SingularSystemError,
-                     SolverConfig, SolverError, estar_value,
-                     hessian_diagnostic, solve_nonrobust, solve_robust,
-                     system_jacobian, system_residual)
+                     SolverConfig, SolverError, hessian_diagnostic,
+                     solve_nonrobust, solve_robust, system_jacobian,
+                     system_residual)
 
 __all__ = [
     "__version__",
@@ -34,6 +34,6 @@ __all__ = [
     "sample_student_t", "scenarios_from", "synthesize_index",
     "DegenerateScenariosError", "FeasibilityError", "NonConvergenceError",
     "RobustSolution", "SingularSystemError", "SolverConfig", "SolverError",
-    "estar_value", "hessian_diagnostic", "solve_nonrobust", "solve_robust",
+    "hessian_diagnostic", "solve_nonrobust", "solve_robust",
     "system_jacobian", "system_residual",
 ]

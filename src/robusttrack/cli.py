@@ -193,7 +193,6 @@ def _experiment(cfg: dict) -> dict:
         "n_ratio": int(block["n_ratio"]) if "n_ratio" in block else None,
         "seed": int(block.get("seed", 0)),
         "tie_tol": float(block.get("tie_tol", 1e-12)),
-        "tie_policy": block.get("tie_policy", "include"),
     }
 
 

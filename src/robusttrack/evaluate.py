@@ -48,9 +48,6 @@ class ComparisonReport:
     n: int
     tie_count: int
 
-    def bt(self, tie_policy: str = "include") -> float:
-        return self.bt_percent if tie_policy == "include" else self.bt_percent_excl_ties
-
 
 def tracking_error(u, scenarios: ScenarioSet, spec: LossSpec = LossSpec.quadratic()) -> np.ndarray:
     """Per-scenario tracking loss; (u'R - B)^2 for the quadratic spec."""

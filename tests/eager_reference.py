@@ -1,18 +1,124 @@
-"""Eager Newton reference for the solver equivalence tests.
+"""Frozen reference of the damped-Newton robust solver that the dual Newton
+solver replaced.
 
-This is the robust solve as it was before the line search became lazy:
-every trial point runs the full assembly (l, l', l'', residual and
-Jacobian), and all four search directions are formed before the first
-trial.  `solve_robust` must reproduce it bit for bit; see
-tests/test_solver.py::TestLazyNewton.
+Every trial point runs the full assembly (l, l', l'', residual and
+Jacobian), all four search directions (Newton, then Levenberg-Marquardt
+with rising damping) are formed before the first trial, the line search
+lowers the residual merit 0.5|F|^2, and a failed first attempt is retried
+from the non-robust weights with (alpha, beta) from nested scalar roots.
+E* uses the power form, which rejects a non-positive base as infeasible.
+The helpers it needs are copied here, so the reference does not depend on
+the solver it is compared with; see tests/test_solver.py::TestParentReference.
 """
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import logsumexp
 
-from robusttrack.solver import (NonConvergenceError, RobustSolution, SolverConfig,
-                                SolverError, _check_degenerate, _G_from_log,
-                                _inner_tilt, _log_estar, _payoff_terms,
+from robusttrack.loss import loss_deriv1, loss_deriv2, loss_value
+from robusttrack.solver import (DegenerateScenariosError, NonConvergenceError,
+                                RobustSolution, SolverConfig, SolverError,
                                 solve_nonrobust)
+
+# the parent solver's multiplier start (alpha, beta, theta)
+INIT_MULTIPLIERS = (0.02, 0.01, -0.05)
+# exp() guard: iterates whose log E* exceeds this are infeasible
+_LOG_CAP = 300.0
+
+
+def _log_estar(h, alpha, beta, lam):
+    """log E* per scenario, or None if the point is infeasible."""
+    if alpha <= 0:
+        return None
+    s = (-beta - h) / alpha
+    if lam == 0.0:
+        loge = s
+    else:
+        c = lam / (lam + 1.0)
+        base = 1.0 + c * s
+        if np.any(base <= 0.0):
+            return None
+        loge = np.log1p(c * s) / lam
+    if np.max(loge) > _LOG_CAP:
+        return None
+    return loge
+
+
+def _G_from_log(loge, lam):
+    e = np.exp(loge)
+    if lam == 0.0:
+        return e * loge - e + 1.0
+    return e * np.expm1(lam * loge) / lam - e + 1.0
+
+
+def _payoff_terms(u, scenarios, spec):
+    x = scenarios.B - scenarios.R @ u
+    return -loss_value(spec, x), loss_deriv1(spec, x), loss_deriv2(spec, x)
+
+
+def _inner_tilt(h, lam, eta):
+    """(alpha, beta) matching mean(E*) = 1 and mean(G(E*)) = eta for fixed
+    payoffs, via nested scalar root finding."""
+    h = np.asarray(h, dtype=float)
+
+    def beta_for(alpha):
+        if lam == 0.0:
+            return alpha * (logsumexp(-h / alpha) - np.log(h.size))
+        c = lam / (lam + 1.0)
+
+        def norm_gap(beta):
+            loge = _log_estar(h, alpha, beta, lam)
+            return np.exp(loge).mean() - 1.0 if loge is not None else np.inf
+
+        hi = float((-h).min() + alpha / c)
+        hi -= 1e-12 * max(1.0, abs(hi))
+        if norm_gap(hi) > 0:
+            return None
+        lo = -1.0
+        while norm_gap(lo) < 0:
+            lo *= 2.0
+            if lo < -1e14:
+                return None
+        return brentq(norm_gap, lo, hi, xtol=1e-15, maxiter=300)
+
+    def div_gap(alpha):
+        beta = beta_for(alpha)
+        if beta is None:
+            return np.inf
+        loge = _log_estar(h, alpha, beta, lam)
+        if loge is None:
+            return np.inf
+        return _G_from_log(loge, lam).mean() - eta
+
+    hi = 1.0
+    while div_gap(hi) > 0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise SolverError("inner tilt: no alpha bracket found")
+    lo = hi / 2.0
+    gap = div_gap(lo)
+    for _ in range(200):
+        if np.isfinite(gap) and gap >= 0:
+            break
+        if not np.isfinite(gap):
+            lo = 0.5 * (lo + hi)
+        else:
+            hi, lo = lo, lo / 2.0
+        gap = div_gap(lo)
+    else:
+        raise SolverError("inner tilt: alpha bracketing failed")
+    alpha = brentq(div_gap, lo, hi, xtol=1e-15, maxiter=300)
+    beta = beta_for(alpha)
+    if beta is None:
+        raise SolverError("inner tilt: beta solve failed at bracketed alpha")
+    return alpha, beta
+
+
+def _check_degenerate(scenarios, spec, u):
+    h, _, _ = _payoff_terms(u, scenarios, spec)
+    spread = float(h.max() - h.min())
+    if spread <= 1e-14 * max(1.0, float(np.abs(h).max())):
+        raise DegenerateScenariosError("all scenarios give the same payoff")
 
 
 def eager_assemble(z, scenarios, ball, spec, want_jacobian=True):
@@ -108,12 +214,12 @@ def eager_solve_robust(scenarios, ball, spec, config=None):
     u0 = (np.full(d, 1.0 / d) if config.init_u is None
           else np.asarray(config.init_u, dtype=float))
     _check_degenerate(scenarios, spec, u0)
-    z0 = np.concatenate([u0, [config.init_alpha, config.init_beta, config.init_theta]])
+    z0 = np.concatenate([u0, INIT_MULTIPLIERS])
     while eager_assemble(z0, scenarios, ball, spec, want_jacobian=False) is None:
         z0[d] *= 2.0
 
     result = eager_newton(z0, scenarios, ball, spec, config)
-    if result is None and config.warm_start_retry:
+    if result is None:
         try:
             u_w = solve_nonrobust(scenarios, spec)
             h, lp, _ = _payoff_terms(u_w, scenarios, spec)

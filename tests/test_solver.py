@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
 import robusttrack as rt
 import robusttrack.solver as solver
-from robusttrack.solver import _inner_tilt
+from robusttrack.solver import _dual, _log_ratio
 
-from conftest import make_scenarios, replicable_window
+from conftest import MU5, SIGMA5, make_scenarios, replicable_window
 from eager_reference import eager_solve_robust
 
 QUAD = rt.LossSpec.quadratic()
@@ -15,29 +21,38 @@ L2 = rt.LossSpec.smoothed_plus(0.01)
 REPL_BALL = rt.DivergenceBall(0.1, 0.02)
 
 
+def _estar(s, lam):
+    return float(np.exp(_log_ratio(np.array([s]), lam))[0])
+
+
 class TestEstarValue:
     def test_unit_at_neutral_payoff(self):
-        # h = -beta makes the exponent argument zero
-        assert rt.estar_value(-0.01, alpha=0.02, beta=0.01, lam=0.0) == pytest.approx(1.0)
-        assert rt.estar_value(-0.01, alpha=0.02, beta=0.01, lam=0.3) == pytest.approx(1.0)
+        # a loss equal to beta makes the dual argument s zero
+        assert _estar(0.0, 0.0) == 1.0
+        assert _estar(0.0, 0.3) == 1.0
 
     def test_extended_precision_reference(self):
         ld = np.longdouble
         lam, alpha, beta, h = ld("0.1"), ld("0.02"), ld("0.01"), ld("-0.0102")
         base = lam / (lam + 1) * ((-beta - h) / alpha) + 1
         ref = base ** (1 / lam)
-        got = rt.estar_value(-0.0102, alpha=0.02, beta=0.01, lam=0.1)
+        got = _estar((0.0102 - 0.01) / 0.02, 0.1)
         assert got == pytest.approx(float(ref), rel=1e-13)
 
     def test_infeasible_base(self):
-        # strongly positive -beta-h with tiny alpha overflows the KL exponent;
-        # for lam>0 a negative base must raise
-        with pytest.raises(rt.FeasibilityError):
-            rt.estar_value(0.5, alpha=0.001, beta=0.01, lam=0.2)
+        # past the boundary 1 + lam/(lam+1) s <= 0 the worst case puts no
+        # weight on the scenario, where the power form had no value
+        s = -0.5 / 0.001 - 0.01 / 0.001        # h = 0.5, alpha = 0.001, beta = 0.01
+        assert _estar(s, 0.2) == 0.0
+        assert _estar(-(1.0 + 1.0 / 0.2), 0.2) == 0.0     # base exactly 0
+        assert _estar(-5.9, 0.2) > 0.0
 
-    def test_requires_positive_alpha(self):
-        with pytest.raises(rt.FeasibilityError):
-            rt.estar_value(-0.01, alpha=0.0, beta=0.0, lam=0.1)
+    def test_requires_positive_alpha(self, scenarios4k):
+        u = np.full(scenarios4k.d, 1.0 / scenarios4k.d)
+        for alpha in (0.0, -0.01):
+            with pytest.raises(rt.FeasibilityError, match="alpha <= 0"):
+                rt.system_residual(u, alpha, 0.0, 0.0, scenarios4k,
+                                   rt.DivergenceBall(0.1, 0.5), QUAD)
 
 
 class TestSystemResidual:
@@ -209,12 +224,29 @@ class TestSolveRobust:
         assert sol.residual_norm <= 1e-8
         assert sol.estar.mean() == pytest.approx(1.0, abs=1e-6)
 
-    def test_infeasible_exponent_radius_pair_reported(self, scenarios4k):
-        # for a big radius only small exponents admit positive E* bases;
-        # beyond that boundary the solver reports failure instead of weights
-        with pytest.raises(rt.NonConvergenceError):
-            rt.solve_robust(scenarios4k, rt.DivergenceBall(1.0, 5.0),
-                            rt.LossSpec.quadratic())
+    def test_zero_weight_scenarios_at_large_radius(self, scenarios4k):
+        # for a big radius and exponent the worst case puts no weight on the
+        # best scenarios: the power form of E* had no value there
+        sol = rt.solve_robust(scenarios4k, rt.DivergenceBall(1.0, 5.0), QUAD)
+        tol = rt.SolverConfig().residual_tol
+        assert sol.residual_norm <= tol
+        assert np.any(sol.estar == 0.0) and np.all(sol.estar >= 0.0)
+        assert abs(sol.estar.mean() - 1.0) <= tol
+        # G(E) = (E - 1)^2 at lam = 1, and G(0) = 1
+        assert abs(np.mean((sol.estar - 1.0) ** 2) - 5.0) <= tol
+
+    @pytest.mark.parametrize("student", [False, True], ids=["gauss", "t10"])
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_smallest_radius(self, spec, student):
+        # the table driver's eta floor: the ball barely tilts the weights
+        model = rt.NominalModel.student_t(MU5, SIGMA5, 10.0) if student else None
+        scen = make_scenarios(n=4000, seed=11, model=model)
+        ball = rt.DivergenceBall(0.1, 1e-8)
+        sol = rt.solve_robust(scen, ball, spec)
+        assert sol.residual_norm <= 1e-8
+        assert np.max(np.abs(sol.estar - 1.0)) < 1e-2
+        res = rt.system_residual(sol.u, sol.alpha, sol.beta, sol.theta, scen, ball, spec)
+        assert np.max(np.abs(res)) <= 1e-8
 
     def test_degenerate_scenarios_detected(self):
         scen = rt.ScenarioSet(R=np.ones((20, 2)), B=np.ones(20))
@@ -238,15 +270,38 @@ class TestSolveRobust:
 
 
 class TestInnerTilt:
+    """The inner solve: (alpha, beta) minimizing the dual for fixed losses."""
+
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5])
     def test_constraints_hold(self, lam):
         rng = np.random.default_rng(9)
-        h = -np.abs(0.02 * rng.standard_normal(4000)) ** 2
-        alpha, beta = _inner_tilt(h, lam, eta=0.7)
-        estar = np.array([rt.estar_value(v, alpha, beta, lam) for v in h])
+        loss = np.abs(0.02 * rng.standard_normal(4000)) ** 2
+        alpha, beta, loge = _dual(loss, rt.DivergenceBall(lam, 0.7))
+        estar = np.exp(_log_ratio((loss - beta) / alpha, lam))
+        assert np.array_equal(estar, np.exp(loge))
         assert estar.mean() == pytest.approx(1.0, abs=1e-9)
         assert rt.scalar_G(estar, lam).mean() == pytest.approx(0.7, abs=1e-9)
         assert estar.min() > 0
+
+    def test_zero_weights_allowed(self):
+        # at lam = 1 and a large radius the best scenarios get E* = 0
+        rng = np.random.default_rng(9)
+        loss = np.abs(0.02 * rng.standard_normal(4000)) ** 2
+        alpha, beta, loge = _dual(loss, rt.DivergenceBall(1.0, 5.0))
+        estar = np.exp(loge)
+        assert np.any(estar == 0.0)
+        assert estar.mean() == pytest.approx(1.0, abs=1e-9)
+        assert np.mean((estar - 1.0) ** 2) == pytest.approx(5.0, abs=1e-9)
+
+    def test_warm_start_gives_same_minimizer(self):
+        rng = np.random.default_rng(10)
+        loss = np.abs(0.02 * rng.standard_normal(4000)) ** 2
+        ball = rt.DivergenceBall(0.1, 0.7)
+        alpha, beta, _ = _dual(loss, ball)
+        for start in ((alpha * 1e-6, beta), (alpha * 1e6, -1.0)):
+            a, b, _ = _dual(loss, ball, *start)
+            assert a == pytest.approx(alpha, rel=1e-10)
+            assert b == pytest.approx(beta, rel=1e-10, abs=1e-15)
 
 
 class TestHessianDiagnostic:
@@ -258,6 +313,15 @@ class TestHessianDiagnostic:
             scale = max(1.0, abs(max_eig))
             assert max_eig <= 1e-8 * scale
             assert sol.hessian_max_eig == max_eig
+
+    def test_zero_weight_scenarios_carry_no_curvature(self, scenarios4k):
+        # at lam = 1, E*^(1-lam) is 1 wherever E* > 0 and 0 where E* = 0
+        ball = rt.DivergenceBall(1.0, 5.0)
+        sol = rt.solve_robust(scenarios4k, ball, QUAD)
+        assert np.any(sol.estar == 0.0)
+        max_eig = rt.hessian_diagnostic(sol, scenarios4k, ball, QUAD)
+        assert np.isfinite(max_eig)
+        assert max_eig <= 1e-8 * max(1.0, abs(max_eig))
 
     def test_quadratic_form_bounded_by_eigenvalues(self, scenarios4k):
         ball = rt.DivergenceBall(0.1, 0.5)
@@ -304,44 +368,35 @@ def _same_bytes(a, b):
             and a.iterations == b.iterations)
 
 
+def _assert_close_to_reference(new, ref):
+    assert np.max(np.abs(new.u - ref.u)) <= 1e-5
+    assert abs(new.alpha - ref.alpha) <= 1e-5 * ref.alpha
+    assert np.max(np.abs(new.estar - ref.estar)) <= 1e-3
+
+
 class TestLazyNewton:
-    """The lazy line search must take exactly the eager solver's steps."""
+    """Newton on the worst-case loss against the frozen damped-Newton solver
+    it replaced (tests/eager_reference.py), and the work it does."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
     def test_matches_eager_reference(self, scenarios4k, spec, lam):
         for eta in (0.1, 2.0):
             ball = rt.DivergenceBall(lam, eta)
-            assert _same_bytes(rt.solve_robust(scenarios4k, ball, spec),
-                               eager_solve_robust(scenarios4k, ball, spec))
+            _assert_close_to_reference(rt.solve_robust(scenarios4k, ball, spec),
+                                       eager_solve_robust(scenarios4k, ball, spec))
 
     def test_matches_eager_reference_on_fallback_directions(self):
-        # window 2 of the replicable panel needs Levenberg-Marquardt steps;
-        # window 1 fails in both solvers
-        calls = {"lm": 0}
-        directions = solver._directions
-
-        def counting(J, F):
-            for i, dz in enumerate(directions(J, F)):
-                calls["lm"] += i > 0
-                yield dz
-
+        # the reference needs Levenberg-Marquardt steps on window 2 of the
+        # replicable panel, the only window it solves
         scen = replicable_window(2)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_directions", counting)
-            lazy = rt.solve_robust(scen, REPL_BALL, L1)
-        assert calls["lm"] > 0
-        assert _same_bytes(lazy, eager_solve_robust(scen, REPL_BALL, L1))
-        scen = replicable_window(1)
-        with pytest.raises(rt.NonConvergenceError):
-            rt.solve_robust(scen, REPL_BALL, L1)
-        with pytest.raises(rt.NonConvergenceError):
-            eager_solve_robust(scen, REPL_BALL, L1)
+        _assert_close_to_reference(rt.solve_robust(scen, REPL_BALL, L1),
+                                   eager_solve_robust(scen, REPL_BALL, L1))
 
     def test_work_counts(self, monkeypatch):
+        # line-search trials evaluate l only; l' and l'' run once per
+        # accepted point
         scen = make_scenarios(n=2000, seed=151)
-        ball = rt.DivergenceBall(0.0, 2.0)
-        d = scen.d
         counts = {"l": 0, "lp": 0, "lpp": 0}
         for name, key in (("loss_value", "l"), ("loss_deriv1", "lp"),
                           ("loss_deriv2", "lpp")):
@@ -349,42 +404,9 @@ class TestLazyNewton:
                 counts[key] += 1
                 return fn(spec, x)
             monkeypatch.setattr(solver, name, counted)
-
-        residual = solver._residual
-        skipped, feasible = [], []
-
-        def watched(z, *args):
-            before = dict(counts)
-            out = residual(z, *args)
-            if z[d] <= 0:
-                skipped.append(counts == before and out is None)
-            elif out is not None:
-                feasible.append(z)
-            return out
-
-        monkeypatch.setattr(solver, "_residual", watched)
-        z0 = np.concatenate([np.full(d, 1.0 / d), [0.02, 0.01, -0.05]])
-        z, F, steps = solver._newton(z0, scen, ball, L1, rt.SolverConfig())
-        assert np.max(np.abs(F)) <= 1e-8
-        assert skipped and all(skipped)      # alpha <= 0 trials run no kernel
-        assert len(feasible) > steps + 1     # some feasible trials were rejected
-        assert counts["lpp"] == steps + 1    # start point plus each accepted step
-
-    def test_fallback_directions_formed_on_demand(self, monkeypatch):
-        solves = []
-        solve = np.linalg.solve
-
-        def counted(a, b):
-            solves.append(a.shape)
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        J = np.array([[2.0, 1.0], [1.0, 3.0]])
-        F = np.array([1.0, -1.0])
-        directions = solver._directions(J, F)
-        assert np.allclose(next(directions), np.linalg.inv(J) @ -F)
-        assert len(solves) == 1
-        assert len(list(directions)) == 3 and len(solves) == 4
+        sol = rt.solve_robust(scen, rt.DivergenceBall(0.0, 2.0), L1)
+        assert counts["lpp"] == counts["lp"] == sol.iterations + 1
+        assert counts["l"] >= sol.iterations + 1
 
     def test_repeat_solve_is_bit_identical(self, scenarios4k):
         ball = rt.DivergenceBall(0.1, 1.0)
@@ -392,25 +414,77 @@ class TestLazyNewton:
                            rt.solve_robust(scenarios4k, ball, L1))
 
 
-class TestNonConvergenceReport:
-    def test_reports_best_iterate_and_steps_taken(self):
-        # both attempts run all 200 steps on window 1 and stall near 1e-5;
-        # the start point's residual is 0.37
-        with pytest.raises(rt.NonConvergenceError) as info:
-            rt.solve_robust(replicable_window(1), REPL_BALL, L1)
-        err = info.value
-        assert str(err) == "robust solve did not reach residual tolerance 1e-08"
-        assert err.iterations == 400
-        assert 1e-8 < err.residual_norm < 1e-4
+def _worst_case_loss(loss, lam, eta):
+    """max mean(E loss) over E >= 0 with mean(E) = 1 and mean(G(E)) <= eta,
+    as the dual minimum over alpha of a bracketed beta root: an evaluation
+    independent of the solver's inner Newton iterations."""
+    c = lam / (lam + 1.0)
 
-    def test_counts_only_the_attempts_made(self):
-        scen = replicable_window(1)
-        one = rt.SolverConfig(max_iterations=5, warm_start_retry=False)
-        two = rt.SolverConfig(max_iterations=5)
-        with pytest.raises(rt.NonConvergenceError) as first:
-            rt.solve_robust(scen, REPL_BALL, L1, one)
-        with pytest.raises(rt.NonConvergenceError) as both:
-            rt.solve_robust(scen, REPL_BALL, L1, two)
-        assert first.value.iterations == 5
-        assert both.value.iterations == 10
-        assert both.value.residual_norm <= first.value.residual_norm
+    def estar(a, b):
+        return np.maximum(1.0 + c * (loss - b) / a, 0.0) ** (1.0 / lam)
+
+    def dual(log_a):
+        a = np.exp(log_a)
+        b = brentq(lambda b: estar(a, b).mean() - 1.0, loss.min() - 1e3 * a,
+                   loss.max(), xtol=1e-18, rtol=1e-15)
+        return a * eta + b + a * np.mean(estar(a, b) ** (lam + 1.0) - 1.0)
+
+    return minimize_scalar(dual, bounds=(-30.0, 5.0), method="bounded",
+                           options={"xatol": 1e-10}).fun
+
+
+class TestReplicableWindows:
+    """The fixed panel whose index the three stocks replicate exactly."""
+
+    @pytest.mark.parametrize("k", [0, 2, 6, 7, 8, 9])
+    def test_solvable_windows_reach_the_minimizer(self, k):
+        scen = replicable_window(k)
+        sol = rt.solve_robust(scen, REPL_BALL, L1)
+        assert sol.residual_norm <= 1e-8 and sol.alpha > 0
+
+        def rho(u):
+            return _worst_case_loss(rt.loss_value(L1, scen.B - scen.R @ u),
+                                    REPL_BALL.lam, REPL_BALL.eta)
+
+        best = rho(sol.u)
+        assert float(np.mean(sol.estar * rt.loss_value(L1, scen.B - scen.R @ sol.u))) \
+            == pytest.approx(best, rel=1e-8)
+        for v in ([1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]):
+            for step in (1e-3, -1e-3):
+                assert rho(sol.u + step * np.array(v)) > best
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 5])
+    def test_alpha_collapse_is_named(self, k, monkeypatch):
+        # the optimum is the replicating portfolio, where every loss is l(0)
+        # and alpha = 0: no KKT point exists
+        steps = []
+        lpp = solver.loss_deriv2
+        monkeypatch.setattr(solver, "loss_deriv2",
+                            lambda spec, x: steps.append(1) or lpp(spec, x))
+        with pytest.raises(rt.DegenerateScenariosError, match="alpha collapse"):
+            rt.solve_robust(replicable_window(k), REPL_BALL, L1)
+        assert len(steps) - 1 <= 30       # Newton steps: one l'' per accepted point
+
+
+class TestNonConvergenceReport:
+    def test_reports_best_iterate_and_steps_taken(self, scenarios4k):
+        ball = rt.DivergenceBall(0.1, 2.0)
+        errs = []
+        for steps in (1, 2):
+            with pytest.raises(rt.NonConvergenceError) as info:
+                rt.solve_robust(scenarios4k, ball, L1, rt.SolverConfig(max_iterations=steps))
+            errs.append(info.value)
+            assert str(info.value) == "robust solve did not reach residual tolerance 1e-08"
+            assert info.value.iterations == steps
+            assert info.value.residual_norm > 1e-8
+        assert errs[1].residual_norm <= errs[0].residual_norm
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # importing the package must not pull in scipy.optimize, which it no
+    # longer uses; the import would cost a third of a second of start-up
+    src = Path(rt.__file__).resolve().parent.parent
+    code = "import sys, robusttrack; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "False"
