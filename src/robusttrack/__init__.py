@@ -4,14 +4,13 @@ __version__ = "0.1.0"
 
 from .divergence import (DivergenceBall, MCEstimate, divergence_gaussian,
                          divergence_gaussian_equal_cov, divergence_mc,
-                         eta_from_ratio_mc, generator_F, k_from_eta, scalar_G)
+                         eta_from_ratio_mc, k_from_eta, scalar_G)
 from .evaluate import (BacktestConfig, BacktestResult, ComparisonReport,
                        RowConfig, TableRow, backtest_sliding, compare,
                        excess_index, run_table, tracking_error)
 from .loss import LossSpec, loss_deriv1, loss_deriv2, loss_value, payoff_H, raw_loss_value
 from .model import (DataError, IndexComposition, LoadedPrices, NominalModel,
-                    PerturbationSpec, ScenarioSet, load_prices_csv,
-                    sample_gaussian, sample_student_t, scenarios_from,
+                    ScenarioSet, load_prices_csv, sample_model, scenarios_from,
                     synthesize_index)
 from .solver import (DegenerateScenariosError, FeasibilityError,
                      NonConvergenceError, RobustSolution, SingularSystemError,
@@ -23,15 +22,15 @@ __all__ = [
     "__version__",
     "DivergenceBall", "MCEstimate", "divergence_gaussian",
     "divergence_gaussian_equal_cov", "divergence_mc", "eta_from_ratio_mc",
-    "generator_F", "k_from_eta", "scalar_G",
+    "k_from_eta", "scalar_G",
     "BacktestConfig", "BacktestResult", "ComparisonReport", "RowConfig",
     "TableRow", "backtest_sliding", "compare", "excess_index", "run_table",
     "tracking_error",
     "LossSpec", "loss_deriv1", "loss_deriv2", "loss_value", "payoff_H",
     "raw_loss_value",
     "DataError", "IndexComposition", "LoadedPrices", "NominalModel",
-    "PerturbationSpec", "ScenarioSet", "load_prices_csv", "sample_gaussian",
-    "sample_student_t", "scenarios_from", "synthesize_index",
+    "ScenarioSet", "load_prices_csv", "sample_model", "scenarios_from",
+    "synthesize_index",
     "DegenerateScenariosError", "FeasibilityError", "NonConvergenceError",
     "RobustSolution", "SingularSystemError", "SolverConfig", "SolverError",
     "hessian_diagnostic", "solve_nonrobust", "solve_robust",

@@ -251,29 +251,50 @@ def cmd_divergence(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _columns(indices, ncols: int, path: str) -> list:
+    """Column indices from the config: a non-empty list of ints in 0..ncols-1.
+
+    Negative indices are rejected, because numpy would select from the end.
+    """
+    if not isinstance(indices, list) or not indices:
+        raise ConfigError(path, f"expected a non-empty list of column indices, "
+                                f"got {indices!r}")
+    for j in indices:
+        if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < ncols:
+            raise ConfigError(path, f"column index {j!r} is outside 0..{ncols - 1}")
+    return indices
+
+
+def _csv_returns(cfg: dict):
+    """(tracked asset returns, index returns) from the price CSV of the
+    ``data`` block; the index is one of its columns or synthesized from
+    fixed weights over all of them."""
+    data = _need(cfg, "config", "data")
+    returns = load_prices_csv(_need(data, "data", "csv")).returns
+    ncols = returns.shape[1]
+    mode = data.get("index", "column")
+    if mode == "column":
+        idx_col = _columns([data.get("index_col", 0)], ncols, "data.index_col")[0]
+        index_returns = returns[:, idx_col]
+        default = [j for j in range(ncols) if j != idx_col]
+    elif mode == "synthesize":
+        comp = IndexComposition(np.asarray(_need(data, "data", "weights"), float))
+        index_returns = synthesize_index(returns, comp)
+        default = list(range(ncols))
+    else:
+        raise ConfigError("data.index", "must be 'column' or 'synthesize'")
+    tracked = _columns(data.get("tracked", default), ncols, "data.tracked")
+    return returns[:, tracked], index_returns
+
+
 def _scenarios_from_config(cfg: dict, exp: dict):
     """Scenario construction from either a parametric model or a CSV."""
     if "data" in cfg:
-        data = cfg["data"]
-        loaded = load_prices_csv(_need(data, "data", "csv"))
-        returns = loaded.returns
-        mode = data.get("index", "column")
-        if mode == "column":
-            idx_col = int(data.get("index_col", 0))
-            index_returns = returns[:, idx_col]
-            tracked = data.get("tracked",
-                               [j for j in range(returns.shape[1]) if j != idx_col])
-        elif mode == "synthesize":
-            weights = IndexComposition(np.asarray(_need(data, "data", "weights"), float))
-            index_returns = synthesize_index(returns, weights)
-            tracked = data.get("tracked", list(range(returns.shape[1])))
-        else:
-            raise ConfigError("data.index", "must be 'column' or 'synthesize'")
-        return scenarios_from(returns[:, tracked], index_returns,
-                              source="historical-window")
+        return scenarios_from(*_csv_returns(cfg), source="historical-window")
     model = build_model(_need(cfg, "config", "model"))
     comp = IndexComposition(np.asarray(_need(cfg, "config", "composition"), float))
-    tracked = cfg.get("tracked_assets", list(range(model.dim)))
+    tracked = _columns(cfg.get("tracked_assets", list(range(model.dim))),
+                       model.dim, "tracked_assets")
     draws = sample_model(model, exp["n"], exp["seed"])
     return scenarios_from(draws[:, tracked], synthesize_index(draws, comp),
                           seed=exp["seed"])
@@ -323,9 +344,7 @@ def cmd_simulate(cfg: dict) -> int:
     spec = build_loss(cfg)
     model = build_model(_need(cfg, "config", "model"))
     comp = IndexComposition(np.asarray(_need(cfg, "config", "composition"), float))
-    tracked = cfg.get("tracked_assets")
-    if tracked is None:
-        raise ConfigError("tracked_assets", "missing required field")
+    tracked = _columns(_need(cfg, "config", "tracked_assets"), model.dim, "tracked_assets")
     grid = build_grid(cfg)
     rows = run_table(model, comp, tracked, grid, spec,
                      n=exp["n"], seed=exp["seed"], n_eval=exp["n_eval"],
@@ -351,22 +370,7 @@ def cmd_backtest(cfg: dict) -> int:
     out = _out_dir(cfg)
     spec = build_loss(cfg)
     ball = build_ball(cfg)
-    data = _need(cfg, "config", "data")
-    loaded = load_prices_csv(_need(data, "data", "csv"))
-    returns = loaded.returns
-    mode = data.get("index", "column")
-    if mode == "column":
-        idx_col = int(data.get("index_col", 0))
-        index_returns = returns[:, idx_col]
-        tracked = data.get("tracked",
-                           [j for j in range(returns.shape[1]) if j != idx_col])
-    elif mode == "synthesize":
-        comp = IndexComposition(np.asarray(_need(data, "data", "weights"), float))
-        index_returns = synthesize_index(returns, comp)
-        tracked = data.get("tracked", list(range(returns.shape[1])))
-    else:
-        raise ConfigError("data.index", "must be 'column' or 'synthesize'")
-
+    asset_returns, index_returns = _csv_returns(cfg)
     bt_block = cfg.get("backtest", {})
     bcfg = BacktestConfig(
         ball=ball, loss=spec,
@@ -374,7 +378,7 @@ def cmd_backtest(cfg: dict) -> int:
         out_of_sample=int(bt_block.get("out_of_sample", 52)),
         solver=build_solver_config(cfg),
     )
-    result = backtest_sliding(returns[:, tracked], index_returns, bcfg)
+    result = backtest_sliding(asset_returns, index_returns, bcfg)
 
     print(f"out-of-sample BT: {result.bt_wins}/{result.bt_steps} "
           f"({result.bt_percent:.2f}%)")

@@ -44,10 +44,6 @@ class DivergenceBall:
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ValueError("eta must be finite and >= 0")
 
-    @property
-    def is_kl(self) -> bool:
-        return self.lam == 0.0
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -55,21 +51,6 @@ class MCEstimate:
 
     estimate: float
     std_error: float
-
-
-def generator_F(z, lam: float):
-    """Convex generator F(z) = (z^(lam+1) - (lam+1) z) / lam for z > 0.
-
-    Evaluated in the cancellation-free form z*expm1(lam*log z)/lam - z,
-    which converges to z log z - z as lam -> 0.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("generator_F requires z > 0")
-    if lam <= 0:
-        raise ValueError("generator_F requires lam > 0")
-    out = z * np.expm1(lam * np.log(z)) / lam - z
-    return float(out) if out.ndim == 0 else out
 
 
 def scalar_G(e, lam: float):
@@ -210,12 +191,10 @@ def log_density(model: NominalModel, x: np.ndarray) -> np.ndarray:
     d = model.dim
     if model.kind == "gaussian":
         return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
-    if model.kind == "student_t":
-        nu = model.dof
-        const = (gammaln((d + nu) / 2.0) - gammaln(nu / 2.0)
-                 - 0.5 * d * np.log(np.pi * nu) - 0.5 * logdet)
-        return const - 0.5 * (d + nu) * np.log1p(quad / nu)
-    raise ValueError("log_density requires a gaussian or student_t model")
+    nu = model.dof
+    const = (gammaln((d + nu) / 2.0) - gammaln(nu / 2.0)
+             - 0.5 * d * np.log(np.pi * nu) - 0.5 * logdet)
+    return const - 0.5 * (d + nu) * np.log1p(quad / nu)
 
 
 def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,

@@ -66,17 +66,13 @@ def excess_index(u, scenarios: ScenarioSet) -> np.ndarray:
 
 
 def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet, spec: LossSpec,
-            tie_policy: str = "include", tie_tol: float = 1e-12) -> ComparisonReport:
+            tie_tol: float = 1e-12) -> ComparisonReport:
     """Head-to-head comparison of two portfolios on common scenarios.
 
     BT counts scenarios where the robust raw loss is not worse; the exclude
     variant drops scenarios where both raw losses are <= tie_tol from
-    numerator and denominator.  Requesting tie_policy="exclude" with no
-    surviving scenarios is an error; under "include" the exclude percentage
-    degrades to NaN.
+    numerator and denominator, and is NaN when no scenario survives.
     """
-    if tie_policy not in ("include", "exclude"):
-        raise ValueError(f"unknown tie_policy {tie_policy!r}")
     x_r = actual_scenarios.B - actual_scenarios.R @ np.asarray(u_robust, dtype=float)
     x_n = actual_scenarios.B - actual_scenarios.R @ np.asarray(u_nonrobust, dtype=float)
     raw_r = raw_loss_value(spec, x_r)
@@ -87,8 +83,6 @@ def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet, spec: LossSpec
     tie_count = int(ties.sum())
     n_excl = n - tie_count
     if n_excl == 0:
-        if tie_policy == "exclude":
-            raise ValueError("no scenarios survive tie exclusion")
         bt_excl = float("nan")
     else:
         bt_excl = 100.0 * float((wins & ~ties).sum()) / n_excl
@@ -238,7 +232,6 @@ class BacktestConfig:
     loss: LossSpec
     window: int = 104
     out_of_sample: int = 52
-    tie_tol: float = 1e-12
     solver: Optional[SolverConfig] = None
 
     def __post_init__(self):

@@ -52,10 +52,6 @@ class LossSpec:
     def smoothed_plus(cls, epsilon: float = 0.01) -> "LossSpec":
         return cls(kind=SMOOTHED_PLUS, epsilon=epsilon)
 
-    @property
-    def is_one_sided(self) -> bool:
-        return self.kind != QUADRATIC
-
 
 def _phi(t):
     return np.exp(-0.5 * t * t) / _SQRT_2PI

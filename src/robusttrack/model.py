@@ -50,27 +50,20 @@ class IndexComposition:
 class NominalModel:
     """Parametric model for the joint one-period simple returns.
 
-    kind is one of ``gaussian``, ``student_t`` or ``empirical``.  ``scale``
-    is the covariance for the Gaussian case and the scale matrix (not the
-    covariance) for the Student-t case; the Student-t covariance is
-    dof/(dof-2) * scale and requires dof > 2.
+    kind is ``gaussian`` or ``student_t``.  ``scale`` is the covariance for
+    the Gaussian case and the scale matrix (not the covariance) for the
+    Student-t case; the Student-t covariance is dof/(dof-2) * scale and
+    requires dof > 2.
     """
 
     kind: str
-    mean: Optional[np.ndarray] = None
-    scale: Optional[np.ndarray] = None
+    mean: np.ndarray
+    scale: np.ndarray
     dof: Optional[float] = None
-    samples: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "student_t", "empirical"):
+        if self.kind not in ("gaussian", "student_t"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "empirical":
-            s = np.asarray(self.samples, dtype=float)
-            if s.ndim != 2 or not np.all(np.isfinite(s)):
-                raise ValueError("empirical samples must be a finite 2-d array")
-            object.__setattr__(self, "samples", s)
-            return
         mean = np.asarray(self.mean, dtype=float)
         scale = np.asarray(self.scale, dtype=float)
         if mean.ndim != 1:
@@ -79,7 +72,7 @@ class NominalModel:
             raise ValueError("scale must be square and match the mean dimension")
         if not np.allclose(scale, scale.T, atol=1e-12):
             raise ValueError("scale matrix must be symmetric")
-        # PD check once, factor reused by the samplers.
+        # PD check once, factor reused by the sampler.
         try:
             chol = np.linalg.cholesky(scale)
         except np.linalg.LinAlgError as exc:
@@ -99,47 +92,21 @@ class NominalModel:
     def student_t(cls, mean, scale, dof) -> "NominalModel":
         return cls(kind="student_t", mean=mean, scale=scale, dof=float(dof))
 
-    @classmethod
-    def empirical(cls, samples) -> "NominalModel":
-        return cls(kind="empirical", samples=samples)
-
     @property
     def dim(self) -> int:
-        if self.kind == "empirical":
-            return self.samples.shape[1]
         return self.mean.size
 
     @property
     def covariance(self) -> np.ndarray:
         if self.kind == "gaussian":
             return self.scale
-        if self.kind == "student_t":
-            if self.dof <= 2:
-                raise ValueError("student_t covariance requires dof > 2")
-            return self.dof / (self.dof - 2.0) * self.scale
-        return np.cov(self.samples.T)
+        if self.dof <= 2:
+            raise ValueError("student_t covariance requires dof > 2")
+        return self.dof / (self.dof - 2.0) * self.scale
 
     def with_mean_scaled(self, k: float) -> "NominalModel":
         """Same dispersion, mean multiplied by the scalar k."""
-        if self.kind == "empirical":
-            raise ValueError("mean scaling is undefined for empirical models")
-        if self.kind == "gaussian":
-            return NominalModel.gaussian(k * self.mean, self.scale)
-        return NominalModel.student_t(k * self.mean, self.scale, self.dof)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Mean-scaling perturbation: the actual mean is k times the nominal one."""
-
-    k: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.k):
-            raise ValueError("k must be finite")
-
-    def apply(self, model: NominalModel) -> NominalModel:
-        return model.with_mean_scaled(self.k)
+        return NominalModel(self.kind, k * self.mean, self.scale, self.dof)
 
 
 @dataclass(frozen=True)
@@ -180,58 +147,24 @@ class ScenarioSet:
         return self.R.shape[1]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+def sample_model(model: NominalModel, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. simple-return rows from the model.
 
-
-def sample_gaussian(model: NominalModel, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. multivariate normal simple-return rows.
-
+    Student-t rows are the Gaussian rows scaled by sqrt(dof / chi-square).
     Deterministic for a fixed (model, n, seed) triple; rows are produced in
     fixed chunks whose streams depend only on (seed, chunk index).
     """
-    if model.kind != "gaussian":
-        raise ValueError("sample_gaussian requires a gaussian model")
     if n < 1:
         raise ValueError("n must be >= 1")
-    dim = model.dim
-    chol = model._chol
-    out = np.empty((n, dim))
+    out = np.empty((n, model.dim))
     for ci, start in enumerate(range(0, n, _CHUNK)):
         m = min(_CHUNK, n - start)
-        z = _chunk_rng(seed, ci).standard_normal((m, dim))
-        out[start:start + m] = model.mean + z @ chol.T
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
+        z = rng.standard_normal((m, model.dim)) @ model._chol.T
+        if model.kind == "student_t":
+            z *= np.sqrt(model.dof / rng.chisquare(model.dof, m))[:, None]
+        out[start:start + m] = model.mean + z
     return out
-
-
-def sample_student_t(model: NominalModel, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. multivariate Student-t rows (Gaussian / chi-square mixture)."""
-    if model.kind != "student_t":
-        raise ValueError("sample_student_t requires a student_t model")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dim = model.dim
-    chol = model._chol
-    nu = model.dof
-    out = np.empty((n, dim))
-    for ci, start in enumerate(range(0, n, _CHUNK)):
-        m = min(_CHUNK, n - start)
-        rng = _chunk_rng(seed, ci)
-        z = rng.standard_normal((m, dim)) @ chol.T
-        chi = rng.chisquare(nu, m)
-        out[start:start + m] = model.mean + z * np.sqrt(nu / chi)[:, None]
-    return out
-
-
-def sample_model(model: NominalModel, n: int, seed: int) -> np.ndarray:
-    """Dispatch sampling on the model kind."""
-    if model.kind == "gaussian":
-        return sample_gaussian(model, n, seed)
-    if model.kind == "student_t":
-        return sample_student_t(model, n, seed)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = rng.integers(0, model.samples.shape[0], size=n)
-    return model.samples[idx]
 
 
 def synthesize_index(asset_returns: np.ndarray, comp: IndexComposition) -> np.ndarray:
@@ -267,7 +200,6 @@ class LoadedPrices:
 
     returns: np.ndarray             # (T-1, n_cols) simple returns
     columns: Optional[list] = None  # header names if the file had a header row
-    first_prices: Optional[np.ndarray] = None  # first price row, for round trips
 
 
 def load_prices_csv(path) -> LoadedPrices:
@@ -310,4 +242,4 @@ def load_prices_csv(path) -> LoadedPrices:
     if np.any(prices <= 0):
         raise DataError(f"{path}: prices must be strictly positive")
     returns = prices[1:] / prices[:-1] - 1.0
-    return LoadedPrices(returns=returns, columns=header, first_prices=prices[0])
+    return LoadedPrices(returns=returns, columns=header)

@@ -35,8 +35,7 @@ def gaussian5():
 def make_scenarios(n=4000, seed=0, model=None, weights=WEIGHTS5, tracked=(0, 1, 2, 3)):
     """Fit-style scenario set: track a subset of the benchmark assets."""
     model = model or rt.NominalModel.gaussian(MU5, SIGMA5)
-    draws = rt.sample_gaussian(model, n, seed) if model.kind == "gaussian" \
-        else rt.sample_student_t(model, n, seed)
+    draws = rt.sample_model(model, n, seed)
     comp = rt.IndexComposition(weights)
     return rt.scenarios_from(draws[:, list(tracked)],
                              rt.synthesize_index(draws, comp), seed=seed)

@@ -132,7 +132,7 @@ def test_criterion_5_downturn_table():
     """One-sided smoothed-loss table at n = 1e5: include/exclude BT columns.
 
     The BT columns reproduce within tolerance (to ~0.1pp at n = 1e6, see
-    scripts/downturn_table.py), but the ete_diff monotonicity sub-check
+    examples/downturn_table.json), but the ete_diff monotonicity sub-check
     fails: the reference differences it encodes match the mean positive-
     part shortfall E[max(B - R'u, 0)] (reproduced here to 0.2-2 percent at
     mild radii), not the mean smoothed loss that tracking_error reports,
@@ -163,7 +163,7 @@ def test_criterion_6_heavy_tail_table():
     empirical system has no stable large-sample limit, so desk-scale fits
     scatter several points around the reference column (at n = 1e6 the
     include column lands within ~1.5pp of the reference; see
-    scripts/mvt_table.py).  The criterion is asserted as stated.
+    examples/mvt_table.json).  The criterion is asserted as stated.
     """
     ks = [1.0, -3.0, -8.0]
     mvt = rt.NominalModel.student_t(MU5, SIGMA5, dof=10.0)

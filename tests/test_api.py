@@ -1,0 +1,60 @@
+"""The public surface of the package.
+
+Every exported name resolves; the names the acceptance gate and the
+benchmark's tracer look up are present; names deleted as unused stay gone,
+and the option counts of the config types do not grow back.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import robusttrack as rt
+
+# The names the acceptance gate imports (ROADMAP, "Open items") and the
+# config types.
+GATE = ["payoff_H", "divergence_mc", "system_residual", "system_jacobian",
+        "hessian_diagnostic", "scalar_G", "solve_robust", "solve_nonrobust",
+        "run_table", "backtest_sliding",
+        "SolverConfig", "BacktestConfig", "RowConfig", "DivergenceBall", "LossSpec"]
+DELETED = ["generator_F", "PerturbationSpec", "sample_gaussian", "sample_student_t",
+           "estar_value"]
+
+
+def test_all_names_resolve():
+    for name in rt.__all__:
+        assert hasattr(rt, name), name
+
+
+def test_gate_names_exported():
+    assert set(GATE) <= set(rt.__all__)
+
+
+def test_trace_points_resolve():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from tracing import TRACE_POINTS
+    finally:
+        sys.path.pop(0)
+    for module, attr, _ in TRACE_POINTS:
+        assert hasattr(importlib.import_module(f"robusttrack.{module}"), attr), (module, attr)
+
+
+def test_deleted_names_absent():
+    for name in DELETED:
+        assert not hasattr(rt, name), name
+    assert not hasattr(rt.NominalModel, "empirical")
+    assert not hasattr(rt.DivergenceBall, "is_kl")
+    assert not hasattr(rt.LossSpec, "is_one_sided")
+    assert [f.name for f in dataclasses.fields(rt.LoadedPrices)] == ["returns", "columns"]
+
+
+def test_option_counts():
+    assert [f.name for f in dataclasses.fields(rt.SolverConfig)] == [
+        "init_u", "max_iterations", "residual_tol"]
+    assert [f.name for f in dataclasses.fields(rt.BacktestConfig)] == [
+        "ball", "loss", "window", "out_of_sample", "solver"]
+    params = inspect.signature(rt.compare).parameters.values()
+    assert [p.name for p in params if p.default is not p.empty] == ["tie_tol"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from robusttrack import cli
 from robusttrack.cli import main
 
 from conftest import MU5, SIGMA5, WEIGHTS5
@@ -34,6 +35,13 @@ def write_price_csv(tmp_path, prices, name="prices.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def independent_prices(periods=60, cols=4, seed=12):
+    """Prices whose columns no combination of the others replicates."""
+    rng = np.random.default_rng(seed)
+    r = 0.02 * rng.standard_normal((periods, cols)) + 0.001
+    return 100.0 * np.cumprod(1.0 + r, axis=0)
 
 
 def synthetic_prices(periods=60, cols=4, seed=8):
@@ -124,6 +132,51 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg]) == 2
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,data,path", [
+        ("backtest", {"index_col": 4}, "data.index_col"),
+        ("backtest", {"index_col": -1}, "data.index_col"),
+        ("backtest", {"index_col": 1.5}, "data.index_col"),
+        ("backtest", {"tracked": []}, "data.tracked"),
+        ("backtest", {"tracked": [1, 9]}, "data.tracked"),
+        ("backtest", {"tracked": [-1, 2]}, "data.tracked"),
+        ("solve", {"tracked": [1, 4]}, "data.tracked"),
+        ("solve", {"index": "synthesize", "weights": [0.25] * 4, "tracked": [0, 4]},
+         "data.tracked"),
+    ], ids=["index_col-4", "index_col-negative", "index_col-fraction", "tracked-empty",
+            "tracked-9", "tracked-negative",
+            "solve-tracked-4", "solve-synthesize-tracked-4"])
+    def test_csv_column_out_of_range(self, tmp_path, capsys, command, data, path):
+        csv = write_price_csv(tmp_path, synthetic_prices())   # 4 columns
+        cfg = write_config(tmp_path, {
+            "data": {"csv": csv, "index": "column", **data},
+            "ball": {"lambda": 0.1, "eta": 0.05},
+            "loss": {"kind": "quadratic"},
+            "backtest": {"window": 40, "out_of_sample": 2},
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main([command, "--config", cfg]) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,tracked", [
+        ("simulate", [0, 5]), ("simulate", [-1, 2]), ("solve", [0, 5]), ("solve", [-1]),
+    ], ids=["simulate-5", "simulate-negative", "solve-5", "solve-negative"])
+    def test_tracked_assets_out_of_range(self, tmp_path, capsys, command, tracked):
+        cfg = small_market_config(tmp_path, tmp_path / "out", tracked_assets=tracked,
+                                  ball={"lambda": 0.1, "eta": 0.2})
+        assert main([command, "--config", cfg]) == 2
+        assert "tracked_assets" in capsys.readouterr().err
+
+
+def synthesize_config(tmp_path, prices, weights, tracked):
+    return write_config(tmp_path, {
+        "data": {"csv": write_price_csv(tmp_path, prices), "index": "synthesize",
+                 "weights": weights, "tracked": tracked},
+        "ball": {"lambda": 0.1, "eta": 0.02},
+        "loss": {"kind": "quadratic"},
+        "backtest": {"window": 40, "out_of_sample": 5},
+        "io": {"out_dir": str(tmp_path / "out")},
+    })
+
 
 class TestSolve:
     def test_ball_collapse_matches_baseline(self, tmp_path):
@@ -158,6 +211,23 @@ class TestSolve:
             "io": {"out_dir": str(tmp_path / "out")},
         })
         assert main(["solve", "--config", cfg]) == 3
+
+    def test_synthesized_index(self, tmp_path, monkeypatch):
+        prices = independent_prices()
+        weights = [0.1, 0.2, 0.3, 0.4]
+        seen = []
+
+        def solve_robust(scen, *args):
+            seen.append(scen)
+            return real(scen, *args)
+
+        real = cli.solve_robust
+        monkeypatch.setattr(cli, "solve_robust", solve_robust)
+        cfg = synthesize_config(tmp_path, prices, weights, [0, 1, 2])
+        assert main(["solve", "--config", cfg]) == 0
+        returns = prices[1:] / prices[:-1] - 1.0
+        np.testing.assert_allclose(seen[0].B, 1.0 + returns @ weights, rtol=1e-15)
+        np.testing.assert_allclose(seen[0].R, 1.0 + returns[:, :3], rtol=1e-15)
 
 
 class TestDivergenceCommand:
@@ -239,6 +309,24 @@ class TestBacktestCommand:
         })
         assert main(["backtest", "--config", cfg]) == 4
         assert "data error" in capsys.readouterr().err
+
+    def test_synthesized_index(self, tmp_path, monkeypatch):
+        prices = independent_prices()
+        weights = [0.4, 0.3, 0.2, 0.1]
+        seen = []
+
+        def backtest_sliding(asset_returns, index_returns, bcfg):
+            seen.append((asset_returns, index_returns))
+            return real(asset_returns, index_returns, bcfg)
+
+        real = cli.backtest_sliding
+        monkeypatch.setattr(cli, "backtest_sliding", backtest_sliding)
+        cfg = synthesize_config(tmp_path, prices, weights, [1, 3])
+        assert main(["backtest", "--config", cfg]) == 0
+        returns = prices[1:] / prices[:-1] - 1.0
+        asset_returns, index_returns = seen[0]
+        np.testing.assert_allclose(index_returns, returns @ weights, rtol=1e-14)
+        np.testing.assert_array_equal(asset_returns, returns[:, [1, 3]])
 
 
 class TestManifest:

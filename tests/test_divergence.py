@@ -16,25 +16,6 @@ def random_pd(rng, d, scale=1.0):
     return scale * (a @ a.T + d * np.eye(d))
 
 
-class TestGeneratorF:
-    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.5, 1.0, 3.0])
-    def test_value_at_one(self, lam):
-        assert rt.generator_F(1.0, lam) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_small_lam_limit(self):
-        # F -> z log z - z as lam -> 0
-        assert rt.generator_F(2.0, 1e-6) == pytest.approx(2 * np.log(2) - 2, abs=1e-4)
-
-    def test_unit_lam(self):
-        assert rt.generator_F(2.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            rt.generator_F(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            rt.generator_F(2.0, 0.0)
-
-
 class TestScalarG:
     @pytest.mark.parametrize("lam", [0.0, 0.05, 0.1, 1.0])
     def test_zero_at_one(self, lam):
@@ -56,6 +37,15 @@ class TestScalarG:
     @given(st.floats(1e-6, 1e3), st.floats(0.0, 4.0))
     def test_nonnegative_property(self, e, lam):
         assert rt.scalar_G(e, lam) >= -1e-12
+
+    def test_small_lam_limit(self):
+        # G -> e log e - e + 1 (the KL integrand) as lam -> 0
+        assert rt.scalar_G(2.0, 1e-6) == pytest.approx(2 * np.log(2) - 1, abs=1e-5)
+
+    def test_rejects_nonpositive(self):
+        for e in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                rt.scalar_G(e, 0.5)
 
 
 class TestDivergenceMC:
@@ -240,4 +230,3 @@ class TestBallType:
             rt.DivergenceBall(lam=-0.1, eta=1.0)
         with pytest.raises(ValueError):
             rt.DivergenceBall(lam=0.1, eta=-1.0)
-        assert rt.DivergenceBall(lam=0.0, eta=0.5).is_kl

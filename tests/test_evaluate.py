@@ -77,8 +77,6 @@ class TestCompare:
         rep = rt.compare(u1, u2, scen, L1)
         assert rep.bt_percent == 100.0
         assert np.isnan(rep.bt_percent_excl_ties)
-        with pytest.raises(ValueError, match="tie exclusion"):
-            rt.compare(u1, u2, scen, L1, tie_policy="exclude")
 
     def test_quadratic_uses_squared_loss(self):
         scen = rt.ScenarioSet(R=np.array([[1.00, 1.04]]), B=np.array([1.02]))

@@ -11,27 +11,27 @@ from conftest import MU5, SIGMA5, WEIGHTS5
 class TestGaussianSampling:
     def test_mean_law_of_large_numbers(self, gaussian5):
         n = 100_000
-        x = rt.sample_gaussian(gaussian5, n, seed=3)
+        x = rt.sample_model(gaussian5, n, seed=3)
         assert np.all(np.abs(x.mean(axis=0) - MU5) < 4.0 / np.sqrt(n))
 
     def test_covariance_entry(self, gaussian5):
         n = 1_000_000
-        x = rt.sample_gaussian(gaussian5, n, seed=5)
+        x = rt.sample_model(gaussian5, n, seed=5)
         var0 = x[:, 0].var(ddof=1)
         se = np.sqrt(2.0 / (n - 1)) * 0.0020   # sampling std of a Gaussian variance
         assert abs(var0 - 0.0020) < 3 * se
 
     def test_deterministic_per_seed(self, gaussian5):
-        a = rt.sample_gaussian(gaussian5, 1000, seed=42)
-        b = rt.sample_gaussian(gaussian5, 1000, seed=42)
+        a = rt.sample_model(gaussian5, 1000, seed=42)
+        b = rt.sample_model(gaussian5, 1000, seed=42)
         assert np.array_equal(a, b)
-        c = rt.sample_gaussian(gaussian5, 1000, seed=43)
+        c = rt.sample_model(gaussian5, 1000, seed=43)
         assert not np.array_equal(a, c)
 
     def test_deterministic_across_chunk_boundary(self, gaussian5):
         n = 300_000   # spans two sampling chunks
-        a = rt.sample_gaussian(gaussian5, n, seed=9)
-        b = rt.sample_gaussian(gaussian5, n, seed=9)
+        a = rt.sample_model(gaussian5, n, seed=9)
+        b = rt.sample_model(gaussian5, n, seed=9)
         assert np.array_equal(a, b)
 
     def test_non_pd_covariance_rejected(self):
@@ -39,17 +39,12 @@ class TestGaussianSampling:
         with pytest.raises(ValueError, match="positive definite"):
             rt.NominalModel.gaussian(np.zeros(2), bad)
 
-    def test_requires_gaussian_kind(self):
-        t = rt.NominalModel.student_t(np.zeros(2), np.eye(2), 5.0)
-        with pytest.raises(ValueError):
-            rt.sample_gaussian(t, 10, seed=0)
-
 
 class TestStudentTSampling:
     def test_large_dof_matches_gaussian_moments(self):
         model = rt.NominalModel.student_t(np.zeros(3), np.eye(3), dof=1e6)
         n = 200_000
-        x = rt.sample_student_t(model, n, seed=1)
+        x = rt.sample_model(model, n, seed=1)
         assert np.all(np.abs(x.mean(axis=0)) < 4.0 / np.sqrt(n))
         assert np.all(np.abs(x.var(axis=0, ddof=1) - 1.0) < 0.02)
 
@@ -57,14 +52,14 @@ class TestStudentTSampling:
         # componentwise variance is dof/(dof-2) = 1.25 at dof=10
         model = rt.NominalModel.student_t(np.zeros(2), np.eye(2), dof=10.0)
         n = 400_000
-        x = rt.sample_student_t(model, n, seed=2)
+        x = rt.sample_model(model, n, seed=2)
         se = 1.25 * np.sqrt(2.0 / n) * 2.0   # t variance estimate is noisier
         assert np.all(np.abs(x.var(axis=0, ddof=1) - 1.25) < 3 * se)
 
     def test_deterministic_per_seed(self):
         model = rt.NominalModel.student_t(MU5, SIGMA5, dof=8.0)
-        a = rt.sample_student_t(model, 777, seed=6)
-        b = rt.sample_student_t(model, 777, seed=6)
+        a = rt.sample_model(model, 777, seed=6)
+        b = rt.sample_model(model, 777, seed=6)
         assert np.array_equal(a, b)
 
     def test_covariance_property(self):
@@ -73,6 +68,32 @@ class TestStudentTSampling:
         shallow = rt.NominalModel.student_t(np.zeros(2), np.eye(2), dof=2.0)
         with pytest.raises(ValueError, match="dof > 2"):
             shallow.covariance
+
+
+class TestSampleStream:
+    """The CLI manifest promises byte-for-byte reruns, so the sampled stream
+    is pinned to a reference built here from the chunk seeding scheme."""
+
+    @staticmethod
+    def reference(model, n, seed, chunk=1 << 18):
+        rows = []
+        for ci, start in enumerate(range(0, n, chunk)):
+            m = min(chunk, n - start)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
+            z = rng.standard_normal((m, model.dim)) @ np.linalg.cholesky(model.scale).T
+            if model.kind == "student_t":
+                z = z * np.sqrt(model.dof / rng.chisquare(model.dof, m))[:, None]
+            rows.append(model.mean + z)
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("model", [
+        rt.NominalModel.gaussian(MU5, SIGMA5),
+        rt.NominalModel.student_t(MU5, SIGMA5, dof=10.0),
+    ], ids=["gaussian", "student_t"])
+    def test_matches_reference_across_chunk_boundary(self, model):
+        n = 300_000   # spans two sampling chunks
+        assert np.array_equal(rt.sample_model(model, n, seed=21),
+                              self.reference(model, n, seed=21))
 
 
 class TestSynthesizeIndex:
@@ -175,7 +196,7 @@ class TestLoadPricesCsv:
         prices = 100.0 * np.cumprod(1 + 0.02 * rng.standard_normal((40, 3)), axis=0)
         text = "\n".join(",".join(repr(float(v)) for v in row) for row in prices) + "\n"
         loaded = rt.load_prices_csv(self._write(tmp_path, text))
-        rebuilt = loaded.first_prices * np.cumprod(1 + loaded.returns, axis=0)
+        rebuilt = prices[0] * np.cumprod(1 + loaded.returns, axis=0)
         assert np.all(np.abs(rebuilt / prices[1:] - 1.0) < 1e-9)
 
 
@@ -187,9 +208,12 @@ class TestTypes:
             rt.IndexComposition(np.array([1.5, -0.5]))
 
     def test_perturbation_scales_mean(self, gaussian5):
-        scaled = rt.PerturbationSpec(k=-2.0).apply(gaussian5)
+        scaled = gaussian5.with_mean_scaled(-2.0)
         assert np.allclose(scaled.mean, -2.0 * MU5)
         assert np.allclose(scaled.scale, SIGMA5)
+        t = rt.NominalModel.student_t(MU5, SIGMA5, dof=8.0).with_mean_scaled(-2.0)
+        assert (t.kind, t.dof) == ("student_t", 8.0)
+        assert np.allclose(t.mean, -2.0 * MU5)
 
     def test_scenario_shape_validation(self):
         with pytest.raises(ValueError):
