@@ -23,8 +23,8 @@ from .divergence import (DivergenceBall, divergence_gaussian,
                          divergence_gaussian_equal_cov, eta_from_ratio_mc,
                          k_from_eta)
 from .evaluate import (BacktestConfig, RowConfig, backtest_sliding,
-                       run_table, write_backtest_json, write_plot_csv,
-                       write_table_csv, write_table_json)
+                       run_table, write_backtest_json, write_json,
+                       write_plot_csv, write_table_csv, write_table_json)
 from .loss import LossSpec
 from .model import (DataError, IndexComposition, NominalModel, load_prices_csv,
                     sample_model, scenarios_from, synthesize_index)
@@ -50,12 +50,12 @@ def _need(cfg: dict, path: str, key: str):
     return cfg[key]
 
 
-def _as_positive(value, path, strict=True):
+def _as_positive(value, path):
     try:
         v = float(value)
     except (TypeError, ValueError):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    if strict and v <= 0 or v < 0:
+    if v <= 0:
         raise ConfigError(path, "must be positive")
     return v
 
@@ -180,9 +180,7 @@ def write_manifest(cfg: dict, command: str, outputs: list, out_dir: Path) -> Non
         "version": __version__,
         "outputs": sorted(str(o) for o in outputs),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, out_dir / "manifest.json")
 
 
 def _experiment(cfg: dict) -> dict:
@@ -192,7 +190,6 @@ def _experiment(cfg: dict) -> dict:
         "n_eval": int(block["n_eval"]) if "n_eval" in block else None,
         "n_ratio": int(block["n_ratio"]) if "n_ratio" in block else None,
         "seed": int(block.get("seed", 0)),
-        "tie_tol": float(block.get("tie_tol", 1e-12)),
     }
 
 
@@ -244,17 +241,17 @@ def cmd_divergence(cfg: dict) -> int:
             print(f"{eta:>8} {k:>12.4f} {rt:>14.10f}")
 
     path = out / "divergence_report.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(records, path)
     write_manifest(cfg, "divergence", [path], out)
     return EXIT_OK
 
 
 def _columns(indices, ncols: int, path: str) -> list:
-    """Column indices from the config: a non-empty list of ints in 0..ncols-1.
+    """Column indices from the config: a non-empty list of distinct ints in
+    0..ncols-1.
 
-    Negative indices are rejected, because numpy would select from the end.
+    Negative indices are rejected, because numpy would select from the end,
+    and repeats, because two identical assets make the system singular.
     """
     if not isinstance(indices, list) or not indices:
         raise ConfigError(path, f"expected a non-empty list of column indices, "
@@ -262,6 +259,8 @@ def _columns(indices, ncols: int, path: str) -> list:
     for j in indices:
         if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < ncols:
             raise ConfigError(path, f"column index {j!r} is outside 0..{ncols - 1}")
+    if len(set(indices)) < len(indices):
+        raise ConfigError(path, f"column indices repeat: {indices!r}")
     return indices
 
 
@@ -331,9 +330,7 @@ def cmd_solve(cfg: dict) -> int:
         "lam": ball.lam, "eta": ball.eta,
     }
     path = out / "solution.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
     write_manifest(cfg, "solve", [path], out)
     return EXIT_OK
 
@@ -348,7 +345,7 @@ def cmd_simulate(cfg: dict) -> int:
     grid = build_grid(cfg)
     rows = run_table(model, comp, tracked, grid, spec,
                      n=exp["n"], seed=exp["seed"], n_eval=exp["n_eval"],
-                     n_ratio=exp["n_ratio"], tie_tol=exp["tie_tol"],
+                     n_ratio=exp["n_ratio"],
                      solver_config=build_solver_config(cfg))
     csv_path = out / "table.csv"
     json_path = out / "table.json"

@@ -7,9 +7,10 @@ x^2 for the quadratic spec and the unsmoothed one-sided losses max(x,0)^2 /
 max(x,0) for the smoothed specs.  The smoothed losses exist for the solvers'
 derivatives; the raw one-sided losses are exactly zero whenever the
 portfolio matches or beats the index, which makes the "both losses zero"
-ties of the exclude variant well defined.  Expected tracking error (ETE)
-columns are means of the spec loss itself (no separate code path from
-``tracking_error``).
+ties of the exclude variant well defined.  Every metric of a portfolio is
+a function of its shortfall x = B - R'u, formed once per portfolio: expected
+tracking error (ETE) is the mean spec loss l(x), as in ``tracking_error``,
+and expected excess over the index (EEI) is the mean of -x.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .solver import SolverConfig, SolverError, solve_nonrobust, solve_robust
 # solved at the floor radius, so the weights coincide with the non-robust
 # ones up to solver noise.
 ETA_FLOOR = 1e-8
+# Both raw losses at or below this make a scenario a tie in the exclude
+# variant of the beating time.
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,60 +53,51 @@ class ComparisonReport:
     tie_count: int
 
 
-def tracking_error(u, scenarios: ScenarioSet, spec: LossSpec = LossSpec.quadratic()) -> np.ndarray:
-    """Per-scenario tracking loss; (u'R - B)^2 for the quadratic spec."""
+def _shortfall(u, scenarios: ScenarioSet) -> np.ndarray:
+    """Per-scenario shortfall B - R'u of the portfolio u against the index."""
     u = np.asarray(u, dtype=float)
     if u.shape != (scenarios.d,):
         raise ValueError("weight dimension does not match the scenario set")
-    return loss_value(spec, scenarios.B - scenarios.R @ u)
+    return scenarios.B - scenarios.R @ u
+
+
+def tracking_error(u, scenarios: ScenarioSet, spec: LossSpec = LossSpec.quadratic()) -> np.ndarray:
+    """Per-scenario tracking loss; (u'R - B)^2 for the quadratic spec."""
+    return loss_value(spec, _shortfall(u, scenarios))
 
 
 def excess_index(u, scenarios: ScenarioSet) -> np.ndarray:
     """Per-scenario excess over the index, u'R - B (negative = beaten)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (scenarios.d,):
-        raise ValueError("weight dimension does not match the scenario set")
-    return scenarios.R @ u - scenarios.B
+    return -_shortfall(u, scenarios)
 
 
-def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet, spec: LossSpec,
-            tie_tol: float = 1e-12) -> ComparisonReport:
+def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet,
+            spec: LossSpec) -> ComparisonReport:
     """Head-to-head comparison of two portfolios on common scenarios.
 
     BT counts scenarios where the robust raw loss is not worse; the exclude
-    variant drops scenarios where both raw losses are <= tie_tol from
+    variant drops scenarios where both raw losses are <= TIE_TOL from
     numerator and denominator, and is NaN when no scenario survives.
     """
-    x_r = actual_scenarios.B - actual_scenarios.R @ np.asarray(u_robust, dtype=float)
-    x_n = actual_scenarios.B - actual_scenarios.R @ np.asarray(u_nonrobust, dtype=float)
+    x_r = _shortfall(u_robust, actual_scenarios)
+    x_n = _shortfall(u_nonrobust, actual_scenarios)
     raw_r = raw_loss_value(spec, x_r)
     raw_n = raw_loss_value(spec, x_n)
     wins = raw_r <= raw_n
-    ties = (raw_r <= tie_tol) & (raw_n <= tie_tol)
+    ties = (raw_r <= TIE_TOL) & (raw_n <= TIE_TOL)
     n = actual_scenarios.n
     tie_count = int(ties.sum())
     n_excl = n - tie_count
-    if n_excl == 0:
-        bt_excl = float("nan")
-    else:
-        bt_excl = 100.0 * float((wins & ~ties).sum()) / n_excl
+    bt_excl = 100.0 * float((wins & ~ties).sum()) / n_excl if n_excl else float("nan")
 
-    te_r = tracking_error(u_robust, actual_scenarios, spec)
-    te_n = tracking_error(u_nonrobust, actual_scenarios, spec)
-    ei_r = excess_index(u_robust, actual_scenarios)
-    ei_n = excess_index(u_nonrobust, actual_scenarios)
+    ete_r = float(loss_value(spec, x_r).mean())
+    ete_n = float(loss_value(spec, x_n).mean())
+    eei_r, eei_n = -float(x_r.mean()), -float(x_n.mean())
     return ComparisonReport(
-        bt_percent=100.0 * float(wins.mean()),
-        bt_percent_excl_ties=bt_excl,
-        ete_robust=float(te_r.mean()),
-        ete_nonrobust=float(te_n.mean()),
-        ete_diff=float(te_r.mean() - te_n.mean()),
-        eei_robust=float(ei_r.mean()),
-        eei_nonrobust=float(ei_n.mean()),
-        eei_diff=float(ei_r.mean() - ei_n.mean()),
-        n=n,
-        tie_count=tie_count,
-    )
+        bt_percent=100.0 * float(wins.mean()), bt_percent_excl_ties=bt_excl,
+        ete_robust=ete_r, ete_nonrobust=ete_n, ete_diff=ete_r - ete_n,
+        eei_robust=eei_r, eei_nonrobust=eei_n, eei_diff=eei_r - eei_n,
+        n=n, tie_count=tie_count)
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,6 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
               tracked_assets: Sequence[int], grid: Sequence[RowConfig],
               spec: LossSpec, n: int, seed: int,
               n_eval: Optional[int] = None, n_ratio: Optional[int] = None,
-              tie_tol: float = 1e-12,
               solver_config: Optional[SolverConfig] = None) -> list:
     """Fit robust and non-robust portfolios per row and compare on actual draws.
 
@@ -197,8 +191,6 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
         u_non = solve_nonrobust(fit, spec)
         try:
             sol = solve_robust(fit, ball, spec, solver_config)
-            u_rob, converged, msg = sol.u, True, ""
-            res_norm, iters = sol.residual_norm, sol.iterations
         except SolverError as exc:
             rows.append(TableRow(lam=rc.lam, eta=eta, k=k, report=None,
                                  converged=False, solver_message=str(exc),
@@ -211,12 +203,10 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
         eval_set = scenarios_from(eval_draws[:, tracked],
                                   synthesize_index(eval_draws, composition),
                                   seed=seed_eval)
-        report = compare(u_rob, u_non, eval_set, spec, tie_tol=tie_tol)
-        rows.append(TableRow(lam=rc.lam, eta=eta, k=k, report=report,
-                             converged=converged, solver_message=msg,
-                             residual_norm=res_norm, iterations=iters,
-                             eta_std_error=eta_se,
-                             seed_fit=seed_fit, seed_eval=seed_eval))
+        report = compare(sol.u, u_non, eval_set, spec)
+        rows.append(TableRow(lam=rc.lam, eta=eta, k=k, report=report, converged=True,
+                             residual_norm=sol.residual_norm, iterations=sol.iterations,
+                             eta_std_error=eta_se, seed_fit=seed_fit, seed_eval=seed_eval))
     return rows
 
 
@@ -286,72 +276,47 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
     if cfg.window < d + 3:
         raise ValueError(f"window must be at least d+3={d + 3} for the robust solve")
 
-    u_rob_prev = np.full(d, 1.0 / d)
-    u_non_prev = np.full(d, 1.0 / d)
+    u_rob = u_non = np.full(d, 1.0 / d)
     W_rob = np.empty((cfg.out_of_sample, d))
     W_non = np.empty((cfg.out_of_sample, d))
-    loss_r = np.empty(cfg.out_of_sample)
-    loss_n = np.empty(cfg.out_of_sample)
-    raw_r = np.empty(cfg.out_of_sample)
-    raw_n = np.empty(cfg.out_of_sample)
-    ei_r = np.empty(cfg.out_of_sample)
-    ei_n = np.empty(cfg.out_of_sample)
     flagged = []
-    bounds = []
-    first_rob = None
-    first_non = None
-
-    for step, t in enumerate(range(cfg.window, total)):
-        lo, hi = t - cfg.window, t
-        bounds.append((lo, hi))
+    bounds = [(t - cfg.window, t) for t in range(cfg.window, total)]
+    for step, (lo, hi) in enumerate(bounds):
         window_set = scenarios_from(r[lo:hi], b[lo:hi], source="historical-window")
         try:
             u_non = solve_nonrobust(window_set, cfg.loss)
         except SolverError as exc:
-            u_non = u_non_prev
             flagged.append((step, f"nonrobust: {exc}"))
         try:
             u_rob = solve_robust(window_set, cfg.ball, cfg.loss, cfg.solver).u
         except SolverError as exc:
-            u_rob = u_rob_prev
             flagged.append((step, f"robust: {exc}"))
-        if first_rob is None:
-            first_rob, first_non = u_rob, u_non
+        W_rob[step], W_non[step] = u_rob, u_non
 
-        R_t = 1.0 + r[t]
-        B_t = 1.0 + b[t]
-        x_r = B_t - R_t @ u_rob
-        x_n = B_t - R_t @ u_non
-        loss_r[step] = loss_value(cfg.loss, x_r)
-        loss_n[step] = loss_value(cfg.loss, x_n)
-        raw_r[step] = raw_loss_value(cfg.loss, x_r)
-        raw_n[step] = raw_loss_value(cfg.loss, x_n)
-        ei_r[step] = R_t @ u_rob - B_t
-        ei_n[step] = R_t @ u_non - B_t
-        W_rob[step] = u_rob
-        W_non[step] = u_non
-        u_rob_prev, u_non_prev = u_rob, u_non
-
+    # step s holds the weights fitted on rows [s, s + window) and is applied
+    # to the gross returns of row s + window
+    R_out = 1.0 + r[cfg.window:total]
+    B_out = 1.0 + b[cfg.window:total]
+    port_r = (R_out * W_rob).sum(axis=1)
+    x_r = B_out - port_r
+    x_n = B_out - (R_out * W_non).sum(axis=1)
+    loss_r = loss_value(cfg.loss, x_r)
+    loss_n = loss_value(cfg.loss, x_n)
     in_set = scenarios_from(r[:cfg.window], b[:cfg.window], source="historical-window")
-    ete_in_r = float(tracking_error(first_rob, in_set, cfg.loss).mean())
-    ete_in_n = float(tracking_error(first_non, in_set, cfg.loss).mean())
-
-    periods = np.arange(total)
-    observed = 1.0 + b[:total]
-    fitted = np.empty(total)
-    fitted[:cfg.window] = (1.0 + r[:cfg.window]) @ first_rob
-    for step, t in enumerate(range(cfg.window, total)):
-        fitted[t] = (1.0 + r[t]) @ W_rob[step]
+    fitted = np.concatenate([(1.0 + r[:cfg.window]) @ W_rob[0], port_r])
 
     return BacktestResult(
         weights_robust=W_rob, weights_nonrobust=W_non,
         loss_robust=loss_r, loss_nonrobust=loss_n,
-        ei_robust=ei_r, ei_nonrobust=ei_n,
-        bt_wins=int((raw_r <= raw_n).sum()), bt_steps=cfg.out_of_sample,
-        ete_in_robust=ete_in_r, ete_in_nonrobust=ete_in_n,
+        ei_robust=-x_r, ei_nonrobust=-x_n,
+        bt_wins=int((raw_loss_value(cfg.loss, x_r) <= raw_loss_value(cfg.loss, x_n)).sum()),
+        bt_steps=cfg.out_of_sample,
+        ete_in_robust=float(tracking_error(W_rob[0], in_set, cfg.loss).mean()),
+        ete_in_nonrobust=float(tracking_error(W_non[0], in_set, cfg.loss).mean()),
         ete_out_robust=float(loss_r.mean()), ete_out_nonrobust=float(loss_n.mean()),
         flagged_steps=flagged, window_bounds=bounds,
-        plot_periods=periods, plot_observed=observed, plot_fitted=fitted,
+        plot_periods=np.arange(total), plot_observed=1.0 + b[:total],
+        plot_fitted=fitted,
     )
 
 
@@ -400,11 +365,17 @@ def table_rows_as_dicts(rows: Sequence[TableRow]) -> list:
     return out
 
 
+def write_json(payload, path) -> None:
+    """Indented JSON with sorted keys and a trailing newline: the one format
+    of every JSON file the package writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_table_json(rows: Sequence[TableRow], path) -> None:
     """Full-precision JSON mirror including seeds and solver diagnostics."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(table_rows_as_dicts(rows), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(table_rows_as_dicts(rows), path)
 
 
 def write_plot_csv(result: BacktestResult, path) -> None:
@@ -434,6 +405,4 @@ def write_backtest_json(result: BacktestResult, path) -> None:
         "ei_robust": result.ei_robust.tolist(),
         "ei_nonrobust": result.ei_nonrobust.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)

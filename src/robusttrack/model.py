@@ -96,14 +96,6 @@ class NominalModel:
     def dim(self) -> int:
         return self.mean.size
 
-    @property
-    def covariance(self) -> np.ndarray:
-        if self.kind == "gaussian":
-            return self.scale
-        if self.dof <= 2:
-            raise ValueError("student_t covariance requires dof > 2")
-        return self.dof / (self.dof - 2.0) * self.scale
-
     def with_mean_scaled(self, k: float) -> "NominalModel":
         """Same dispersion, mean multiplied by the scalar k."""
         return NominalModel(self.kind, k * self.mean, self.scale, self.dof)

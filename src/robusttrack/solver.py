@@ -197,14 +197,13 @@ def _phi(L, alpha, beta, loge, ball):
     return alpha * ball.eta + beta + alpha * np.expm1((ball.lam + 1.0) * loge).mean()
 
 
-def _kkt(u, alpha, beta, theta, x, L, scenarios, ball, spec):
+def _kkt(u, alpha, beta, theta, x, L, loge, scenarios, ball, spec):
     """Residual F and Jacobian J of the system at (u, alpha, beta, theta),
-    for the shortfall x = B - R'u and losses L = l(x)."""
+    for the shortfall x = B - R'u, losses L = l(x) and log E* loge."""
     R = scenarios.R
     N, d = R.shape
     lam = ball.lam
     s = (L - beta) / alpha             # equals G'(E*) where E* > 0
-    loge = _log_ratio(s, lam)
     e = np.exp(loge)
     g = loss_deriv1(spec, x)[:, None] * R   # per-scenario payoff gradients dH/du
     lpp = loss_deriv2(spec, x)
@@ -235,10 +234,11 @@ def _kkt(u, alpha, beta, theta, x, L, scenarios, ball, spec):
 def _system(u, alpha, beta, theta, scenarios, ball, spec):
     if alpha <= 0:
         raise FeasibilityError("infeasible point: alpha <= 0")
-    u = np.asarray(u, dtype=float)
+    u, alpha, beta = np.asarray(u, dtype=float), float(alpha), float(beta)
     x = scenarios.B - scenarios.R @ u
-    return _kkt(u, float(alpha), float(beta), float(theta), x,
-                loss_value(spec, x), scenarios, ball, spec)
+    L = loss_value(spec, x)
+    return _kkt(u, alpha, beta, float(theta), x, L,
+                _log_ratio((L - beta) / alpha, ball.lam), scenarios, ball, spec)
 
 
 def system_residual(u, alpha, beta, theta, scenarios: ScenarioSet,
@@ -284,7 +284,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
 
     best = np.inf
     for it in range(config.max_iterations + 1):
-        F, J, e = _kkt(u, alpha, beta, 0.0, x, L, scenarios, ball, spec)
+        F, J, e = _kkt(u, alpha, beta, 0.0, x, L, loge, scenarios, ball, spec)
         theta = float(F[:d].mean())
         F[:d] -= theta
         res = float(np.max(np.abs(F)))
@@ -325,7 +325,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
                 raise NonConvergenceError(
                     f"robust solve stalled above residual tolerance "
                     f"{config.residual_tol}", residual_norm=best, iterations=it)
-        u, x, L, alpha, beta, phi = u_t, x_t, L_t, a_t, b_t, phi_t
+        u, x, L, alpha, beta, loge, phi = u_t, x_t, L_t, a_t, b_t, loge_t, phi_t
         spread = spread_t
     raise NonConvergenceError(
         f"robust solve did not reach residual tolerance {config.residual_tol}",
@@ -397,20 +397,17 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     """Largest eigenvalue of the outer-Lagrangian Hessian in u.
 
     Hess = mean( -l''(x) R R' E* ) - (1/(alpha (1+lam))) mean( (E*)^(1-lam) g g' ),
-    with (E*)^(1-lam) taken as 0 where E* = 0, as in the solver.  Both terms
-    are negative semi-definite for alpha > 0, so the result should not
-    exceed roundoff times the problem scale.  The value is also stored on
-    the solution.
+    with (E*)^(1-lam) taken as 0 where E* = 0: the u-block of the system
+    Jacobian at the solution's E*.  Both terms are negative semi-definite
+    for alpha > 0, so the result should not exceed roundoff times the
+    problem scale.  The value is also stored on the solution.
     """
-    R = scenarios.R
-    N = R.shape[0]
-    x = scenarios.B - R @ solution.u
-    e = solution.estar
-    g = loss_deriv1(spec, x)[:, None] * R
+    x = scenarios.B - scenarios.R @ solution.u
     with np.errstate(divide="ignore"):
-        weight = _curvature(np.log(e), ball.lam)
-    hess = (-(R * (loss_deriv2(spec, x) * e)[:, None]).T @ R / N
-            - (g * weight[:, None]).T @ g / (N * solution.alpha * (1.0 + ball.lam)))
-    max_eig = float(np.linalg.eigvalsh(hess)[-1])
+        loge = np.log(solution.estar)
+    J = _kkt(solution.u, solution.alpha, solution.beta, solution.theta, x,
+             loss_value(spec, x), loge, scenarios, ball, spec)[1]
+    d = scenarios.d
+    max_eig = float(np.linalg.eigvalsh(J[:d, :d])[-1])
     solution.hessian_max_eig = max_eig
     return max_eig

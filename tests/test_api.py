@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import robusttrack as rt
+from robusttrack import cli
 
 # The names the acceptance gate imports (ROADMAP, "Open items") and the
 # config types.
@@ -46,6 +47,7 @@ def test_deleted_names_absent():
     for name in DELETED:
         assert not hasattr(rt, name), name
     assert not hasattr(rt.NominalModel, "empirical")
+    assert not hasattr(rt.NominalModel, "covariance")
     assert not hasattr(rt.DivergenceBall, "is_kl")
     assert not hasattr(rt.LossSpec, "is_one_sided")
     assert [f.name for f in dataclasses.fields(rt.LoadedPrices)] == ["returns", "columns"]
@@ -56,5 +58,9 @@ def test_option_counts():
         "init_u", "max_iterations", "residual_tol"]
     assert [f.name for f in dataclasses.fields(rt.BacktestConfig)] == [
         "ball", "loss", "window", "out_of_sample", "solver"]
+    for fn in (rt.compare, rt.run_table):
+        assert "tie_tol" not in inspect.signature(fn).parameters, fn.__name__
     params = inspect.signature(rt.compare).parameters.values()
-    assert [p.name for p in params if p.default is not p.empty] == ["tie_tol"]
+    assert [p.name for p in params if p.default is not p.empty] == []
+    for cfg in ({}, {"experiment": {"tie_tol": 0.5}}):
+        assert sorted(cli._experiment(cfg)) == ["n", "n_eval", "n_ratio", "seed"]

@@ -142,9 +142,12 @@ class TestConfigErrors:
         ("solve", {"tracked": [1, 4]}, "data.tracked"),
         ("solve", {"index": "synthesize", "weights": [0.25] * 4, "tracked": [0, 4]},
          "data.tracked"),
+        ("backtest", {"tracked": [1, 1, 2]}, "data.tracked"),
+        ("solve", {"tracked": [1, 1, 2]}, "data.tracked"),
     ], ids=["index_col-4", "index_col-negative", "index_col-fraction", "tracked-empty",
             "tracked-9", "tracked-negative",
-            "solve-tracked-4", "solve-synthesize-tracked-4"])
+            "solve-tracked-4", "solve-synthesize-tracked-4",
+            "tracked-repeated", "solve-tracked-repeated"])
     def test_csv_column_out_of_range(self, tmp_path, capsys, command, data, path):
         csv = write_price_csv(tmp_path, synthetic_prices())   # 4 columns
         cfg = write_config(tmp_path, {
@@ -159,7 +162,9 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command,tracked", [
         ("simulate", [0, 5]), ("simulate", [-1, 2]), ("solve", [0, 5]), ("solve", [-1]),
-    ], ids=["simulate-5", "simulate-negative", "solve-5", "solve-negative"])
+        ("simulate", [0, 0, 1]),
+    ], ids=["simulate-5", "simulate-negative", "solve-5", "solve-negative",
+            "simulate-repeated"])
     def test_tracked_assets_out_of_range(self, tmp_path, capsys, command, tracked):
         cfg = small_market_config(tmp_path, tmp_path / "out", tracked_assets=tracked,
                                   ball={"lambda": 0.1, "eta": 0.2})

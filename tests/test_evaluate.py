@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,20 @@ class TestCompare:
         rep = rt.compare(u1, u2, scen, L1)
         assert rep.bt_percent == 100.0
         assert np.isnan(rep.bt_percent_excl_ties)
+
+    def test_weight_shape_checked_before_broadcast(self):
+        # a (d, 1) weight array must be rejected before B - R u broadcasts
+        # to N x N arrays (over 300 MB of them at this size)
+        scen = make_scenarios(n=3000, seed=5)
+        u = np.full((4, 1), 0.25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="weight dimension"):
+                rt.compare(u, u, scen, QUAD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
 
     def test_quadratic_uses_squared_loss(self):
         scen = rt.ScenarioSet(R=np.array([[1.00, 1.04]]), B=np.array([1.02]))

@@ -62,13 +62,6 @@ class TestStudentTSampling:
         b = rt.sample_model(model, 777, seed=6)
         assert np.array_equal(a, b)
 
-    def test_covariance_property(self):
-        model = rt.NominalModel.student_t(np.zeros(2), np.eye(2), dof=10.0)
-        assert np.allclose(model.covariance, 1.25 * np.eye(2))
-        shallow = rt.NominalModel.student_t(np.zeros(2), np.eye(2), dof=2.0)
-        with pytest.raises(ValueError, match="dof > 2"):
-            shallow.covariance
-
 
 class TestSampleStream:
     """The CLI manifest promises byte-for-byte reruns, so the sampled stream
