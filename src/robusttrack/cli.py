@@ -187,7 +187,6 @@ def _experiment(cfg: dict) -> dict:
     block = cfg.get("experiment", {})
     return {
         "n": int(block.get("n", 200_000)),
-        "n_eval": int(block["n_eval"]) if "n_eval" in block else None,
         "n_ratio": int(block["n_ratio"]) if "n_ratio" in block else None,
         "seed": int(block.get("seed", 0)),
     }
@@ -267,7 +266,7 @@ def _columns(indices, ncols: int, path: str) -> list:
 def _csv_returns(cfg: dict):
     """(tracked asset returns, index returns) from the price CSV of the
     ``data`` block; the index is one of its columns or synthesized from
-    fixed weights over all of them."""
+    fixed weights over all of them (then the tracked list is required)."""
     data = _need(cfg, "config", "data")
     returns = load_prices_csv(_need(data, "data", "csv")).returns
     ncols = returns.shape[1]
@@ -275,28 +274,33 @@ def _csv_returns(cfg: dict):
     if mode == "column":
         idx_col = _columns([data.get("index_col", 0)], ncols, "data.index_col")[0]
         index_returns = returns[:, idx_col]
-        default = [j for j in range(ncols) if j != idx_col]
+        tracked = data.get("tracked", [j for j in range(ncols) if j != idx_col])
     elif mode == "synthesize":
         comp = IndexComposition(np.asarray(_need(data, "data", "weights"), float))
         index_returns = synthesize_index(returns, comp)
-        default = list(range(ncols))
+        tracked = _need(data, "data", "tracked")
     else:
         raise ConfigError("data.index", "must be 'column' or 'synthesize'")
-    tracked = _columns(data.get("tracked", default), ncols, "data.tracked")
+    tracked = _columns(tracked, ncols, "data.tracked")
     return returns[:, tracked], index_returns
+
+
+def _market(cfg: dict):
+    """(model, composition, tracked assets) of a parametric config; the
+    tracked list is required, since tracking every asset replicates the index."""
+    model = build_model(_need(cfg, "config", "model"))
+    comp = IndexComposition(np.asarray(_need(cfg, "config", "composition"), float))
+    tracked = _columns(_need(cfg, "config", "tracked_assets"), model.dim, "tracked_assets")
+    return model, comp, tracked
 
 
 def _scenarios_from_config(cfg: dict, exp: dict):
     """Scenario construction from either a parametric model or a CSV."""
     if "data" in cfg:
-        return scenarios_from(*_csv_returns(cfg), source="historical-window")
-    model = build_model(_need(cfg, "config", "model"))
-    comp = IndexComposition(np.asarray(_need(cfg, "config", "composition"), float))
-    tracked = _columns(cfg.get("tracked_assets", list(range(model.dim))),
-                       model.dim, "tracked_assets")
+        return scenarios_from(*_csv_returns(cfg))
+    model, comp, tracked = _market(cfg)
     draws = sample_model(model, exp["n"], exp["seed"])
-    return scenarios_from(draws[:, tracked], synthesize_index(draws, comp),
-                          seed=exp["seed"])
+    return scenarios_from(draws[:, tracked], synthesize_index(draws, comp))
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -339,14 +343,10 @@ def cmd_simulate(cfg: dict) -> int:
     exp = _experiment(cfg)
     out = _out_dir(cfg)
     spec = build_loss(cfg)
-    model = build_model(_need(cfg, "config", "model"))
-    comp = IndexComposition(np.asarray(_need(cfg, "config", "composition"), float))
-    tracked = _columns(_need(cfg, "config", "tracked_assets"), model.dim, "tracked_assets")
+    model, comp, tracked = _market(cfg)
     grid = build_grid(cfg)
-    rows = run_table(model, comp, tracked, grid, spec,
-                     n=exp["n"], seed=exp["seed"], n_eval=exp["n_eval"],
-                     n_ratio=exp["n_ratio"],
-                     solver_config=build_solver_config(cfg))
+    rows = run_table(model, comp, tracked, grid, spec, n=exp["n"], seed=exp["seed"],
+                     n_ratio=exp["n_ratio"], solver_config=build_solver_config(cfg))
     csv_path = out / "table.csv"
     json_path = out / "table.json"
     write_table_csv(rows, csv_path)

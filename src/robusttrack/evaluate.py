@@ -129,14 +129,17 @@ class TableRow:
     lam: float
     eta: float
     k: float
-    report: Optional[ComparisonReport]
-    converged: bool
+    report: Optional[ComparisonReport] = None
     solver_message: str = ""
     residual_norm: Optional[float] = None
     iterations: Optional[int] = None
     eta_std_error: float = 0.0
     seed_fit: int = 0
     seed_eval: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.report is not None
 
 
 def _row_seeds(seed: int, n_rows: int) -> np.ndarray:
@@ -145,19 +148,17 @@ def _row_seeds(seed: int, n_rows: int) -> np.ndarray:
 
 def run_table(nominal: NominalModel, composition: IndexComposition,
               tracked_assets: Sequence[int], grid: Sequence[RowConfig],
-              spec: LossSpec, n: int, seed: int,
-              n_eval: Optional[int] = None, n_ratio: Optional[int] = None,
+              spec: LossSpec, n: int, seed: int, n_ratio: Optional[int] = None,
               solver_config: Optional[SolverConfig] = None) -> list:
     """Fit robust and non-robust portfolios per row and compare on actual draws.
 
     Per row: resolve (eta, k); draw n fit scenarios from the nominal model;
-    solve both portfolios; draw n_eval scenarios from the mean-scaled actual
+    solve both portfolios; draw n scenarios from the mean-scaled actual
     model; emit a ComparisonReport.  Both portfolios are always evaluated on
     the identical draw set (common random numbers).  Solver failures are
     annotated on the row instead of aborting the table.
     """
     tracked = list(tracked_assets)
-    n_eval = n_eval or n
     n_ratio = n_ratio or n
     states = _row_seeds(seed, len(grid))
     rows = []
@@ -183,30 +184,25 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
                                         rc.lam, n_ratio, seed_ratio)
                 eta, eta_se = est.estimate, est.std_error
 
+        row = TableRow(lam=rc.lam, eta=eta, k=k, eta_std_error=eta_se,
+                       seed_fit=seed_fit, seed_eval=seed_eval)
+        rows.append(row)
         fit_draws = sample_model(nominal, n, seed_fit)
         fit = scenarios_from(fit_draws[:, tracked],
-                             synthesize_index(fit_draws, composition),
-                             seed=seed_fit)
+                             synthesize_index(fit_draws, composition))
         ball = DivergenceBall(lam=rc.lam, eta=max(eta, ETA_FLOOR))
         u_non = solve_nonrobust(fit, spec)
         try:
             sol = solve_robust(fit, ball, spec, solver_config)
         except SolverError as exc:
-            rows.append(TableRow(lam=rc.lam, eta=eta, k=k, report=None,
-                                 converged=False, solver_message=str(exc),
-                                 eta_std_error=eta_se,
-                                 seed_fit=seed_fit, seed_eval=seed_eval))
+            row.solver_message = str(exc)
             continue
 
-        actual = nominal.with_mean_scaled(k)
-        eval_draws = sample_model(actual, n_eval, seed_eval)
+        eval_draws = sample_model(nominal.with_mean_scaled(k), n, seed_eval)
         eval_set = scenarios_from(eval_draws[:, tracked],
-                                  synthesize_index(eval_draws, composition),
-                                  seed=seed_eval)
-        report = compare(sol.u, u_non, eval_set, spec)
-        rows.append(TableRow(lam=rc.lam, eta=eta, k=k, report=report, converged=True,
-                             residual_norm=sol.residual_norm, iterations=sol.iterations,
-                             eta_std_error=eta_se, seed_fit=seed_fit, seed_eval=seed_eval))
+                                  synthesize_index(eval_draws, composition))
+        row.report = compare(sol.u, u_non, eval_set, spec)
+        row.residual_norm, row.iterations = sol.residual_norm, sol.iterations
     return rows
 
 
@@ -239,7 +235,7 @@ class BacktestResult:
     ei_nonrobust: np.ndarray
     bt_wins: int
     bt_steps: int
-    ete_in_robust: float
+    ete_in_robust: float              # NaN when the first fit failed
     ete_in_nonrobust: float
     ete_out_robust: float
     ete_out_nonrobust: float
@@ -263,7 +259,9 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
     realized period.  A solver failure at a step carries the previous
     weights forward and flags the step.  The plot series covers all
     window + out_of_sample periods: the in-sample stretch is fitted with the
-    first window's weights, the rest with each step's weights.
+    first window's weights, the rest with each step's weights.  A portfolio
+    whose first fit fails has no in-sample figures: its ETE is NaN and, for
+    the robust one, so is the in-sample stretch of the plot series.
     """
     r = np.asarray(asset_returns, dtype=float)
     b = np.asarray(index_returns, dtype=float)
@@ -282,7 +280,7 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
     flagged = []
     bounds = [(t - cfg.window, t) for t in range(cfg.window, total)]
     for step, (lo, hi) in enumerate(bounds):
-        window_set = scenarios_from(r[lo:hi], b[lo:hi], source="historical-window")
+        window_set = scenarios_from(r[lo:hi], b[lo:hi])
         try:
             u_non = solve_nonrobust(window_set, cfg.loss)
         except SolverError as exc:
@@ -302,8 +300,13 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
     x_n = B_out - (R_out * W_non).sum(axis=1)
     loss_r = loss_value(cfg.loss, x_r)
     loss_n = loss_value(cfg.loss, x_n)
-    in_set = scenarios_from(r[:cfg.window], b[:cfg.window], source="historical-window")
-    fitted = np.concatenate([(1.0 + r[:cfg.window]) @ W_rob[0], port_r])
+    in_set = scenarios_from(r[:cfg.window], b[:cfg.window])
+    unfit = {msg.split(":")[0] for step, msg in flagged if step == 0}
+    ete_in = {name: float("nan") if name in unfit
+              else float(tracking_error(W[0], in_set, cfg.loss).mean())
+              for name, W in (("robust", W_rob), ("nonrobust", W_non))}
+    fitted_in = (np.full(cfg.window, np.nan) if "robust" in unfit
+                 else (1.0 + r[:cfg.window]) @ W_rob[0])
 
     return BacktestResult(
         weights_robust=W_rob, weights_nonrobust=W_non,
@@ -311,12 +314,11 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
         ei_robust=-x_r, ei_nonrobust=-x_n,
         bt_wins=int((raw_loss_value(cfg.loss, x_r) <= raw_loss_value(cfg.loss, x_n)).sum()),
         bt_steps=cfg.out_of_sample,
-        ete_in_robust=float(tracking_error(W_rob[0], in_set, cfg.loss).mean()),
-        ete_in_nonrobust=float(tracking_error(W_non[0], in_set, cfg.loss).mean()),
+        ete_in_robust=ete_in["robust"], ete_in_nonrobust=ete_in["nonrobust"],
         ete_out_robust=float(loss_r.mean()), ete_out_nonrobust=float(loss_n.mean()),
         flagged_steps=flagged, window_bounds=bounds,
         plot_periods=np.arange(total), plot_observed=1.0 + b[:total],
-        plot_fitted=fitted,
+        plot_fitted=np.concatenate([fitted_in, port_r]),
     )
 
 

@@ -111,8 +111,6 @@ class ScenarioSet:
 
     R: np.ndarray
     B: np.ndarray
-    seed: Optional[int] = None
-    source: str = "simulated"
 
     def __post_init__(self):
         R = np.ascontiguousarray(self.R, dtype=float)
@@ -123,8 +121,6 @@ class ScenarioSet:
             raise ValueError("scenario set must contain at least one row")
         if not (np.all(np.isfinite(R)) and np.all(np.isfinite(B))):
             raise DataError("scenario returns contain NaN or infinite entries")
-        if self.source not in ("simulated", "historical-window"):
-            raise ValueError(f"unknown source tag {self.source!r}")
         R.setflags(write=False)
         B.setflags(write=False)
         object.__setattr__(self, "R", R)
@@ -170,20 +166,10 @@ def synthesize_index(asset_returns: np.ndarray, comp: IndexComposition) -> np.nd
     return r @ comp.weights
 
 
-def scenarios_from(
-    asset_returns: np.ndarray,
-    index_returns: np.ndarray,
-    seed: Optional[int] = None,
-    source: str = "simulated",
-) -> ScenarioSet:
+def scenarios_from(asset_returns: np.ndarray, index_returns: np.ndarray) -> ScenarioSet:
     """Build a ScenarioSet of gross returns from simple returns."""
-    r = np.asarray(asset_returns, dtype=float)
-    b = np.asarray(index_returns, dtype=float)
-    if r.ndim != 2 or b.ndim != 1 or r.shape[0] != b.shape[0]:
-        raise ValueError("asset and index return lengths do not agree")
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(b))):
-        raise DataError("returns contain NaN or infinite entries")
-    return ScenarioSet(R=1.0 + r, B=1.0 + b, seed=seed, source=source)
+    return ScenarioSet(R=1.0 + np.asarray(asset_returns, dtype=float),
+                       B=1.0 + np.asarray(index_returns, dtype=float))
 
 
 @dataclass(frozen=True)

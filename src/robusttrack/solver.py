@@ -105,7 +105,6 @@ class RobustSolution:
     estar: np.ndarray
     residual_norm: float
     iterations: int
-    hessian_max_eig: Optional[float] = None
 
     def feasibility_margin(self, lam: float) -> float:
         """Positive iff beta/alpha < 1 + 1/lam, i.e. a zero-loss scenario
@@ -400,7 +399,7 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     with (E*)^(1-lam) taken as 0 where E* = 0: the u-block of the system
     Jacobian at the solution's E*.  Both terms are negative semi-definite
     for alpha > 0, so the result should not exceed roundoff times the
-    problem scale.  The value is also stored on the solution.
+    problem scale.
     """
     x = scenarios.B - scenarios.R @ solution.u
     with np.errstate(divide="ignore"):
@@ -408,6 +407,4 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     J = _kkt(solution.u, solution.alpha, solution.beta, solution.theta, x,
              loss_value(spec, x), loge, scenarios, ball, spec)[1]
     d = scenarios.d
-    max_eig = float(np.linalg.eigvalsh(J[:d, :d])[-1])
-    solution.hessian_max_eig = max_eig
-    return max_eig
+    return float(np.linalg.eigvalsh(J[:d, :d])[-1])

@@ -37,8 +37,7 @@ def make_scenarios(n=4000, seed=0, model=None, weights=WEIGHTS5, tracked=(0, 1, 
     model = model or rt.NominalModel.gaussian(MU5, SIGMA5)
     draws = rt.sample_model(model, n, seed)
     comp = rt.IndexComposition(weights)
-    return rt.scenarios_from(draws[:, list(tracked)],
-                             rt.synthesize_index(draws, comp), seed=seed)
+    return rt.scenarios_from(draws[:, list(tracked)], rt.synthesize_index(draws, comp))
 
 
 @pytest.fixture(scope="session")
@@ -46,13 +45,19 @@ def scenarios4k():
     return make_scenarios(n=4000, seed=11)
 
 
-def replicable_window(k, window=40):
-    """Window k of the fixed 60 x 4 panel whose index (column 0) is an exact
-    combination of the three stocks, as the CLI backtest builds it."""
+def replicable_panel():
+    """(stock returns, index returns) of the fixed 60 x 4 price panel whose
+    index (column 0) is an exact combination of the three stocks, as the CLI
+    backtest builds them."""
     rng = np.random.default_rng(8)
     r = 0.02 * rng.standard_normal((60, 3)) + 0.001
     w = np.linspace(0.5, 0.1, 3)
     prices = 100.0 * np.cumprod(1.0 + np.column_stack([r @ w / w.sum(), r]), axis=0)
     ret = prices[1:] / prices[:-1] - 1.0
-    return rt.scenarios_from(ret[k:k + window, 1:], ret[k:k + window, 0],
-                             source="historical-window")
+    return ret[:, 1:], ret[:, 0]
+
+
+def replicable_window(k, window=40):
+    """Window k of the replicable panel."""
+    r, b = replicable_panel()
+    return rt.scenarios_from(r[k:k + window], b[k:k + window])

@@ -308,8 +308,7 @@ def test_criterion_9_weekly_replication():
     cfg_l1 = rt.BacktestConfig(ball=ball, loss=L1, window=104, out_of_sample=52)
     res_l1 = rt.backtest_sliding(asset_returns, index_returns, cfg_l1)
 
-    in_set = rt.scenarios_from(asset_returns[:104], index_returns[:104],
-                               source="historical-window")
+    in_set = rt.scenarios_from(asset_returns[:104], index_returns[:104])
     u_rob = rt.solve_robust(in_set, ball, QUAD).u
     weights_ok = np.max(np.abs(u_rob - REF_WEIGHTS)) <= 0.01
     bt_quad_ok = res_quad.bt_wins == 27

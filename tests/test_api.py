@@ -62,5 +62,19 @@ def test_option_counts():
         assert "tie_tol" not in inspect.signature(fn).parameters, fn.__name__
     params = inspect.signature(rt.compare).parameters.values()
     assert [p.name for p in params if p.default is not p.empty] == []
-    for cfg in ({}, {"experiment": {"tie_tol": 0.5}}):
-        assert sorted(cli._experiment(cfg)) == ["n", "n_eval", "n_ratio", "seed"]
+    for cfg in ({}, {"experiment": {"tie_tol": 0.5, "n_eval": 10}}):
+        assert sorted(cli._experiment(cfg)) == ["n", "n_ratio", "seed"]
+
+
+def test_records_hold_only_what_is_read():
+    assert [f.name for f in dataclasses.fields(rt.ScenarioSet)] == ["R", "B"]
+    assert list(inspect.signature(rt.scenarios_from).parameters) == [
+        "asset_returns", "index_returns"]
+    assert "n_eval" not in inspect.signature(rt.run_table).parameters
+    assert "hessian_max_eig" not in [f.name for f in dataclasses.fields(rt.RobustSolution)]
+    assert "converged" not in [f.name for f in dataclasses.fields(rt.TableRow)]
+    row = rt.TableRow(lam=0.1, eta=0.5, k=-1.0)
+    assert not row.converged
+    row.report = rt.compare([1.0], [1.0], rt.scenarios_from([[0.0]], [0.0]),
+                            rt.LossSpec.quadratic())
+    assert row.converged

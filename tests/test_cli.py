@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,10 +145,14 @@ class TestConfigErrors:
          "data.tracked"),
         ("backtest", {"tracked": [1, 1, 2]}, "data.tracked"),
         ("solve", {"tracked": [1, 1, 2]}, "data.tracked"),
+        # a synthesized index over every column is replicated exactly by them
+        ("solve", {"index": "synthesize", "weights": [0.25] * 4}, "data.tracked"),
+        ("backtest", {"index": "synthesize", "weights": [0.25] * 4}, "data.tracked"),
     ], ids=["index_col-4", "index_col-negative", "index_col-fraction", "tracked-empty",
             "tracked-9", "tracked-negative",
             "solve-tracked-4", "solve-synthesize-tracked-4",
-            "tracked-repeated", "solve-tracked-repeated"])
+            "tracked-repeated", "solve-tracked-repeated",
+            "solve-synthesize-untracked", "backtest-synthesize-untracked"])
     def test_csv_column_out_of_range(self, tmp_path, capsys, command, data, path):
         csv = write_price_csv(tmp_path, synthetic_prices())   # 4 columns
         cfg = write_config(tmp_path, {
@@ -170,6 +175,15 @@ class TestConfigErrors:
                                   ball={"lambda": 0.1, "eta": 0.2})
         assert main([command, "--config", cfg]) == 2
         assert "tracked_assets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_tracked_assets_required(self, tmp_path, capsys, command):
+        # tracking all five assets would replicate the index exactly
+        cfg = json.loads(Path(small_market_config(
+            tmp_path, tmp_path / "out", ball={"lambda": 0.1, "eta": 0.2})).read_text())
+        del cfg["tracked_assets"]
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "config.tracked_assets: missing required field" in capsys.readouterr().err
 
 
 def synthesize_config(tmp_path, prices, weights, tracked):

@@ -6,7 +6,7 @@ import pytest
 import robusttrack as rt
 from robusttrack.evaluate import write_table_csv, write_table_json
 
-from conftest import MU5, SIGMA5, make_scenarios
+from conftest import MU5, SIGMA5, make_scenarios, replicable_panel
 
 QUAD = rt.LossSpec.quadratic()
 L1 = rt.LossSpec.smoothed_pos_sq(0.01)
@@ -176,6 +176,9 @@ class TestBacktest:
         assert np.allclose(res.loss_robust, 0.0)
         assert len(res.flagged_steps) == 2 * res.bt_steps   # both solvers flag
         assert np.allclose(res.weights_robust, 1.0 / 3)
+        # neither portfolio was fitted, so neither has in-sample figures
+        assert np.isnan(res.ete_in_robust) and np.isnan(res.ete_in_nonrobust)
+        assert np.all(np.isnan(res.plot_fitted[:40]))
 
     def test_window_bookkeeping(self):
         r, b = self.synthetic()
@@ -202,6 +205,37 @@ class TestBacktest:
         assert res.bt_steps == 8
         assert 0 <= res.bt_wins <= 8
         assert np.isfinite(res.ete_out_robust)
+
+    def replicable(self, start):
+        # windows start, start + 1 of the replicable panel, as the
+        # replicable_backtest benchmark runs them from start = 1
+        r, b = replicable_panel()
+        cfg = rt.BacktestConfig(ball=rt.DivergenceBall(0.1, 0.02), loss=L1,
+                                window=40, out_of_sample=2)
+        return r[start:], b[start:], rt.backtest_sliding(r[start:], b[start:], cfg)
+
+    def test_failed_first_fit_has_no_in_sample_figures(self):
+        r, b, res = self.replicable(1)       # window 1: alpha collapse
+        assert [s for s, _ in res.flagged_steps] == [0]
+        assert "robust: " in res.flagged_steps[0][1]
+        assert "alpha collapse" in res.flagged_steps[0][1]
+        assert np.array_equal(res.weights_robust[0], np.full(3, 1.0 / 3))
+        assert np.isnan(res.ete_in_robust)
+        assert np.all(np.isnan(res.plot_fitted[:40]))
+        assert np.all(np.isfinite(res.plot_fitted[40:]))
+        in_set = rt.scenarios_from(r[:40], b[:40])
+        assert res.ete_in_nonrobust == rt.tracking_error(
+            res.weights_nonrobust[0], in_set, L1).mean()
+
+    def test_converged_first_fit_keeps_in_sample_figures(self):
+        r, b, res = self.replicable(2)       # window 2 converges
+        assert 0 not in [s for s, _ in res.flagged_steps]
+        in_set = rt.scenarios_from(r[:40], b[:40])
+        for u, ete in ((res.weights_robust[0], res.ete_in_robust),
+                       (res.weights_nonrobust[0], res.ete_in_nonrobust)):
+            assert ete == rt.tracking_error(u, in_set, L1).mean()
+        np.testing.assert_array_equal(res.plot_fitted[:40],
+                                      (1.0 + r[:40]) @ res.weights_robust[0])
 
     def test_window_must_cover_problem_size(self):
         r, b = self.synthetic(periods=20, d=3)

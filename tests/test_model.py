@@ -131,17 +131,18 @@ class TestScenariosFrom:
         scen = rt.scenarios_from(np.array([[0.01]]), np.array([0.02]))
         assert np.allclose(scen.R, [[1.01]]) and np.allclose(scen.B, [1.02])
 
-    def test_source_tag(self):
-        scen = rt.scenarios_from(np.zeros((2, 1)), np.zeros(2), source="historical-window")
-        assert scen.source == "historical-window"
-        with pytest.raises(ValueError):
-            rt.scenarios_from(np.zeros((2, 1)), np.zeros(2), source="other")
-
     def test_rejects_nan(self):
         with pytest.raises(rt.DataError):
             rt.scenarios_from(np.array([[np.nan]]), np.array([0.0]))
         with pytest.raises(rt.DataError):
             rt.scenarios_from(np.array([[0.0]]), np.array([np.inf]))
+
+    def test_rejects_mismatched_shapes(self):
+        for r, b in ((np.zeros((3, 2)), np.zeros(2)), (np.zeros(3), np.zeros(3)),
+                     (np.zeros((3, 2)), np.zeros((3, 1)))):
+            with pytest.raises(ValueError) as info:
+                rt.scenarios_from(r, b)
+            assert not isinstance(info.value, rt.DataError)
 
     def test_arrays_are_read_only(self):
         scen = rt.scenarios_from(np.zeros((2, 1)), np.zeros(2))
