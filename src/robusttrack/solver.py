@@ -10,14 +10,17 @@ alpha > 0 and beta of the convex dual objective
 
     Phi(u, alpha, beta) = alpha eta + beta + alpha mean(G*(s)),  s = (l - beta)/alpha,
 
-with G* the conjugate of G over E >= 0.  The worst-case ratio E* = G*'(s) is
+with G* the conjugate of G over E >= 0.  With c = lam/(lam+1) and
+base = max(1 + c s, 0) = E*^lam, the worst-case ratio E* = G*'(s) is
 
-    lam > 0:  E* = max(1 + lam/(lam+1) s, 0)^(1/lam)
-    lam = 0:  E* = exp(s)                     (KL mode)
+    lam > 0:  E* = base^(1/lam),  E*^(1-lam) = E*/base  (0 where base = 0)
+    lam = 0:  E* = exp(s) = E*^(1-lam)           (KL mode, c = 0)
 
-so it is zero on scenarios whose loss lies far enough below beta.  The
-paper's system in (u, alpha, beta, theta) is the KKT system of this problem,
-and its Jacobian J is the bordered Hessian of Phi.
+so it is zero on scenarios whose loss lies far enough below beta.  In both
+modes, E* = 0 included, G(E*) = E* s/(lam+1) - E* + 1 and
+G*(s) = E* (1 + c s) - 1, so a pass over the scenarios takes one power and
+no logarithm.  The paper's system in (u, alpha, beta, theta) is the KKT
+system of this problem, and its Jacobian J is the bordered Hessian of Phi.
 
 solve_robust is Newton's method on rho.  At every point (alpha, beta)
 minimize Phi exactly for the current losses: beta by a monotone root (a
@@ -30,8 +33,8 @@ Where the losses can be made all equal (an index the tracked assets
 replicate) the optimum has alpha = 0 and no KKT point exists.  The solve
 raises DegenerateScenariosError as soon as a trial's loss spread falls below
 sqrt(eps) times the start point's, where the (alpha, beta) block of J turns
-singular to working precision.  Reductions use numpy's deterministic
-pairwise summation, so repeated solves are bitwise identical.
+singular to working precision.  Repeated solves at a fixed BLAS thread
+count are bitwise identical.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .divergence import DivergenceBall, _G_from_log
+from .divergence import DivergenceBall
 from .loss import LossSpec, loss_deriv1, loss_deriv2, loss_value
 from .model import ScenarioSet
 
@@ -114,22 +117,19 @@ class RobustSolution:
         return 1.0 + 1.0 / lam - self.beta / self.alpha
 
 
-def _log_ratio(s: np.ndarray, lam: float) -> np.ndarray:
-    """log E* at the dual argument s = (l - beta)/alpha; -inf where E* = 0."""
+def _estar(L, lam, alpha, beta):
+    """The pass (s, E*, E*^(1-lam)) over losses L, s = (L - beta)/alpha."""
+    s = (L - beta) / alpha
     if lam == 0.0:
-        return s
-    with np.errstate(divide="ignore"):
-        return np.log1p(np.maximum(lam / (lam + 1.0) * s, -1.0)) / lam
-
-
-def _curvature(loge: np.ndarray, lam: float) -> np.ndarray:
-    """E*^(1-lam) = (lam+1) dE*/ds, and 0 where E* = 0."""
-    pos = loge > -np.inf
-    return np.exp((1.0 - lam) * np.where(pos, loge, 0.0)) * pos
+        e = np.exp(s)
+        return s, e, e
+    base = np.maximum(1.0 + lam / (lam + 1.0) * s, 0.0)
+    e = base ** (1.0 / lam)
+    return s, e, np.divide(e, base, out=np.zeros_like(e), where=base > 0.0)
 
 
 def _beta(L, lam, alpha, beta):
-    """beta with mean(E*) = 1 for losses L at alpha, and its log E*.
+    """beta with mean(E*) = 1 for losses L at alpha, and its _estar pass.
 
     For lam > 0 this is Newton on (mean E*)^lam - 1, an L^(1/lam) norm of
     affine functions of beta minus one: convex and decreasing, so after the
@@ -138,25 +138,25 @@ def _beta(L, lam, alpha, beta):
     top = L.max()
     if lam == 0.0:
         beta = top + alpha * (logsumexp((L - top) / alpha) - np.log(L.size))
-        return beta, (L - beta) / alpha
+        return beta, _estar(L, lam, alpha, beta)
     c = lam / (lam + 1.0)
     # every root lies right of floor, where the largest E* is exp(300)
     floor = top - alpha * np.expm1(300.0 * lam) / c
     beta = min(max(beta, floor), top)       # some E* >= 1 at the start
     for _ in range(_INNER_STEPS):
-        loge = _log_ratio((L - beta) / alpha, lam)
-        m = np.exp(loge).mean()
+        _, e, w = p = _estar(L, lam, alpha, beta)
+        m = e.mean()
         step = (np.expm1(lam * np.log(m)) / lam * (lam + 1.0) * alpha
-                * m ** (1.0 - lam) / _curvature(loge, lam).mean())
+                * m ** (1.0 - lam) / w.mean())
         # a step within one spacing of beta can only step to a neighbour
         if abs(step) <= max(1e-13 * alpha, np.spacing(abs(beta))):
-            return beta, loge
+            return beta, p
         beta = max(beta + step, floor)
     raise NonConvergenceError("beta root did not converge")
 
 
 def _dual(L, ball, alpha=None, beta=None):
-    """(alpha, beta, log E*) minimizing Phi for fixed losses L, by
+    """(alpha, beta, _estar pass) minimizing Phi for fixed losses L, by
     safeguarded Newton in alpha started at alpha (and beta).
 
     The default start is the small-ball estimate: for small eta,
@@ -168,21 +168,20 @@ def _dual(L, ball, alpha=None, beta=None):
         beta = float(L.mean())
     lo, hi = 0.0, np.inf
     for _ in range(_INNER_STEPS):
-        beta, loge = _beta(L, lam, alpha, beta)
-        slope = eta - _G_from_log(loge, lam).mean()
+        beta, p = _beta(L, lam, alpha, beta)
+        s, e, w = p
+        slope = eta - (e * s / (lam + 1.0) - e + 1.0).mean()
         if slope == 0.0:
-            return alpha, beta, loge
+            return alpha, beta, p
         if slope > 0.0:
             hi = alpha
         else:
             lo = alpha
-        s = (L - beta) / alpha
-        w = _curvature(loge, lam)
         m0, m1, m2 = w.mean(), (w * s).mean(), (w * s * s).mean()
         curv = (m2 - m1 * m1 / m0) / ((lam + 1.0) * alpha)
         new = alpha - slope / curv if curv > 0.0 else np.nan
         if abs(new - alpha) <= 1e-12 * alpha or hi - lo <= 1e-12 * alpha:
-            return alpha, beta, loge
+            return alpha, beta, p
         if not lo < new < hi:
             new = 4.0 * alpha if hi == np.inf else alpha / 4.0 if lo == 0.0 \
                 else 0.5 * (lo + hi)
@@ -190,35 +189,35 @@ def _dual(L, ball, alpha=None, beta=None):
     raise NonConvergenceError("alpha search did not converge")
 
 
-def _phi(L, alpha, beta, loge, ball):
+def _phi(alpha, beta, p, ball):
     """Phi(alpha, beta) = alpha eta + beta + alpha mean(G*(s)), with
-    G*(s) = E*^(lam+1) - 1."""
-    return alpha * ball.eta + beta + alpha * np.expm1((ball.lam + 1.0) * loge).mean()
+    G*(s) = E* (1 + c s) - 1."""
+    s, e, _ = p
+    c = ball.lam / (ball.lam + 1.0)
+    return alpha * ball.eta + beta + alpha * (e * (1.0 + c * s) - 1.0).mean()
 
 
-def _kkt(u, alpha, beta, theta, x, L, loge, scenarios, ball, spec):
+def _kkt(u, alpha, theta, x, p, scenarios, ball, spec):
     """Residual F and Jacobian J of the system at (u, alpha, beta, theta),
-    for the shortfall x = B - R'u, losses L = l(x) and log E* loge."""
+    for the shortfall x = B - R'u and the _estar pass p at (alpha, beta)."""
     R = scenarios.R
     N, d = R.shape
     lam = ball.lam
-    s = (L - beta) / alpha             # equals G'(E*) where E* > 0
-    e = np.exp(loge)
-    g = loss_deriv1(spec, x)[:, None] * R   # per-scenario payoff gradients dH/du
+    s, e, w = p
+    lp = loss_deriv1(spec, x)
     lpp = loss_deriv2(spec, x)
-    psi = _curvature(loge, lam) / ((lam + 1.0) * alpha)
+    psi = w / ((lam + 1.0) * alpha)
     spsi = s * psi
 
     F = np.empty(d + 3)
-    F[:d] = (g * e[:, None]).sum(axis=0) / N - theta
+    F[:d] = R.T @ (lp * e) / N - theta
     F[d] = u.sum() - 1.0
-    F[d + 1] = _G_from_log(loge, lam).mean() - ball.eta
+    F[d + 1] = (e * s / (lam + 1.0) - e + 1.0).mean() - ball.eta
     F[d + 2] = e.mean() - 1.0
 
     J = np.zeros((d + 3, d + 3))
-    J[:d, :d] = -(R * (lpp * e)[:, None]).T @ R / N - (g * psi[:, None]).T @ g / N
-    J[:d, d] = -(g * spsi[:, None]).sum(axis=0) / N
-    J[:d, d + 1] = -(g * psi[:, None]).sum(axis=0) / N
+    J[:d, :d] = -(R * (lpp * e + lp * lp * psi)[:, None]).T @ R / N
+    J[:d, d:d + 2] = -(R.T @ np.column_stack([lp * spsi, lp * psi])) / N
     J[:d, d + 2] = -1.0
     J[d, :d] = 1.0
     J[d + 1, :d] = J[:d, d]            # symmetry of the mixed partials
@@ -227,7 +226,7 @@ def _kkt(u, alpha, beta, theta, x, L, loge, scenarios, ball, spec):
     J[d + 2, :d] = J[:d, d + 1]
     J[d + 2, d] = -spsi.mean()
     J[d + 2, d + 1] = -psi.mean()
-    return F, J, e
+    return F, J
 
 
 def _system(u, alpha, beta, theta, scenarios, ball, spec):
@@ -235,9 +234,8 @@ def _system(u, alpha, beta, theta, scenarios, ball, spec):
         raise FeasibilityError("infeasible point: alpha <= 0")
     u, alpha, beta = np.asarray(u, dtype=float), float(alpha), float(beta)
     x = scenarios.B - scenarios.R @ u
-    L = loss_value(spec, x)
-    return _kkt(u, alpha, beta, float(theta), x, L,
-                _log_ratio((L - beta) / alpha, ball.lam), scenarios, ball, spec)
+    p = _estar(loss_value(spec, x), ball.lam, alpha, beta)
+    return _kkt(u, alpha, float(theta), x, p, scenarios, ball, spec)
 
 
 def system_residual(u, alpha, beta, theta, scenarios: ScenarioSet,
@@ -278,18 +276,18 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
         raise DegenerateScenariosError(
             "all scenarios give the same payoff; the divergence and "
             "normalization equations are underdetermined in (alpha, beta)")
-    alpha, beta, loge = _dual(L, ball)
-    phi = _phi(L, alpha, beta, loge, ball)
+    alpha, beta, p = _dual(L, ball)
+    phi = _phi(alpha, beta, p, ball)
 
     best = np.inf
     for it in range(config.max_iterations + 1):
-        F, J, e = _kkt(u, alpha, beta, 0.0, x, L, loge, scenarios, ball, spec)
+        F, J = _kkt(u, alpha, 0.0, x, p, scenarios, ball, spec)
         theta = float(F[:d].mean())
         F[:d] -= theta
         res = float(np.max(np.abs(F)))
         if res <= config.residual_tol:
             return RobustSolution(u=u, alpha=float(alpha), beta=float(beta),
-                                  theta=theta, estar=e, residual_norm=res,
+                                  theta=theta, estar=p[1], residual_norm=res,
                                   iterations=it)
         best = min(best, res)
         if it == config.max_iterations:
@@ -315,8 +313,8 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             a_t = alpha + t * da
             start = ((a_t, beta + t * db) if a_t > 0
                      else (alpha * spread_t / spread, beta))
-            a_t, b_t, loge_t = _dual(L_t, ball, *start)
-            phi_t = _phi(L_t, a_t, b_t, loge_t, ball)
+            a_t, b_t, p_t = _dual(L_t, ball, *start)
+            phi_t = _phi(a_t, b_t, p_t, ball)
             if phi_t <= phi + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -324,7 +322,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
                 raise NonConvergenceError(
                     f"robust solve stalled above residual tolerance "
                     f"{config.residual_tol}", residual_norm=best, iterations=it)
-        u, x, L, alpha, beta, loge, phi = u_t, x_t, L_t, a_t, b_t, loge_t, phi_t
+        u, x, alpha, beta, p, phi = u_t, x_t, a_t, b_t, p_t, phi_t
         spread = spread_t
     raise NonConvergenceError(
         f"robust solve did not reach residual tolerance {config.residual_tol}",
@@ -361,10 +359,11 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
     if spec.kind == "quadratic":
         return u
 
-    # equality-constrained Newton on mean l(B - R'u)
+    # equality-constrained Newton on mean l(B - R'u), from each accepted trial
+    x = B - R @ u
+    f0 = loss_value(spec, x).mean()
     for _ in range(100):
-        x = B - R @ u
-        grad = -(loss_deriv1(spec, x)[:, None] * R).sum(axis=0) / N
+        grad = -(R.T @ loss_deriv1(spec, x)) / N
         reduced = grad - grad.mean()
         if np.max(np.abs(reduced)) <= 1e-11 * max(1.0, np.max(np.abs(grad))):
             break
@@ -378,16 +377,16 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
             step = np.linalg.solve(K, rhs)[:d]
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError("singular Newton KKT system") from exc
-        f0 = loss_value(spec, x).mean()
         t = 1.0
         while t > 1e-14:
-            f_new = loss_value(spec, B - R @ (u + t * step)).mean()
+            x_t = B - R @ (u + t * step)
+            f_new = loss_value(spec, x_t).mean()
             if f_new < f0:
                 break
             t *= 0.5
         else:
             break
-        u = u + t * step
+        u, x, f0 = u + t * step, x_t, f_new
     return u
 
 
@@ -402,9 +401,10 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     problem scale.
     """
     x = scenarios.B - scenarios.R @ solution.u
-    with np.errstate(divide="ignore"):
-        loge = np.log(solution.estar)
-    J = _kkt(solution.u, solution.alpha, solution.beta, solution.theta, x,
-             loss_value(spec, x), loge, scenarios, ball, spec)[1]
+    e = solution.estar
+    s = (loss_value(spec, x) - solution.beta) / solution.alpha
+    w = np.power(e, 1.0 - ball.lam, out=np.zeros_like(e), where=e > 0.0)
+    J = _kkt(solution.u, solution.alpha, solution.theta, x, (s, e, w),
+             scenarios, ball, spec)[1]
     d = scenarios.d
     return float(np.linalg.eigvalsh(J[:d, :d])[-1])

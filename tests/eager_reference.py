@@ -8,14 +8,18 @@ lowers the residual merit 0.5|F|^2, and a failed first attempt is retried
 from the non-robust weights with (alpha, beta) from nested scalar roots.
 E* uses the power form, which rejects a non-positive base as infeasible.
 The helpers it needs are copied here, so the reference does not depend on
-the solver it is compared with; see tests/test_solver.py::TestParentReference.
+the solver it is compared with; see tests/test_solver.py::TestLazyNewton.
+
+recomputing_solve_nonrobust is the non-robust Newton loop as it was before
+each step reused its accepted line-search trial: it forms the shortfall and
+the mean loss again at the top of every step.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from robusttrack.loss import loss_deriv1, loss_deriv2, loss_value
+from robusttrack.loss import LossSpec, loss_deriv1, loss_deriv2, loss_value
 from robusttrack.solver import (DegenerateScenariosError, NonConvergenceError,
                                 RobustSolution, SolverConfig, SolverError,
                                 solve_nonrobust)
@@ -242,3 +246,32 @@ def eager_solve_robust(scenarios, ball, spec, config=None):
         u=u, alpha=float(alpha), beta=float(beta), theta=float(theta),
         estar=estar, residual_norm=float(np.max(np.abs(F))), iterations=iters,
     )
+
+
+def recomputing_solve_nonrobust(scenarios, spec):
+    R, B = scenarios.R, scenarios.B
+    N, d = R.shape
+    u = solve_nonrobust(scenarios, LossSpec.quadratic())
+    for _ in range(100):
+        x = B - R @ u
+        grad = -(R.T @ loss_deriv1(spec, x)) / N
+        reduced = grad - grad.mean()
+        if np.max(np.abs(reduced)) <= 1e-11 * max(1.0, np.max(np.abs(grad))):
+            break
+        H = (R * loss_deriv2(spec, x)[:, None]).T @ R / N
+        K = np.zeros((d + 1, d + 1))
+        K[:d, :d] = H + 1e-14 * np.trace(H) * np.eye(d)
+        K[:d, d] = 1.0
+        K[d, :d] = 1.0
+        step = np.linalg.solve(K, np.concatenate([-grad, [0.0]]))[:d]
+        f0 = loss_value(spec, x).mean()
+        t = 1.0
+        while t > 1e-14:
+            f_new = loss_value(spec, B - R @ (u + t * step)).mean()
+            if f_new < f0:
+                break
+            t *= 0.5
+        else:
+            break
+        u = u + t * step
+    return u

@@ -9,10 +9,10 @@ from scipy.optimize import brentq, minimize_scalar
 
 import robusttrack as rt
 import robusttrack.solver as solver
-from robusttrack.solver import _dual, _log_ratio
+from robusttrack.solver import _dual, _estar
 
 from conftest import MU5, SIGMA5, make_scenarios, replicable_window
-from eager_reference import eager_solve_robust
+from eager_reference import eager_assemble, eager_solve_robust, recomputing_solve_nonrobust
 
 QUAD = rt.LossSpec.quadratic()
 L1 = rt.LossSpec.smoothed_pos_sq(0.01)
@@ -21,31 +21,52 @@ L2 = rt.LossSpec.smoothed_plus(0.01)
 REPL_BALL = rt.DivergenceBall(0.1, 0.02)
 
 
-def _estar(s, lam):
-    return float(np.exp(_log_ratio(np.array([s]), lam))[0])
+def _estar_at(s, lam):
+    # at alpha = 1 and beta = 0 the pass's dual argument is the loss itself
+    return float(_estar(np.array([s]), lam, 1.0, 0.0)[1][0])
 
 
 class TestEstarValue:
     def test_unit_at_neutral_payoff(self):
         # a loss equal to beta makes the dual argument s zero
-        assert _estar(0.0, 0.0) == 1.0
-        assert _estar(0.0, 0.3) == 1.0
+        assert _estar_at(0.0, 0.0) == 1.0
+        assert _estar_at(0.0, 0.3) == 1.0
 
     def test_extended_precision_reference(self):
         ld = np.longdouble
         lam, alpha, beta, h = ld("0.1"), ld("0.02"), ld("0.01"), ld("-0.0102")
         base = lam / (lam + 1) * ((-beta - h) / alpha) + 1
         ref = base ** (1 / lam)
-        got = _estar((0.0102 - 0.01) / 0.02, 0.1)
+        got = _estar_at((0.0102 - 0.01) / 0.02, 0.1)
         assert got == pytest.approx(float(ref), rel=1e-13)
 
     def test_infeasible_base(self):
         # past the boundary 1 + lam/(lam+1) s <= 0 the worst case puts no
         # weight on the scenario, where the power form had no value
         s = -0.5 / 0.001 - 0.01 / 0.001        # h = 0.5, alpha = 0.001, beta = 0.01
-        assert _estar(s, 0.2) == 0.0
-        assert _estar(-(1.0 + 1.0 / 0.2), 0.2) == 0.0     # base exactly 0
-        assert _estar(-5.9, 0.2) > 0.0
+        assert _estar_at(s, 0.2) == 0.0
+        assert _estar_at(-(1.0 + 1.0 / 0.2), 0.2) == 0.0     # base exactly 0
+        assert _estar_at(-5.9, 0.2) > 0.0
+
+    @pytest.mark.parametrize("lam", [1.0, 2.5])
+    def test_curvature_vanishes_with_the_weight(self, lam):
+        # E*^(1-lam) = E*/base is 0 where base <= 0, where the power of
+        # E* = 0 would read 1 (lam = 1) or inf (lam > 1) and 0/0 is nan
+        edge = -(1.0 + 1.0 / lam)                          # base exactly 0
+        s = np.array([-50.0, edge, edge * (1 - 1e-15), -0.5, 0.0, 3.0])
+        with np.errstate(all="raise"):
+            _, e, w = _estar(s, lam, 1.0, 0.0)
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(e == 0.0, w == 0.0)
+        assert np.array_equal(e == 0.0, [True, True, False, False, False, False])
+        pos = e > 0.0
+        assert w[pos] == pytest.approx(e[pos] ** (1.0 - lam), rel=1e-14)
+
+    def test_kl_curvature_is_the_weight(self):
+        s = np.array([-800.0, -3.0, 0.0, 2.0])
+        _, e, w = _estar(s, 0.0, 1.0, 0.0)
+        assert np.array_equal(e, np.exp(s))
+        assert np.array_equal(w, e)
 
     def test_requires_positive_alpha(self, scenarios4k):
         u = np.full(scenarios4k.d, 1.0 / scenarios4k.d)
@@ -91,6 +112,24 @@ class TestSystemResidual:
             num = (residual(zp) - residual(zm)) / (2 * h)
             scale = np.maximum(np.abs(J[:, j]), 1e-4)
             assert np.all(np.abs(J[:, j] - num) / scale < 1e-5)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_matches_elementwise_assembly(self, scenarios4k, lam, spec):
+        # the BLAS-form sums against the frozen per-scenario gradient sums,
+        # off the solution: perturbed weights, (alpha, beta) moved off the
+        # inner minimum and a nonzero theta
+        ball = rt.DivergenceBall(lam, 0.5)
+        d = scenarios4k.d
+        u = np.full(d, 1.0 / d) + 0.05 * np.array([1.0, -2.0, 0.5, 0.5])
+        L = rt.loss_value(spec, scenarios4k.B - scenarios4k.R @ u)
+        alpha, beta, _ = _dual(L, ball)
+        z = np.concatenate([u, [1.1 * alpha, beta - 0.05 * alpha, 1e-3]])
+        F_ref, J_ref = eager_assemble(z, scenarios4k, ball, spec)
+        F = rt.system_residual(z[:d], *z[d:], scenarios4k, ball, spec)
+        J = rt.system_jacobian(z[:d], *z[d:], scenarios4k, ball, spec)
+        assert np.all(np.abs(F - F_ref) <= 1e-12 * np.abs(F_ref))
+        assert np.all(np.abs(J - J_ref) <= 1e-12 * np.abs(J_ref))
 
     def test_converged_solution_has_small_residual(self, scenarios4k):
         ball = rt.DivergenceBall(0.1, 0.5)
@@ -163,6 +202,13 @@ class TestSolveNonrobust:
         scen = rt.ScenarioSet(R=np.ones((10, 2)), B=np.ones(10))
         with pytest.raises(rt.SingularSystemError):
             rt.solve_nonrobust(scen, QUAD)
+
+    @pytest.mark.parametrize("spec", [L1, L2], ids=["l1", "l2"])
+    def test_accepted_trial_reuse_is_bit_identical(self, scenarios4k, spec):
+        # each step starts from the shortfall and mean loss its line search
+        # accepted, which are the bits a recomputation gives
+        assert (rt.solve_nonrobust(scenarios4k, spec).tobytes()
+                == recomputing_solve_nonrobust(scenarios4k, spec).tobytes())
 
 
 class TestSolveRobust:
@@ -276,9 +322,9 @@ class TestInnerTilt:
     def test_constraints_hold(self, lam):
         rng = np.random.default_rng(9)
         loss = np.abs(0.02 * rng.standard_normal(4000)) ** 2
-        alpha, beta, loge = _dual(loss, rt.DivergenceBall(lam, 0.7))
-        estar = np.exp(_log_ratio((loss - beta) / alpha, lam))
-        assert np.array_equal(estar, np.exp(loge))
+        alpha, beta, (s, estar, w) = _dual(loss, rt.DivergenceBall(lam, 0.7))
+        for mine, again in zip((s, estar, w), _estar(loss, lam, alpha, beta)):
+            assert np.array_equal(mine, again)
         assert estar.mean() == pytest.approx(1.0, abs=1e-9)
         assert rt.scalar_G(estar, lam).mean() == pytest.approx(0.7, abs=1e-9)
         assert estar.min() > 0
@@ -287,9 +333,9 @@ class TestInnerTilt:
         # at lam = 1 and a large radius the best scenarios get E* = 0
         rng = np.random.default_rng(9)
         loss = np.abs(0.02 * rng.standard_normal(4000)) ** 2
-        alpha, beta, loge = _dual(loss, rt.DivergenceBall(1.0, 5.0))
-        estar = np.exp(loge)
+        _, _, (_, estar, w) = _dual(loss, rt.DivergenceBall(1.0, 5.0))
         assert np.any(estar == 0.0)
+        assert np.array_equal(w, (estar > 0.0).astype(float))   # E*^0, and 0 at E* = 0
         assert estar.mean() == pytest.approx(1.0, abs=1e-9)
         assert np.mean((estar - 1.0) ** 2) == pytest.approx(5.0, abs=1e-9)
 
