@@ -199,24 +199,27 @@ def _experiment(cfg: dict) -> dict:
 def cmd_divergence(cfg: dict) -> int:
     model = build_model(_need(cfg, "config", "model"))
     exp = _experiment(cfg)
-    out = _out_dir(cfg)
     block = _ball_block(cfg)
     lam = float(block["lambda"])
+    grid = build_grid(cfg) if "eta_grid" in block or "eta" in block else []
+    if grid and model.kind != "gaussian":
+        raise ConfigError("ball.eta_grid", "k inversion requires a gaussian model")
+    if any(rc.eta is None for rc in grid):
+        raise ConfigError("ball.k_grid", "divergence inverts eta rows, not k rows")
+    rows = [(rc.eta, k_from_eta(rc.eta, lam, model.mean, model.scale, rc.sign), rc.sign)
+            for rc in grid]
+    actual = build_model(cfg["actual"], path="actual") if "actual" in cfg else None
+    out = _out_dir(cfg)
     records = []
 
-    if "actual" in cfg:
-        actual = build_model(cfg["actual"], path="actual")
+    if actual is not None:
         closed = None
         if model.kind == "gaussian" and actual.kind == "gaussian" and lam > 0:
-            if np.allclose(model.scale, actual.scale):
-                closed = divergence_gaussian_equal_cov(model.mean, actual.mean,
-                                                       model.scale, lam)
-            else:
-                try:
-                    closed = divergence_gaussian(model.mean, model.scale,
-                                                 actual.mean, actual.scale, lam)
-                except ValueError:
-                    closed = None
+            try:
+                closed = divergence_gaussian(model.mean, model.scale,
+                                             actual.mean, actual.scale, lam)
+            except ValueError:
+                pass            # outside the closed form's validity region
         mc = eta_from_ratio_mc(model, actual, lam, exp["n"], exp["seed"])
         records.append({"lam": lam, "closed_form": closed,
                         "mc_estimate": mc.estimate, "mc_std_error": mc.std_error})
@@ -225,19 +228,12 @@ def cmd_divergence(cfg: dict) -> int:
             line += f" | closed form = {closed:.6g}"
         print(line)
 
-    if "eta_grid" in block or "eta" in block:
-        etas = block.get("eta_grid", [block.get("eta")])
-        sign = block.get("sign", "-")
-        if model.kind != "gaussian":
-            raise ConfigError("ball.eta_grid", "k inversion requires a gaussian model")
+    if rows:
         print(f"{'eta':>8} {'k':>12} {'round_trip':>14}")
-        for eta in etas:
-            k = k_from_eta(float(eta), lam, model.mean, model.scale, sign)
-            rt = divergence_gaussian_equal_cov(model.mean, k * model.mean,
-                                               model.scale, lam)
-            records.append({"lam": lam, "eta": float(eta), "sign": sign, "k": k,
-                            "round_trip": rt})
-            print(f"{eta:>8} {k:>12.4f} {rt:>14.10f}")
+    for eta, k, sign in rows:
+        back = divergence_gaussian_equal_cov(model.mean, k * model.mean, model.scale, lam)
+        records.append({"lam": lam, "eta": eta, "sign": sign, "k": k, "round_trip": back})
+        print(f"{eta:>8} {k:>12.4f} {back:>14.10f}")
 
     path = out / "divergence_report.json"
     write_json(records, path)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import gammaln
 
 from .model import NominalModel, sample_model
@@ -53,6 +52,13 @@ class MCEstimate:
     std_error: float
 
 
+def _G(e, loge, lam: float):
+    # the integrand from the ratio and its log, which callers already hold
+    if lam == 0.0:
+        return e * loge - e + 1.0
+    return e * np.expm1(lam * loge) / lam - e + 1.0
+
+
 def scalar_G(e, lam: float):
     """Pointwise divergence integrand G(e); G(1) = 0 and G >= 0.
 
@@ -61,20 +67,14 @@ def scalar_G(e, lam: float):
     e = np.asarray(e, dtype=float)
     if np.any(e <= 0):
         raise ValueError("scalar_G requires e > 0")
-    loge = np.log(e)
-    if lam == 0.0:
-        out = e * loge - e + 1.0
-    else:
-        out = e * np.expm1(lam * loge) / lam - e + 1.0
+    out = _G(e, np.log(e), lam)
     return float(out) if out.ndim == 0 else out
 
 
-def _G_from_log(loge: np.ndarray, lam: float) -> np.ndarray:
-    # Same as scalar_G but taking log-ratios; exponentiation happens only here.
-    e = np.exp(loge)
-    if lam == 0.0:
-        return e * loge - e + 1.0
-    return e * np.expm1(lam * loge) / lam - e + 1.0
+def _mc_estimate(g: np.ndarray) -> MCEstimate:
+    n = g.size
+    return MCEstimate(estimate=float(g.mean()),
+                      std_error=float(g.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
 
 
 def divergence_mc(draws: np.ndarray, ratio: Callable[[np.ndarray], np.ndarray],
@@ -89,16 +89,18 @@ def divergence_mc(draws: np.ndarray, ratio: Callable[[np.ndarray], np.ndarray],
         raise ValueError("ratio must return one value per draw")
     if np.any(~np.isfinite(values)) or np.any(values <= 0):
         raise ValueError("ratio values must be positive and finite")
-    g = scalar_G(values, lam)
-    g = np.atleast_1d(g)
-    n = g.shape[0]
-    return MCEstimate(estimate=float(g.mean()),
-                      std_error=float(g.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
+    return _mc_estimate(_G(values, np.log(values), lam))
 
 
-def _chol_quad(chol_factor_tuple, v: np.ndarray) -> float:
-    # v' M^{-1} v through the Cholesky factorization of M
-    return float(v @ cho_solve(chol_factor_tuple, v))
+def _maha2(Sigma, v: np.ndarray) -> float:
+    # v' Sigma^{-1} v = |L^{-1} v|^2 with Sigma = L L'
+    y = np.linalg.solve(np.linalg.cholesky(np.asarray(Sigma, dtype=float)), v)
+    return float(y @ y)
+
+
+def _inverse(L: np.ndarray) -> np.ndarray:
+    # (L L')^{-1} from the lower Cholesky factor L
+    return np.linalg.solve(L.T, np.linalg.solve(L, np.eye(L.shape[0])))
 
 
 def divergence_gaussian(mu1, Sigma1, mu2, Sigma2, lam: float) -> float:
@@ -112,14 +114,10 @@ def divergence_gaussian(mu1, Sigma1, mu2, Sigma2, lam: float) -> float:
         raise ValueError("divergence_gaussian requires lam > 0 (use the KL mode helpers for lam=0)")
     mu1 = np.asarray(mu1, dtype=float)
     mu2 = np.asarray(mu2, dtype=float)
-    S1 = np.asarray(Sigma1, dtype=float)
-    S2 = np.asarray(Sigma2, dtype=float)
-    d = mu1.size
-    c1 = cho_factor(S1, lower=True)
-    c2 = cho_factor(S2, lower=True)
-    eye = np.eye(d)
-    inv1 = cho_solve(c1, eye)
-    inv2 = cho_solve(c2, eye)
+    L1 = np.linalg.cholesky(np.asarray(Sigma1, dtype=float))
+    L2 = np.linalg.cholesky(np.asarray(Sigma2, dtype=float))
+    inv1 = _inverse(L1)
+    inv2 = _inverse(L2)
     M = (lam + 1.0) * inv2 - lam * inv1          # = Sigma_tilde^{-1}
     try:
         cM = np.linalg.cholesky(M)
@@ -128,19 +126,18 @@ def divergence_gaussian(mu1, Sigma1, mu2, Sigma2, lam: float) -> float:
             "outside validity region: (lam+1)*Sigma2^-1 - lam*Sigma1^-1 "
             "is not positive definite"
         ) from exc
-    logdet1 = 2.0 * np.log(np.diag(c1[0])).sum()
-    logdet2 = 2.0 * np.log(np.diag(c2[0])).sum()
+    logdet1 = 2.0 * np.log(np.diag(L1)).sum()
+    logdet2 = 2.0 * np.log(np.diag(L2)).sum()
     logdet_tilde = -2.0 * np.log(np.diag(cM)).sum()
 
-    q1 = _chol_quad(c1, mu1)
-    q2 = _chol_quad(c2, mu2)
-    rhs = (lam + 1.0) * (inv2 @ mu2) - lam * (inv1 @ mu1)
+    a1 = inv1 @ mu1
+    a2 = inv2 @ mu2
+    rhs = (lam + 1.0) * a2 - lam * a1
     # mu_tilde' Sigma_tilde^{-1} mu_tilde = rhs' M^{-1} rhs
-    y = solve_triangular(cM, rhs, lower=True)
-    q_tilde = float(y @ y)
+    y = np.linalg.solve(cM, rhs)
 
     log_pref = 0.5 * ((lam + 1.0) * (logdet1 - logdet2) + logdet_tilde - logdet1)
-    log_exp = 0.5 * (-(lam + 1.0) * q2 + lam * q1 + q_tilde)
+    log_exp = 0.5 * (-(lam + 1.0) * (mu2 @ a2) + lam * (mu1 @ a1) + y @ y)
     return (np.exp(log_pref + log_exp) - 1.0) / lam
 
 
@@ -151,10 +148,7 @@ def divergence_gaussian_equal_cov(mu1, mu2, Sigma, lam: float) -> float:
     maha2 = (mu2-mu1)' Sigma^{-1} (mu2-mu1); the lam = 0 KL mode returns the
     limit maha2 / 2 (half the squared Mahalanobis distance).
     """
-    mu1 = np.asarray(mu1, dtype=float)
-    mu2 = np.asarray(mu2, dtype=float)
-    c = cho_factor(np.asarray(Sigma, dtype=float), lower=True)
-    maha2 = _chol_quad(c, mu2 - mu1)
+    maha2 = _maha2(Sigma, np.asarray(mu2, dtype=float) - np.asarray(mu1, dtype=float))
     if lam == 0.0:
         return 0.5 * maha2
     return np.expm1(lam * (lam + 1.0) / 2.0 * maha2) / lam
@@ -171,9 +165,7 @@ def k_from_eta(eta: float, lam: float, mu1, Sigma1, sign: str = "-") -> float:
         raise ValueError("k_from_eta requires lam > 0")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    mu1 = np.asarray(mu1, dtype=float)
-    c = cho_factor(np.asarray(Sigma1, dtype=float), lower=True)
-    quad = _chol_quad(c, mu1)
+    quad = _maha2(Sigma1, np.asarray(mu1, dtype=float))
     if quad <= 0:
         raise ValueError("mu1' Sigma1^{-1} mu1 must be positive")
     root = np.sqrt(np.log1p(eta * lam) / (lam * (lam + 1.0) / 2.0 * quad))
@@ -185,7 +177,7 @@ def log_density(model: NominalModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dev = x - model.mean
     chol = model._chol
-    half = solve_triangular(chol, dev.T, lower=True).T
+    half = np.linalg.solve(chol, dev.T).T
     quad = np.einsum("ij,ij->i", half, half)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
     d = model.dim
@@ -202,21 +194,18 @@ def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,
     """Monte-Carlo divergence radius between two parametric models.
 
     Draws from the nominal model and averages G(g/f) using the analytic
-    log-density ratio; the ratio is kept in log space and exponentiated only
-    inside G, so heavy-tailed ratios cannot overflow prematurely.
+    log-density ratio; the ratio is exponentiated only after the overflow
+    check, so heavy-tailed ratios fail with a named reason, not an inf.
+    Identical models give a zero log ratio and so exactly zero.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     draws = sample_model(nominal, n, seed)
     logratio = log_density(actual, draws) - log_density(nominal, draws)
-    if np.all(logratio == 0.0):
-        return MCEstimate(estimate=0.0, std_error=0.0)
     scale = lam + 1.0 if lam > 0 else 1.0
     if np.max(scale * logratio) > 700.0:
         raise OverflowError(
             "density ratio overflows the divergence integrand; "
             "a smaller lam keeps the estimate finite"
         )
-    g = _G_from_log(logratio, lam)
-    return MCEstimate(estimate=float(g.mean()),
-                      std_error=float(g.std(ddof=1) / np.sqrt(n)))
+    return _mc_estimate(_G(np.exp(logratio), logratio, lam))

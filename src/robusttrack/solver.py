@@ -95,6 +95,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
 
 
 @dataclass
@@ -125,7 +127,8 @@ def _estar(L, lam, alpha, beta):
         return s, e, e
     base = np.maximum(1.0 + lam / (lam + 1.0) * s, 0.0)
     e = base ** (1.0 / lam)
-    return s, e, np.divide(e, base, out=np.zeros_like(e), where=base > 0.0)
+    # where base is 0, E* is 0 too, and the quotient by the tiny floor is 0
+    return s, e, e / np.maximum(base, np.finfo(float).smallest_subnormal)
 
 
 def _beta(L, lam, alpha, beta):

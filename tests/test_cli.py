@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import robusttrack as rt
 from robusttrack import cli
 from robusttrack.cli import main
 
@@ -132,6 +133,14 @@ class TestConfigErrors:
                                          "cov": [[1.0, 2.0], [2.0, 1.0]]})
         assert main(["simulate", "--config", cfg]) == 2
         assert "model" in capsys.readouterr().err
+
+    def test_negative_max_iterations(self, tmp_path, capsys):
+        # a step limit below 0 is a config error, not a failed solve
+        cfg = small_market_config(tmp_path, tmp_path / "out",
+                                  ball={"lambda": 0.1, "eta": 0.2},
+                                  solver={"max_iterations": -1})
+        assert main(["solve", "--config", cfg]) == 2
+        assert "config error at solver: max_iterations" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,data,path", [
         ("backtest", {"index_col": 4}, "data.index_col"),
@@ -281,6 +290,43 @@ class TestDivergenceCommand:
         records = json.loads((out / "divergence_report.json").read_text())
         pair = [r for r in records if "mc_estimate" in r][0]
         assert abs(pair["mc_estimate"] - pair["closed_form"]) < 4 * pair["mc_std_error"]
+
+    def test_closed_form_reads_the_actual_covariance(self, tmp_path):
+        # a covariance within allclose of the nominal one is still its own
+        out = tmp_path / "out"
+        cov = SIGMA5 * (1.0 + 5e-6)
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()},
+            "actual": {"kind": "gaussian", "mean": (2 * MU5).tolist(), "cov": cov.tolist()},
+            "ball": {"lambda": 0.1},
+            "experiment": {"n": 1000, "seed": 1},
+            "io": {"out_dir": str(out)},
+        })
+        assert main(["divergence", "--config", cfg]) == 0
+        record = json.loads((out / "divergence_report.json").read_text())[0]
+        assert record["closed_form"] == rt.divergence_gaussian(MU5, SIGMA5, 2 * MU5, cov, 0.1)
+
+    @pytest.mark.parametrize("ball,path", [
+        ({"eta_grid": [0.1, -1.0]}, "ball.eta_grid"),
+        ({"eta_grid": [0.1], "sign": "x"}, "ball.sign"),
+        # the rows reader takes k_grid over eta, and k rows have no inversion
+        ({"eta": 0.1, "k_grid": [1.0]}, "ball.k_grid"),
+    ], ids=["negative-eta", "bad-sign", "k-rows"])
+    def test_bad_eta_rows_print_nothing(self, tmp_path, capsys, ball, path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()},
+            "actual": {"kind": "gaussian", "mean": (2 * MU5).tolist(),
+                       "cov": SIGMA5.tolist()},
+            "ball": {"lambda": 0.1, **ball},
+            "experiment": {"n": 1000, "seed": 1},
+            "io": {"out_dir": str(out)},
+        })
+        assert main(["divergence", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error at {path}" in captured.err
+        assert not (out / "divergence_report.json").exists()
 
 
 class TestBacktestCommand:

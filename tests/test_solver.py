@@ -62,6 +62,19 @@ class TestEstarValue:
         pos = e > 0.0
         assert w[pos] == pytest.approx(e[pos] ** (1.0 - lam), rel=1e-14)
 
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 2.5])
+    def test_curvature_has_the_bits_of_the_masked_quotient(self, lam):
+        # E* over the floored base is bit for bit E*/base, and 0 where
+        # base = 0, on a million points of which about half have base 0
+        edge = -(1.0 + 1.0 / lam)                          # base exactly 0
+        s = edge * np.random.default_rng(4).uniform(-1.0, 3.0, 10**6)
+        s[:2] = [edge, edge * (1 - 1e-15)]
+        _, e, w = _estar(s, lam, 1.0, 0.0)
+        base = np.maximum(1.0 + lam / (lam + 1.0) * s, 0.0)
+        masked = np.divide(e, base, out=np.zeros_like(e), where=base > 0.0)
+        assert np.count_nonzero(base == 0.0) > 4 * 10**5
+        assert np.array_equal(w.view(np.uint64), masked.view(np.uint64))
+
     def test_kl_curvature_is_the_weight(self):
         s = np.array([-800.0, -3.0, 0.0, 2.0])
         _, e, w = _estar(s, 0.0, 1.0, 0.0)
@@ -526,10 +539,12 @@ class TestNonConvergenceReport:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # importing the package must not pull in scipy.optimize, which it no
-    # longer uses; the import would cost a third of a second of start-up
+    # importing the CLI must not pull in scipy.optimize or scipy.linalg,
+    # which the package no longer uses; each import costs start-up time
+    # (a third of a second and 85 ms)
     src = Path(rt.__file__).resolve().parent.parent
-    code = "import sys, robusttrack; print('scipy.optimize' in sys.modules)"
+    unused = ["scipy.optimize", "scipy.linalg"]
+    code = f"import sys, robusttrack.cli; print([m for m in {unused} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
