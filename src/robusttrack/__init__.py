@@ -7,7 +7,7 @@ from .divergence import (DivergenceBall, MCEstimate, divergence_gaussian,
                          eta_from_ratio_mc, k_from_eta, scalar_G)
 from .evaluate import (BacktestConfig, BacktestResult, ComparisonReport,
                        RowConfig, TableRow, backtest_sliding, compare,
-                       excess_index, run_table, tracking_error)
+                       run_table, tracking_error)
 from .loss import LossSpec, loss_deriv1, loss_deriv2, loss_value, payoff_H, raw_loss_value
 from .model import (DataError, IndexComposition, LoadedPrices, NominalModel,
                     ScenarioSet, load_prices_csv, sample_model, scenarios_from,
@@ -24,7 +24,7 @@ __all__ = [
     "divergence_gaussian_equal_cov", "divergence_mc", "eta_from_ratio_mc",
     "k_from_eta", "scalar_G",
     "BacktestConfig", "BacktestResult", "ComparisonReport", "RowConfig",
-    "TableRow", "backtest_sliding", "compare", "excess_index", "run_table",
+    "TableRow", "backtest_sliding", "compare", "run_table",
     "tracking_error",
     "LossSpec", "loss_deriv1", "loss_deriv2", "loss_value", "payoff_H",
     "raw_loss_value",

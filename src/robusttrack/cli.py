@@ -1,12 +1,13 @@
 """Configuration-driven command line front end.
 
-    track <command> --config cfg.json [--seed N] [--out DIR] [--lambda X]
-          [--eta X] [--loss quadratic|l1|l2] [--epsilon X]
+    track <command> --config cfg.json [--seed N] [--out DIR]
 
-Commands: divergence, solve, simulate, backtest.  Every run writes a
-manifest.json with the resolved configuration, seeds and package version so
-outputs can be reproduced byte for byte.  Exit codes: 0 success, 2 config
-error, 3 solver non-convergence, 4 data error.
+Commands: divergence, solve, simulate, backtest.  The config file defines
+the experiment; --seed and --out only choose the replicate and the output
+directory.  Every run writes a manifest.json with the resolved
+configuration, seeds and package version so outputs can be reproduced byte
+for byte.  Exit codes: 0 success, 2 config error, 3 solver
+non-convergence, 4 data error.
 """
 
 from __future__ import annotations
@@ -51,13 +52,21 @@ def _need(cfg: dict, path: str, key: str):
 
 
 def _as_positive(value, path):
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    if v <= 0:
+    if value <= 0:
         raise ConfigError(path, "must be positive")
-    return v
+    return value
+
+
+def _build(path: str, make, block: dict, types: dict, **fixed):
+    """make(**{**fixed, **given}), where given holds each key of ``types``
+    that ``block`` has, converted by its type; a failed conversion or a value
+    the constructor rejects is a ConfigError at ``path``."""
+    try:
+        given = {key: convert(block[key]) for key, convert in types.items()
+                 if key in block}
+        return make(**{**fixed, **given})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc))
 
 
 def load_config(path) -> dict:
@@ -89,79 +98,60 @@ def build_model(cfg: dict, path: str = "model") -> NominalModel:
 def build_loss(cfg: dict) -> LossSpec:
     block = cfg.get("loss", {})
     name = block.get("kind", "quadratic")
-    if name not in _LOSS_NAMES:
-        raise ConfigError("loss.kind", f"expected one of {sorted(_LOSS_NAMES)}, got {name!r}")
-    eps = block.get("epsilon", 0.01)
-    if name != "quadratic":
-        _as_positive(eps, "loss.epsilon")
-    try:
-        return LossSpec(kind=_LOSS_NAMES[name], epsilon=float(eps))
-    except ValueError as exc:
-        raise ConfigError("loss", str(exc))
+    names = sorted(_LOSS_NAMES)
+    if name not in names:           # a list, not the dict: the name may be unhashable
+        raise ConfigError("loss.kind", f"expected one of {names}, got {name!r}")
+    return _build("loss", LossSpec, block, {"epsilon": float}, kind=_LOSS_NAMES[name])
 
 
 def build_solver_config(cfg: dict) -> SolverConfig:
-    block = cfg.get("solver", {})
-    try:
-        return SolverConfig(
-            max_iterations=int(block.get("max_iterations", 200)),
-            residual_tol=float(block.get("residual_tol", 1e-8)),
-        )
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc))
+    return _build("solver", SolverConfig, cfg.get("solver", {}),
+                  {"max_iterations": int, "residual_tol": float})
 
 
-def _ball_block(cfg: dict) -> dict:
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+def _ball(cfg: dict) -> dict:
+    """The ``ball`` block with its values converted and sign defaulted."""
     block = cfg.get("ball")
     if block is None:
         raise ConfigError("ball", "missing required block")
-    if "lambda" not in block:
+    ball = _build("ball", dict, block, {"lambda": float, "eta": float, "eta_grid": _floats,
+                                        "k_grid": _floats, "sign": str}, sign="-")
+    if "lambda" not in ball:
         raise ConfigError("ball.lambda", "missing required field")
-    lam = float(block["lambda"])
-    if lam < 0:
+    if ball["lambda"] < 0:
         raise ConfigError("ball.lambda", "must be >= 0")
-    return block
+    return ball
 
 
-def build_grid(cfg: dict) -> list:
-    block = _ball_block(cfg)
-    lam = float(block["lambda"])
-    sign = block.get("sign", "-")
+def build_grid(ball: dict) -> list:
+    lam, sign = ball["lambda"], ball["sign"]
     if sign not in ("+", "-"):
         raise ConfigError("ball.sign", "must be '+' or '-'")
-    if "eta_grid" in block:
+    if "eta_grid" in ball:
         return [RowConfig(lam=lam, eta=_as_positive(e, "ball.eta_grid"), sign=sign)
-                for e in block["eta_grid"]]
-    if "k_grid" in block:
-        return [RowConfig(lam=lam, k=float(k), sign=sign) for k in block["k_grid"]]
-    if "eta" in block:
-        return [RowConfig(lam=lam, eta=_as_positive(block["eta"], "ball.eta"), sign=sign)]
+                for e in ball["eta_grid"]]
+    if "k_grid" in ball:
+        return [RowConfig(lam=lam, k=k, sign=sign) for k in ball["k_grid"]]
+    if "eta" in ball:
+        return [RowConfig(lam=lam, eta=_as_positive(ball["eta"], "ball.eta"), sign=sign)]
     raise ConfigError("ball", "one of eta, eta_grid or k_grid is required")
 
 
-def build_ball(cfg: dict) -> DivergenceBall:
-    block = _ball_block(cfg)
-    if "eta" not in block:
+def build_ball(ball: dict) -> DivergenceBall:
+    if "eta" not in ball:
         raise ConfigError("ball.eta", "missing required field")
-    eta = float(block["eta"])
-    if eta < 0:
+    if ball["eta"] < 0:
         raise ConfigError("ball.eta", "must be >= 0")
-    return DivergenceBall(lam=float(block["lambda"]), eta=eta)
+    return DivergenceBall(lam=ball["lambda"], eta=ball["eta"])
 
 
 def apply_overrides(cfg: dict, args) -> dict:
     if args.seed is not None:
         cfg.setdefault("experiment", {})["seed"] = args.seed
-    if args.lam is not None:
-        cfg.setdefault("ball", {})["lambda"] = args.lam
-    if args.eta is not None:
-        cfg.setdefault("ball", {})["eta"] = args.eta
-        cfg["ball"].pop("eta_grid", None)
-        cfg["ball"].pop("k_grid", None)
-    if args.loss is not None:
-        cfg.setdefault("loss", {})["kind"] = args.loss
-    if args.epsilon is not None:
-        cfg.setdefault("loss", {})["epsilon"] = args.epsilon
     if args.out is not None:
         cfg.setdefault("io", {})["out_dir"] = args.out
     return cfg
@@ -184,12 +174,8 @@ def write_manifest(cfg: dict, command: str, outputs: list, out_dir: Path) -> Non
 
 
 def _experiment(cfg: dict) -> dict:
-    block = cfg.get("experiment", {})
-    return {
-        "n": int(block.get("n", 200_000)),
-        "n_ratio": int(block["n_ratio"]) if "n_ratio" in block else None,
-        "seed": int(block.get("seed", 0)),
-    }
+    return _build("experiment", dict, cfg.get("experiment", {}),
+                  {"n": int, "n_ratio": int, "seed": int}, n=200_000, n_ratio=None, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +185,9 @@ def _experiment(cfg: dict) -> dict:
 def cmd_divergence(cfg: dict) -> int:
     model = build_model(_need(cfg, "config", "model"))
     exp = _experiment(cfg)
-    block = _ball_block(cfg)
-    lam = float(block["lambda"])
-    grid = build_grid(cfg) if "eta_grid" in block or "eta" in block else []
+    ball = _ball(cfg)
+    lam = ball["lambda"]
+    grid = build_grid(ball) if "eta_grid" in ball or "eta" in ball else []
     if grid and model.kind != "gaussian":
         raise ConfigError("ball.eta_grid", "k inversion requires a gaussian model")
     if any(rc.eta is None for rc in grid):
@@ -303,7 +289,7 @@ def cmd_solve(cfg: dict) -> int:
     exp = _experiment(cfg)
     out = _out_dir(cfg)
     spec = build_loss(cfg)
-    ball = build_ball(cfg)
+    ball = build_ball(_ball(cfg))
     solver_cfg = build_solver_config(cfg)
     scen = _scenarios_from_config(cfg, exp)
 
@@ -324,7 +310,7 @@ def cmd_solve(cfg: dict) -> int:
         "alpha": sol.alpha, "beta": sol.beta, "theta": sol.theta,
         "residual_norm": sol.residual_norm, "iterations": sol.iterations,
         "hessian_max_eig": max_eig,
-        "feasibility_margin": sol.feasibility_margin(ball.lam),
+        "estar_zero_share": float((sol.estar == 0.0).mean()),
         "estar_mean": float(sol.estar.mean()),
         "estar_min": float(sol.estar.min()),
         "lam": ball.lam, "eta": ball.eta,
@@ -340,7 +326,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     spec = build_loss(cfg)
     model, comp, tracked = _market(cfg)
-    grid = build_grid(cfg)
+    grid = build_grid(_ball(cfg))
     rows = run_table(model, comp, tracked, grid, spec, n=exp["n"], seed=exp["seed"],
                      n_ratio=exp["n_ratio"], solver_config=build_solver_config(cfg))
     csv_path = out / "table.csv"
@@ -362,15 +348,11 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_backtest(cfg: dict) -> int:
     out = _out_dir(cfg)
     spec = build_loss(cfg)
-    ball = build_ball(cfg)
+    ball = build_ball(_ball(cfg))
     asset_returns, index_returns = _csv_returns(cfg)
-    bt_block = cfg.get("backtest", {})
-    bcfg = BacktestConfig(
-        ball=ball, loss=spec,
-        window=int(bt_block.get("window", 104)),
-        out_of_sample=int(bt_block.get("out_of_sample", 52)),
-        solver=build_solver_config(cfg),
-    )
+    bcfg = _build("backtest", BacktestConfig, cfg.get("backtest", {}),
+                  {"window": int, "out_of_sample": int},
+                  ball=ball, loss=spec, solver=build_solver_config(cfg))
     result = backtest_sliding(asset_returns, index_returns, bcfg)
 
     print(f"out-of-sample BT: {result.bt_wins}/{result.bt_steps} "
@@ -400,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--eta", type=float, default=None)
-    parser.add_argument("--loss", choices=sorted(_LOSS_NAMES), default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
     return parser
 
 

@@ -66,11 +66,6 @@ def tracking_error(u, scenarios: ScenarioSet, spec: LossSpec = LossSpec.quadrati
     return loss_value(spec, _shortfall(u, scenarios))
 
 
-def excess_index(u, scenarios: ScenarioSet) -> np.ndarray:
-    """Per-scenario excess over the index, u'R - B (negative = beaten)."""
-    return -_shortfall(u, scenarios)
-
-
 def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet,
             spec: LossSpec) -> ComparisonReport:
     """Head-to-head comparison of two portfolios on common scenarios.
@@ -354,13 +349,11 @@ def write_table_csv(rows: Sequence[TableRow], path) -> None:
 
 
 def table_rows_as_dicts(rows: Sequence[TableRow]) -> list:
+    """Each row's fields less its report, the report's fields and converged."""
     out = []
     for row in rows:
-        rec = {"lam": row.lam, "eta": row.eta, "k": row.k,
-               "converged": row.converged, "solver_message": row.solver_message,
-               "residual_norm": row.residual_norm, "iterations": row.iterations,
-               "eta_std_error": row.eta_std_error,
-               "seed_fit": row.seed_fit, "seed_eval": row.seed_eval}
+        rec = {key: value for key, value in vars(row).items() if key != "report"}
+        rec["converged"] = row.converged
         if row.report is not None:
             rec.update(vars(row.report))
         out.append(rec)
@@ -390,21 +383,9 @@ def write_plot_csv(result: BacktestResult, path) -> None:
 
 
 def write_backtest_json(result: BacktestResult, path) -> None:
-    payload = {
-        "bt_wins": result.bt_wins,
-        "bt_steps": result.bt_steps,
-        "bt_percent": result.bt_percent,
-        "ete_in_robust": result.ete_in_robust,
-        "ete_in_nonrobust": result.ete_in_nonrobust,
-        "ete_out_robust": result.ete_out_robust,
-        "ete_out_nonrobust": result.ete_out_nonrobust,
-        "flagged_steps": [[int(s), msg] for s, msg in result.flagged_steps],
-        "window_bounds": [[int(a), int(b)] for a, b in result.window_bounds],
-        "weights_robust": result.weights_robust.tolist(),
-        "weights_nonrobust": result.weights_nonrobust.tolist(),
-        "loss_robust": result.loss_robust.tolist(),
-        "loss_nonrobust": result.loss_nonrobust.tolist(),
-        "ei_robust": result.ei_robust.tolist(),
-        "ei_nonrobust": result.ei_nonrobust.tolist(),
-    }
+    """Every field but the plot series (written by write_plot_csv), arrays as
+    lists, plus bt_percent."""
+    payload = {key: value.tolist() if isinstance(value, np.ndarray) else value
+               for key, value in vars(result).items() if not key.startswith("plot_")}
+    payload["bt_percent"] = result.bt_percent
     write_json(payload, path)

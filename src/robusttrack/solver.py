@@ -200,9 +200,10 @@ def _phi(alpha, beta, p, ball):
     return alpha * ball.eta + beta + alpha * (e * (1.0 + c * s) - 1.0).mean()
 
 
-def _kkt(u, alpha, theta, x, p, scenarios, ball, spec):
-    """Residual F and Jacobian J of the system at (u, alpha, beta, theta),
-    for the shortfall x = B - R'u and the _estar pass p at (alpha, beta)."""
+def _kkt(u, alpha, x, p, scenarios, ball, spec):
+    """Residual F, at theta = 0, and Jacobian J of the system at (u, alpha,
+    beta), for the shortfall x = B - R'u and the _estar pass p at
+    (alpha, beta).  J does not depend on theta."""
     R = scenarios.R
     N, d = R.shape
     lam = ball.lam
@@ -213,7 +214,7 @@ def _kkt(u, alpha, theta, x, p, scenarios, ball, spec):
     spsi = s * psi
 
     F = np.empty(d + 3)
-    F[:d] = R.T @ (lp * e) / N - theta
+    F[:d] = R.T @ (lp * e) / N
     F[d] = u.sum() - 1.0
     F[d + 1] = (e * s / (lam + 1.0) - e + 1.0).mean() - ball.eta
     F[d + 2] = e.mean() - 1.0
@@ -238,7 +239,9 @@ def _system(u, alpha, beta, theta, scenarios, ball, spec):
     u, alpha, beta = np.asarray(u, dtype=float), float(alpha), float(beta)
     x = scenarios.B - scenarios.R @ u
     p = _estar(loss_value(spec, x), ball.lam, alpha, beta)
-    return _kkt(u, alpha, float(theta), x, p, scenarios, ball, spec)
+    F, J = _kkt(u, alpha, x, p, scenarios, ball, spec)
+    F[:scenarios.d] -= float(theta)
+    return F, J
 
 
 def system_residual(u, alpha, beta, theta, scenarios: ScenarioSet,
@@ -284,7 +287,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
 
     best = np.inf
     for it in range(config.max_iterations + 1):
-        F, J = _kkt(u, alpha, 0.0, x, p, scenarios, ball, spec)
+        F, J = _kkt(u, alpha, x, p, scenarios, ball, spec)
         theta = float(F[:d].mean())
         F[:d] -= theta
         res = float(np.max(np.abs(F)))
@@ -407,7 +410,6 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     e = solution.estar
     s = (loss_value(spec, x) - solution.beta) / solution.alpha
     w = np.power(e, 1.0 - ball.lam, out=np.zeros_like(e), where=e > 0.0)
-    J = _kkt(solution.u, solution.alpha, solution.theta, x, (s, e, w),
-             scenarios, ball, spec)[1]
+    J = _kkt(solution.u, solution.alpha, x, (s, e, w), scenarios, ball, spec)[1]
     d = scenarios.d
     return float(np.linalg.eigvalsh(J[:d, :d])[-1])

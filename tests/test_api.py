@@ -21,7 +21,7 @@ GATE = ["payoff_H", "divergence_mc", "system_residual", "system_jacobian",
         "run_table", "backtest_sliding",
         "SolverConfig", "BacktestConfig", "RowConfig", "DivergenceBall", "LossSpec"]
 DELETED = ["generator_F", "PerturbationSpec", "sample_gaussian", "sample_student_t",
-           "estar_value"]
+           "estar_value", "excess_index"]
 
 
 def test_all_names_resolve():
@@ -64,6 +64,11 @@ def test_option_counts():
     assert [p.name for p in params if p.default is not p.empty] == []
     for cfg in ({}, {"experiment": {"tie_tol": 0.5, "n_eval": 10}}):
         assert sorted(cli._experiment(cfg)) == ["n", "n_ratio", "seed"]
+    # the config file defines the experiment; flags choose only the replicate
+    # and the output directory
+    actions = [a for a in cli.build_parser()._actions if a.dest != "help"]
+    assert [a.option_strings[0] if a.option_strings else a.dest for a in actions] == [
+        "command", "--config", "--seed", "--out"]
 
 
 def test_records_hold_only_what_is_read():

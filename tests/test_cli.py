@@ -142,6 +142,30 @@ class TestConfigErrors:
         assert main(["solve", "--config", cfg]) == 2
         assert "config error at solver: max_iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,block,entry,path", [
+        ("simulate", "experiment", {"n": None}, "experiment"),
+        ("simulate", "experiment", {"seed": [1]}, "experiment"),
+        ("simulate", "ball", {"lambda": None}, "ball"),
+        ("simulate", "ball", {"lambda": "x"}, "ball"),
+        ("simulate", "ball", {"k_grid": [None]}, "ball"),
+        ("solve", "ball", {"eta": None}, "ball"),
+        ("solve", "solver", {"max_iterations": None}, "solver"),
+        ("backtest", "backtest", {"window": [40]}, "backtest"),
+        ("simulate", "loss", {"kind": ["l1"]}, "loss.kind"),
+    ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
+            "eta-null", "max_iterations-null", "window-list", "loss-kind-list"])
+    def test_wrongly_typed_value(self, tmp_path, capsys, command, block, entry, path):
+        # a value of the wrong type is a config error that names its block
+        # (the loss kind names its key), not a traceback
+        blocks = {"ball": {"lambda": 0.1, "eta": 0.2}, "experiment": {"n": 2000, "seed": 3},
+                  "loss": {}, "solver": {}, "backtest": {"window": 40, "out_of_sample": 2}}
+        blocks[block] = {**blocks[block], **entry}
+        if command == "backtest":
+            blocks["data"] = {"csv": write_price_csv(tmp_path, independent_prices())}
+        cfg = small_market_config(tmp_path, tmp_path / "out", **blocks)
+        assert main([command, "--config", cfg]) == 2
+        assert f"config error at {path}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,data,path", [
         ("backtest", {"index_col": 4}, "data.index_col"),
         ("backtest", {"index_col": -1}, "data.index_col"),
@@ -228,6 +252,22 @@ class TestSolve:
         payload = json.loads((out / "solution.json").read_text())
         assert payload["lam"] == 0.0
         assert payload["estar_min"] > 0
+
+    def test_estar_zero_share(self, tmp_path):
+        # E* > 0 on every scenario in the KL mode; at lam = 1, eta = 5 the
+        # worst case puts no weight on the best scenarios
+        shares = {}
+        for lam, eta in ((0.0, 0.5), (1.0, 5.0)):
+            out = tmp_path / f"out{lam}"
+            cfg = small_market_config(tmp_path, out, name=f"cfg{lam}.json",
+                                      ball={"lambda": lam, "eta": eta},
+                                      experiment={"n": 4000, "seed": 11})
+            assert main(["solve", "--config", cfg]) == 0
+            payload = json.loads((out / "solution.json").read_text())
+            assert "feasibility_margin" not in payload
+            shares[lam] = payload["estar_zero_share"]
+        assert shares[0.0] == 0.0
+        assert shares[1.0] > 0.0
 
     def test_degenerate_data_exits_3(self, tmp_path):
         prices = np.full((30, 3), 100.0)
