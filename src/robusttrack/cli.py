@@ -8,12 +8,17 @@ directory.  Every run writes a manifest.json with the resolved
 configuration, seeds and package version so outputs can be reproduced byte
 for byte.  Exit codes: 0 success, 2 config error, 3 solver
 non-convergence, 4 data error.
+
+Each block is read once, by ``_read``, before any scenario is drawn; the
+domain types check its values, and a rejection or a ``null`` block is a
+config error that names the block.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,33 +45,35 @@ EXIT_DATA = 4
 _LOSS_NAMES = {"quadratic": "quadratic", "l1": "smoothed_pos_sq", "l2": "smoothed_plus"}
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     def __init__(self, path, message):
         super().__init__(f"config error at {path}: {message}")
 
 
-def _need(cfg: dict, path: str, key: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return cfg[key]
+def _read(cfg: dict, key: str, make, types=None, need=(), optional=False, **fixed):
+    """The one config reader: ``make`` applied to the entry ``key``.
 
-
-def _as_positive(value, path):
-    if value <= 0:
-        raise ConfigError(path, "must be positive")
-    return value
-
-
-def _build(path: str, make, block: dict, types: dict, **fixed):
-    """make(**{**fixed, **given}), where given holds each key of ``types``
-    that ``block`` has, converted by its type; a failed conversion or a value
-    the constructor rejects is a ConfigError at ``path``."""
+    A block (``types`` given) is a JSON object holding each key of ``need``;
+    ``make`` gets ``fixed`` updated by each key of ``types`` in the block,
+    converted by its type (None: as given).  Other entries go to ``make`` as
+    they are; an absent ``optional`` block reads as {}.  A TypeError or
+    ValueError from a conversion or ``make`` is a ConfigError at ``key``."""
+    if key not in cfg and not optional:
+        raise ConfigError(f"config.{key}", "missing required field")
+    entry = cfg.get(key, {})
+    if types is not None and not isinstance(entry, dict):
+        raise ConfigError(key, f"expected an object, got {entry!r}")
+    for name in need:
+        if name not in entry:
+            raise ConfigError(f"{key}.{name}", "missing required field")
     try:
-        given = {key: convert(block[key]) for key, convert in types.items()
-                 if key in block}
+        if types is None:
+            return make(entry)
+        given = {name: entry[name] if convert is None else convert(entry[name])
+                 for name, convert in types.items() if name in entry}
         return make(**{**fixed, **given})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc))
+        raise ConfigError(key, str(exc))
 
 
 def load_config(path) -> dict:
@@ -74,108 +81,95 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError("config", f"file not found: {path}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", f"expected an object, got {cfg!r}")
+    return cfg
 
 
-def build_model(cfg: dict, path: str = "model") -> NominalModel:
-    kind = _need(cfg, path, "kind")
-    try:
-        if kind == "gaussian":
-            return NominalModel.gaussian(_need(cfg, path, "mean"), _need(cfg, path, "cov"))
-        if kind == "student_t":
-            return NominalModel.student_t(_need(cfg, path, "mean"),
-                                          _need(cfg, path, "scale"),
-                                          _need(cfg, path, "dof"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(path, str(exc))
-    raise ConfigError(f"{path}.kind", f"unknown model kind {kind!r}")
+_MODEL = dict.fromkeys(["kind", "mean", "cov", "scale", "dof"])
 
 
-def build_loss(cfg: dict) -> LossSpec:
-    block = cfg.get("loss", {})
-    name = block.get("kind", "quadratic")
+def _model(kind, **params) -> NominalModel:
+    """The model named by ``kind``: NominalModel.gaussian(mean, cov) or
+    NominalModel.student_t(mean, scale, dof)."""
+    if kind not in ("gaussian", "student_t"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    return getattr(NominalModel, kind)(**params)
+
+
+def _loss(kind="quadratic", **params) -> LossSpec:
     names = sorted(_LOSS_NAMES)
-    if name not in names:           # a list, not the dict: the name may be unhashable
-        raise ConfigError("loss.kind", f"expected one of {names}, got {name!r}")
-    return _build("loss", LossSpec, block, {"epsilon": float}, kind=_LOSS_NAMES[name])
+    if kind not in names:           # a list, not the dict: the name may be unhashable
+        raise ConfigError("loss.kind", f"expected one of {names}, got {kind!r}")
+    return LossSpec(kind=_LOSS_NAMES[kind], **params)
 
 
-def build_solver_config(cfg: dict) -> SolverConfig:
-    return _build("solver", SolverConfig, cfg.get("solver", {}),
-                  {"max_iterations": int, "residual_tol": float})
+_LOSS = {"kind": None, "epsilon": float}
+_SOLVER = {"max_iterations": int, "residual_tol": float}
 
 
 def _floats(values) -> list:
     return [float(v) for v in values]
 
 
-def _ball(cfg: dict) -> dict:
-    """The ``ball`` block with its values converted and sign defaulted."""
-    block = cfg.get("ball")
-    if block is None:
-        raise ConfigError("ball", "missing required block")
-    ball = _build("ball", dict, block, {"lambda": float, "eta": float, "eta_grid": _floats,
-                                        "k_grid": _floats, "sign": str}, sign="-")
-    if "lambda" not in ball:
-        raise ConfigError("ball.lambda", "missing required field")
-    if ball["lambda"] < 0:
-        raise ConfigError("ball.lambda", "must be >= 0")
-    return ball
+_BALL = {"lambda": float, "eta": float, "eta_grid": _floats, "k_grid": _floats, "sign": None}
 
 
-def build_grid(ball: dict) -> list:
-    lam, sign = ball["lambda"], ball["sign"]
-    if sign not in ("+", "-"):
-        raise ConfigError("ball.sign", "must be '+' or '-'")
-    if "eta_grid" in ball:
-        return [RowConfig(lam=lam, eta=_as_positive(e, "ball.eta_grid"), sign=sign)
-                for e in ball["eta_grid"]]
-    if "k_grid" in ball:
-        return [RowConfig(lam=lam, k=k, sign=sign) for k in ball["k_grid"]]
-    if "eta" in ball:
-        return [RowConfig(lam=lam, eta=_as_positive(ball["eta"], "ball.eta"), sign=sign)]
-    raise ConfigError("ball", "one of eta, eta_grid or k_grid is required")
-
-
-def build_ball(ball: dict) -> DivergenceBall:
-    if "eta" not in ball:
-        raise ConfigError("ball.eta", "missing required field")
-    if ball["eta"] < 0:
-        raise ConfigError("ball.eta", "must be >= 0")
+def _ball(**ball) -> DivergenceBall:
     return DivergenceBall(lam=ball["lambda"], eta=ball["eta"])
 
 
+def _grid(sign="-", **ball) -> list:
+    """The table rows of the ball block: eta_grid, else k_grid, else eta."""
+    lam = ball["lambda"]
+    if "eta_grid" in ball:
+        return [RowConfig(lam=lam, eta=e, sign=sign) for e in ball["eta_grid"]]
+    if "k_grid" in ball:
+        return [RowConfig(lam=lam, k=k, sign=sign) for k in ball["k_grid"]]
+    if "eta" in ball:
+        return [RowConfig(lam=lam, eta=ball["eta"], sign=sign)]
+    raise ValueError("one of eta, eta_grid or k_grid is required")
+
+
+def _divergence_rows(**ball):
+    """(lam, optional eta rows); the Monte-Carlo radius needs a valid lam."""
+    rows = _grid(**ball) if "eta_grid" in ball or "eta" in ball else []
+    return DivergenceBall(lam=ball["lambda"], eta=0.0).lam, rows
+
+
+def _draws(n, n_ratio, seed) -> dict:
+    """The experiment block's draw counts and seed, which only the CLI reads."""
+    if n < 1 or (n_ratio is not None and n_ratio < 1) or seed < 0:
+        raise ValueError(f"n and n_ratio must be >= 1 and seed >= 0, "
+                         f"got n={n}, n_ratio={n_ratio}, seed={seed}")
+    return {"n": n, "n_ratio": n_ratio, "seed": seed}
+
+
+def _experiment(cfg: dict) -> dict:
+    return _read(cfg, "experiment", _draws, {"n": int, "n_ratio": int, "seed": int},
+                 optional=True, n=200_000, n_ratio=None, seed=0)
+
+
 def apply_overrides(cfg: dict, args) -> dict:
-    if args.seed is not None:
-        cfg.setdefault("experiment", {})["seed"] = args.seed
-    if args.out is not None:
-        cfg.setdefault("io", {})["out_dir"] = args.out
+    for key, name, value in (("experiment", "seed", args.seed), ("io", "out_dir", args.out)):
+        # a block that is not an object is left for its reader to reject
+        if value is not None and isinstance(cfg.setdefault(key, {}), dict):
+            cfg[key][name] = value
     return cfg
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg.get("io", {}).get("out_dir", "."))
+    out = _read(cfg, "io", dict, {"out_dir": Path}, optional=True, out_dir=Path("."))["out_dir"]
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def write_manifest(cfg: dict, command: str, outputs: list, out_dir: Path) -> None:
-    manifest = {
-        "command": command,
-        "config": cfg,
-        "version": __version__,
-        "outputs": sorted(str(o) for o in outputs),
-    }
-    write_json(manifest, out_dir / "manifest.json")
-
-
-def _experiment(cfg: dict) -> dict:
-    return _build("experiment", dict, cfg.get("experiment", {}),
-                  {"n": int, "n_ratio": int, "seed": int}, n=200_000, n_ratio=None, seed=0)
+    write_json({"command": command, "config": cfg, "version": __version__,
+                "outputs": sorted(str(o) for o in outputs)}, out_dir / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +177,17 @@ def _experiment(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_divergence(cfg: dict) -> int:
-    model = build_model(_need(cfg, "config", "model"))
+    model = _read(cfg, "model", _model, _MODEL, need=("kind",))
     exp = _experiment(cfg)
-    ball = _ball(cfg)
-    lam = ball["lambda"]
-    grid = build_grid(ball) if "eta_grid" in ball or "eta" in ball else []
+    lam, grid = _read(cfg, "ball", _divergence_rows, _BALL, need=("lambda",))
     if grid and model.kind != "gaussian":
         raise ConfigError("ball.eta_grid", "k inversion requires a gaussian model")
     if any(rc.eta is None for rc in grid):
         raise ConfigError("ball.k_grid", "divergence inverts eta rows, not k rows")
     rows = [(rc.eta, k_from_eta(rc.eta, lam, model.mean, model.scale, rc.sign), rc.sign)
             for rc in grid]
-    actual = build_model(cfg["actual"], path="actual") if "actual" in cfg else None
+    actual = (_read(cfg, "actual", _model, _MODEL, need=("kind",)) if "actual" in cfg
+              else None)
     out = _out_dir(cfg)
     records = []
 
@@ -245,53 +238,60 @@ def _columns(indices, ncols: int, path: str) -> list:
     return indices
 
 
+_DATA = {"csv": os.fspath, "index": None, "index_col": None, "tracked": None,
+         "weights": IndexComposition}
+
+
 def _csv_returns(cfg: dict):
     """(tracked asset returns, index returns) from the price CSV of the
     ``data`` block; the index is one of its columns or synthesized from
     fixed weights over all of them (then the tracked list is required)."""
-    data = _need(cfg, "config", "data")
-    returns = load_prices_csv(_need(data, "data", "csv")).returns
+    data = _read(cfg, "data", dict, _DATA, need=("csv",), index="column", index_col=0)
+    returns = load_prices_csv(data["csv"]).returns
     ncols = returns.shape[1]
-    mode = data.get("index", "column")
-    if mode == "column":
-        idx_col = _columns([data.get("index_col", 0)], ncols, "data.index_col")[0]
+    if data["index"] == "column":
+        idx_col = _columns([data["index_col"]], ncols, "data.index_col")[0]
         index_returns = returns[:, idx_col]
         tracked = data.get("tracked", [j for j in range(ncols) if j != idx_col])
-    elif mode == "synthesize":
-        comp = IndexComposition(np.asarray(_need(data, "data", "weights"), float))
-        index_returns = synthesize_index(returns, comp)
-        tracked = _need(data, "data", "tracked")
+    elif data["index"] == "synthesize":
+        if "weights" not in data:
+            raise ConfigError("data.weights", "missing required field")
+        index_returns = synthesize_index(returns, data["weights"])
+        tracked = data.get("tracked")       # required: _columns rejects None
     else:
         raise ConfigError("data.index", "must be 'column' or 'synthesize'")
     tracked = _columns(tracked, ncols, "data.tracked")
     return returns[:, tracked], index_returns
 
 
+def _composition(weights, dim: int) -> IndexComposition:
+    comp = IndexComposition(weights)
+    synthesize_index(np.empty((0, dim)), comp)     # its size check, before any draw
+    return comp
+
+
 def _market(cfg: dict):
     """(model, composition, tracked assets) of a parametric config; the
     tracked list is required, since tracking every asset replicates the index."""
-    model = build_model(_need(cfg, "config", "model"))
-    comp = IndexComposition(np.asarray(_need(cfg, "config", "composition"), float))
-    tracked = _columns(_need(cfg, "config", "tracked_assets"), model.dim, "tracked_assets")
+    model = _read(cfg, "model", _model, _MODEL, need=("kind",))
+    comp = _read(cfg, "composition", lambda w: _composition(w, model.dim))
+    tracked = _read(cfg, "tracked_assets",
+                    lambda t: _columns(t, model.dim, "tracked_assets"))
     return model, comp, tracked
-
-
-def _scenarios_from_config(cfg: dict, exp: dict):
-    """Scenario construction from either a parametric model or a CSV."""
-    if "data" in cfg:
-        return scenarios_from(*_csv_returns(cfg))
-    model, comp, tracked = _market(cfg)
-    draws = sample_model(model, exp["n"], exp["seed"])
-    return scenarios_from(draws[:, tracked], synthesize_index(draws, comp))
 
 
 def cmd_solve(cfg: dict) -> int:
     exp = _experiment(cfg)
+    spec = _read(cfg, "loss", _loss, _LOSS, optional=True)
+    ball = _read(cfg, "ball", _ball, _BALL, need=("lambda", "eta"))
+    solver_cfg = _read(cfg, "solver", SolverConfig, _SOLVER, optional=True)
     out = _out_dir(cfg)
-    spec = build_loss(cfg)
-    ball = build_ball(_ball(cfg))
-    solver_cfg = build_solver_config(cfg)
-    scen = _scenarios_from_config(cfg, exp)
+    if "data" in cfg:
+        scen = scenarios_from(*_csv_returns(cfg))
+    else:
+        model, comp, tracked = _market(cfg)
+        draws = sample_model(model, exp["n"], exp["seed"])
+        scen = scenarios_from(draws[:, tracked], synthesize_index(draws, comp))
 
     u_non = solve_nonrobust(scen, spec)
     sol = solve_robust(scen, ball, spec, solver_cfg)
@@ -323,12 +323,13 @@ def cmd_solve(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     exp = _experiment(cfg)
-    out = _out_dir(cfg)
-    spec = build_loss(cfg)
+    spec = _read(cfg, "loss", _loss, _LOSS, optional=True)
+    solver_cfg = _read(cfg, "solver", SolverConfig, _SOLVER, optional=True)
     model, comp, tracked = _market(cfg)
-    grid = build_grid(_ball(cfg))
+    grid = _read(cfg, "ball", _grid, _BALL, need=("lambda",))
+    out = _out_dir(cfg)
     rows = run_table(model, comp, tracked, grid, spec, n=exp["n"], seed=exp["seed"],
-                     n_ratio=exp["n_ratio"], solver_config=build_solver_config(cfg))
+                     n_ratio=exp["n_ratio"], solver_config=solver_cfg)
     csv_path = out / "table.csv"
     json_path = out / "table.json"
     write_table_csv(rows, csv_path)
@@ -346,13 +347,12 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_backtest(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    spec = build_loss(cfg)
-    ball = build_ball(_ball(cfg))
+    bcfg = _read(cfg, "backtest", BacktestConfig, {"window": int, "out_of_sample": int},
+                 optional=True, ball=_read(cfg, "ball", _ball, _BALL, need=("lambda", "eta")),
+                 loss=_read(cfg, "loss", _loss, _LOSS, optional=True),
+                 solver=_read(cfg, "solver", SolverConfig, _SOLVER, optional=True))
     asset_returns, index_returns = _csv_returns(cfg)
-    bcfg = _build("backtest", BacktestConfig, cfg.get("backtest", {}),
-                  {"window": int, "out_of_sample": int},
-                  ball=ball, loss=spec, solver=build_solver_config(cfg))
+    out = _out_dir(cfg)
     result = backtest_sliding(asset_returns, index_returns, bcfg)
 
     print(f"out-of-sample BT: {result.bt_wins}/{result.bt_steps} "
@@ -407,7 +407,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
-        # validation failures raised by the domain types
+        # a rejection raised inside a library call, e.g. k_from_eta's lam > 0
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -98,47 +98,41 @@ def _maha2(Sigma, v: np.ndarray) -> float:
     return float(y @ y)
 
 
-def _inverse(L: np.ndarray) -> np.ndarray:
-    # (L L')^{-1} from the lower Cholesky factor L
-    return np.linalg.solve(L.T, np.linalg.solve(L, np.eye(L.shape[0])))
+def _log1pmx(x: np.ndarray) -> np.ndarray:
+    """log(1 + x) - x without cancellation: for |x| < 1/2 the series
+    -x^2/(2+x) + 2(u^3/3 + u^5/5 + ...) in u = x/(2+x), |u| <= 1/3."""
+    u = x / (2.0 + x)
+    u2 = u * u
+    series = -x * x / (2.0 + x) + 2.0 * u * u2 * sum(u2 ** j / (2 * j + 3) for j in range(24))
+    return np.where(np.abs(x) < 0.5, series, np.log1p(x) - x)
 
 
 def divergence_gaussian(mu1, Sigma1, mu2, Sigma2, lam: float) -> float:
     """Closed-form divergence between two multivariate normals.
 
-    Valid when ((lam+1) Sigma2^{-1} - lam Sigma1^{-1}) is positive definite;
-    outside that region a ValueError is raised.  All matrix inversions go
-    through Cholesky factorizations.
+    Valid when ((lam+1) Sigma2^{-1} - lam Sigma1^{-1}) is positive definite,
+    that is 1 + (lam+1) b > 0 for the eigenvalues b of L^{-1} (Sigma1 -
+    Sigma2) L^{-T}, Sigma2 = L L'; outside it a ValueError is raised.  The
+    result is expm1(x) / lam, x = 1/2 sum[(lam+1) g(b) - g((lam+1) b)] +
+    lam(lam+1)/2 d' ((lam+1) Sigma1 - lam Sigma2)^{-1} d with d = mu2 - mu1
+    and g(t) = log(1 + t) - t: no term cancels as the normals meet, and the
+    result is within a few float spacings, relative, of a 50-digit reference
+    on near-equal and far-apart pairs alike.
     """
     if lam <= 0:
         raise ValueError("divergence_gaussian requires lam > 0 (use the KL mode helpers for lam=0)")
-    mu1 = np.asarray(mu1, dtype=float)
-    mu2 = np.asarray(mu2, dtype=float)
-    L1 = np.linalg.cholesky(np.asarray(Sigma1, dtype=float))
-    L2 = np.linalg.cholesky(np.asarray(Sigma2, dtype=float))
-    inv1 = _inverse(L1)
-    inv2 = _inverse(L2)
-    M = (lam + 1.0) * inv2 - lam * inv1          # = Sigma_tilde^{-1}
-    try:
-        cM = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "outside validity region: (lam+1)*Sigma2^-1 - lam*Sigma1^-1 "
-            "is not positive definite"
-        ) from exc
-    logdet1 = 2.0 * np.log(np.diag(L1)).sum()
-    logdet2 = 2.0 * np.log(np.diag(L2)).sum()
-    logdet_tilde = -2.0 * np.log(np.diag(cM)).sum()
-
-    a1 = inv1 @ mu1
-    a2 = inv2 @ mu2
-    rhs = (lam + 1.0) * a2 - lam * a1
-    # mu_tilde' Sigma_tilde^{-1} mu_tilde = rhs' M^{-1} rhs
-    y = np.linalg.solve(cM, rhs)
-
-    log_pref = 0.5 * ((lam + 1.0) * (logdet1 - logdet2) + logdet_tilde - logdet1)
-    log_exp = 0.5 * (-(lam + 1.0) * (mu2 @ a2) + lam * (mu1 @ a1) + y @ y)
-    return (np.exp(log_pref + log_exp) - 1.0) / lam
+    L = np.linalg.cholesky(np.asarray(Sigma2, dtype=float))
+    diff = np.asarray(Sigma1, dtype=float) - np.asarray(Sigma2, dtype=float)
+    b, V = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, diff).T))
+    scaled = (lam + 1.0) * b
+    if np.any(1.0 + scaled <= 0.0):
+        raise ValueError("outside validity region: (lam+1)*Sigma2^-1 - lam*Sigma1^-1 "
+                         "is not positive definite")
+    # (lam+1) Sigma1 - lam Sigma2 = L V diag(1 + (lam+1) b) V' L'
+    y = V.T @ np.linalg.solve(L, np.asarray(mu2, dtype=float) - np.asarray(mu1, dtype=float))
+    x = (0.5 * np.sum((lam + 1.0) * _log1pmx(b) - _log1pmx(scaled))
+         + 0.5 * lam * (lam + 1.0) * np.sum(y * y / (1.0 + scaled)))
+    return float(np.expm1(x) / lam)
 
 
 def divergence_gaussian_equal_cov(mu1, mu2, Sigma, lam: float) -> float:

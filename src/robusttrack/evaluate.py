@@ -115,6 +115,10 @@ class RowConfig:
             raise ValueError("exactly one of eta / k must be given")
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be finite and >= 0")
+        if self.eta is not None and not (np.isfinite(self.eta) and self.eta > 0):
+            raise ValueError("eta must be finite and > 0")
 
 
 @dataclass
@@ -269,22 +273,24 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
     if cfg.window < d + 3:
         raise ValueError(f"window must be at least d+3={d + 3} for the robust solve")
 
-    u_rob = u_non = np.full(d, 1.0 / d)
-    W_rob = np.empty((cfg.out_of_sample, d))
-    W_non = np.empty((cfg.out_of_sample, d))
+    fits = {"nonrobust": lambda s: solve_nonrobust(s, cfg.loss),
+            "robust": lambda s: solve_robust(s, cfg.ball, cfg.loss, cfg.solver).u}
+    u = dict.fromkeys(fits, np.full(d, 1.0 / d))
+    W = {name: np.empty((cfg.out_of_sample, d)) for name in fits}
     flagged = []
+    unfit = set()                     # the portfolios whose first fit failed
     bounds = [(t - cfg.window, t) for t in range(cfg.window, total)]
     for step, (lo, hi) in enumerate(bounds):
         window_set = scenarios_from(r[lo:hi], b[lo:hi])
-        try:
-            u_non = solve_nonrobust(window_set, cfg.loss)
-        except SolverError as exc:
-            flagged.append((step, f"nonrobust: {exc}"))
-        try:
-            u_rob = solve_robust(window_set, cfg.ball, cfg.loss, cfg.solver).u
-        except SolverError as exc:
-            flagged.append((step, f"robust: {exc}"))
-        W_rob[step], W_non[step] = u_rob, u_non
+        for name, fit in fits.items():
+            try:
+                u[name] = fit(window_set)
+            except SolverError as exc:
+                flagged.append((step, f"{name}: {exc}"))
+                if step == 0:
+                    unfit.add(name)
+            W[name][step] = u[name]
+    W_rob, W_non = W["robust"], W["nonrobust"]
 
     # step s holds the weights fitted on rows [s, s + window) and is applied
     # to the gross returns of row s + window
@@ -296,10 +302,9 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
     loss_r = loss_value(cfg.loss, x_r)
     loss_n = loss_value(cfg.loss, x_n)
     in_set = scenarios_from(r[:cfg.window], b[:cfg.window])
-    unfit = {msg.split(":")[0] for step, msg in flagged if step == 0}
     ete_in = {name: float("nan") if name in unfit
-              else float(tracking_error(W[0], in_set, cfg.loss).mean())
-              for name, W in (("robust", W_rob), ("nonrobust", W_non))}
+              else float(tracking_error(W[name][0], in_set, cfg.loss).mean())
+              for name in fits}
     fitted_in = (np.full(cfg.window, np.nan) if "robust" in unfit
                  else (1.0 + r[:cfg.window]) @ W_rob[0])
 

@@ -93,7 +93,7 @@ class SolverConfig:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
+        if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import robusttrack as rt
-from robusttrack import cli
+from robusttrack import cli, divergence, evaluate
 from robusttrack.cli import main
 
 from conftest import MU5, SIGMA5, WEIGHTS5
@@ -101,6 +101,15 @@ class TestSimulateHeavyTail:
         assert all(row["converged"] for row in table)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fails a test that draws scenarios: a config error is found first."""
+    def sample_model(*args):
+        raise AssertionError("sample_model called before the config was read")
+    for module in (cli, divergence, evaluate):
+        monkeypatch.setattr(module, "sample_model", sample_model)
+
+
 class TestConfigErrors:
     def test_missing_ball(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -152,19 +161,57 @@ class TestConfigErrors:
         ("solve", "solver", {"max_iterations": None}, "solver"),
         ("backtest", "backtest", {"window": [40]}, "backtest"),
         ("simulate", "loss", {"kind": ["l1"]}, "loss.kind"),
+        ("simulate", "ball", {"lambda": float("nan")}, "ball"),
+        ("solve", "ball", {"lambda": float("nan")}, "ball"),
+        ("simulate", "experiment", {"n": 0}, "experiment"),
+        ("backtest", "data", {"csv": None}, "data"),
+        ("solve", "io", {"out_dir": None}, "io"),
+        ("solve", "solver", {"residual_tol": float("nan")}, "solver"),
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
-            "eta-null", "max_iterations-null", "window-list", "loss-kind-list"])
-    def test_wrongly_typed_value(self, tmp_path, capsys, command, block, entry, path):
-        # a value of the wrong type is a config error that names its block
-        # (the loss kind names its key), not a traceback
+            "eta-null", "max_iterations-null", "window-list", "loss-kind-list",
+            "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
+            "out_dir-null", "residual_tol-nan"])
+    def test_wrongly_typed_value(self, tmp_path, capsys, no_draws,
+                                 command, block, entry, path):
+        # a value of the wrong type or outside its domain is a config error
+        # that names its block (the loss kind names its key), not a traceback
         blocks = {"ball": {"lambda": 0.1, "eta": 0.2}, "experiment": {"n": 2000, "seed": 3},
-                  "loss": {}, "solver": {}, "backtest": {"window": 40, "out_of_sample": 2}}
-        blocks[block] = {**blocks[block], **entry}
+                  "loss": {}, "solver": {}, "backtest": {"window": 40, "out_of_sample": 2},
+                  "io": {"out_dir": str(tmp_path / "out")}}
         if command == "backtest":
             blocks["data"] = {"csv": write_price_csv(tmp_path, independent_prices())}
+        blocks[block] = {**blocks[block], **entry}
         cfg = small_market_config(tmp_path, tmp_path / "out", **blocks)
         assert main([command, "--config", cfg]) == 2
         assert f"config error at {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("solve", "loss", None, "expected an object, got None"),
+        ("solve", "model", None, "expected an object, got None"),
+        ("divergence", "actual", None, "expected an object, got None"),
+        ("backtest", "data", None, "expected an object, got None"),
+        ("solve", "io", None, "expected an object, got None"),
+        ("solve", "solver", None, "expected an object, got None"),
+        ("simulate", "composition", "x", "could not convert string to float: 'x'"),
+        ("simulate", "composition", [0.5, 0.5],
+         "asset return columns (5) do not match composition size (2)"),
+        ("solve", "composition", [0.5, 0.5],
+         "asset return columns (5) do not match composition size (2)"),
+    ], ids=["loss-null", "model-null", "actual-null", "data-null", "io-null",
+            "solver-null", "composition-string", "simulate-composition-length",
+            "solve-composition-length"])
+    def test_bad_entry(self, tmp_path, capsys, no_draws, command, key, value, message):
+        # a null block is an error, not an absent one, and the composition
+        # must fit the model before any scenario is drawn
+        extra = {"ball": {"lambda": 0.1, "eta": 0.2},
+                 "actual": {"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()},
+                 "backtest": {"window": 40, "out_of_sample": 2}}
+        if command == "backtest":
+            extra["data"] = {"csv": write_price_csv(tmp_path, independent_prices())}
+        extra[key] = value
+        cfg = small_market_config(tmp_path, tmp_path / "out", **extra)
+        assert main([command, "--config", cfg]) == 2
+        assert f"config error at {key}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,data,path", [
         ("backtest", {"index_col": 4}, "data.index_col"),
@@ -347,8 +394,8 @@ class TestDivergenceCommand:
         assert record["closed_form"] == rt.divergence_gaussian(MU5, SIGMA5, 2 * MU5, cov, 0.1)
 
     @pytest.mark.parametrize("ball,path", [
-        ({"eta_grid": [0.1, -1.0]}, "ball.eta_grid"),
-        ({"eta_grid": [0.1], "sign": "x"}, "ball.sign"),
+        ({"eta_grid": [0.1, -1.0]}, "ball: eta must be finite and > 0"),
+        ({"eta_grid": [0.1], "sign": "x"}, "ball: sign must be '+' or '-'"),
         # the rows reader takes k_grid over eta, and k rows have no inversion
         ({"eta": 0.1, "k_grid": [1.0]}, "ball.k_grid"),
     ], ids=["negative-eta", "bad-sign", "k-rows"])

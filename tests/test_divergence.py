@@ -128,6 +128,47 @@ class TestGaussianClosedForms:
         with pytest.raises(ValueError, match="validity region"):
             rt.divergence_gaussian(np.zeros(2), np.eye(2), np.zeros(2), 10 * np.eye(2), 1.0)
 
+    @staticmethod
+    def _reference(mu1, s1, mu2, s2, lam):
+        """The textbook form, with explicit inverses and determinants, in
+        50-digit arithmetic: its cancellations cost no float digits there."""
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        mat = lambda a: mp.matrix([[mp.mpf(float(v)) for v in row] for row in a])
+        vec = lambda a: mp.matrix([mp.mpf(float(v)) for v in a])
+        s1, s2, mu1, mu2, lam = mat(s1), mat(s2), vec(mu1), vec(mu2), mp.mpf(lam)
+        i1, i2 = s1 ** -1, s2 ** -1
+        m = (lam + 1) * i2 - lam * i1
+        rhs = (lam + 1) * (i2 * mu2) - lam * (i1 * mu1)
+        quad = lambda a, q, c: (a.T * q * c)[0]
+        log_int = (lam * mp.log(mp.det(s1)) - (lam + 1) * mp.log(mp.det(s2))
+                   - mp.log(mp.det(m)) - (lam + 1) * quad(mu2, i2, mu2)
+                   + lam * quad(mu1, i1, mu1) + quad(rhs, m ** -1, rhs)) / 2
+        return float(mp.expm1(log_int) / lam)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("lam", [0.1, 0.2, 0.3])
+    def test_small_mean_shift_matches_reference(self, eps, lam):
+        # the paper's diagonal market against its mean scaled by 1 + eps
+        got = rt.divergence_gaussian(MU5, SIGMA5, (1 + eps) * MU5, SIGMA5, lam)
+        assert got == pytest.approx(self._reference(MU5, SIGMA5, (1 + eps) * MU5, SIGMA5, lam),
+                                    rel=1e-12, abs=0)
+
+    def test_near_equal_pairs_match_reference(self):
+        rng = np.random.default_rng(5)
+        for i in range(60):
+            a = rng.standard_normal((5, 5))
+            s1 = 1e-3 * (a @ a.T / 5 + np.eye(5))
+            p = rng.standard_normal((5, 5))
+            gap = 10.0 ** -rng.uniform(3, 9)
+            s2 = s1 + gap * 1e-3 * (p + p.T)
+            mu1 = 0.003 * rng.standard_normal(5)
+            mu2 = mu1 + gap * 0.003 * rng.standard_normal(5)
+            lam = (0.1, 0.2, 0.3)[i % 3]
+            got = rt.divergence_gaussian(mu1, s1, mu2, s2, lam)
+            assert got == pytest.approx(self._reference(mu1, s1, mu2, s2, lam),
+                                        rel=1e-12, abs=0), i
+
     def test_equal_cov_zero_shift(self):
         assert rt.divergence_gaussian_equal_cov(MU5, MU5, SIGMA5, 0.1) == 0.0
 

@@ -160,6 +160,11 @@ class TestRunTable:
             rt.RowConfig(lam=0.1)
         with pytest.raises(ValueError):
             rt.RowConfig(lam=0.1, eta=0.5, k=2.0)
+        for bad in ({"lam": float("nan"), "eta": 0.5}, {"lam": -0.1, "k": 2.0},
+                    {"lam": 0.1, "eta": 0.0}, {"lam": 0.1, "eta": -1.0},
+                    {"lam": 0.1, "eta": float("nan")}):
+            with pytest.raises(ValueError, match="lam must|eta must"):
+                rt.RowConfig(**bad)
 
 
 class TestBacktest:
