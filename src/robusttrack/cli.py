@@ -107,8 +107,17 @@ def _loss(kind="quadratic", **params) -> LossSpec:
     return LossSpec(kind=_LOSS_NAMES[kind], **params)
 
 
+def _int(value) -> int:
+    """An integer config value: an int, or a float without a fraction (2e5).
+    A bool or a fractional number is rejected, not truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 _LOSS = {"kind": None, "epsilon": float}
-_SOLVER = {"max_iterations": int, "residual_tol": float}
+_SOLVER = {"max_iterations": _int, "residual_tol": float}
 
 
 def _floats(values) -> list:
@@ -149,7 +158,7 @@ def _draws(n, n_ratio, seed) -> dict:
 
 
 def _experiment(cfg: dict) -> dict:
-    return _read(cfg, "experiment", _draws, {"n": int, "n_ratio": int, "seed": int},
+    return _read(cfg, "experiment", _draws, {"n": _int, "n_ratio": _int, "seed": _int},
                  optional=True, n=200_000, n_ratio=None, seed=0)
 
 
@@ -239,7 +248,7 @@ def _columns(indices, ncols: int, path: str) -> list:
 
 
 _DATA = {"csv": os.fspath, "index": None, "index_col": None, "tracked": None,
-         "weights": IndexComposition}
+         "weights": None}
 
 
 def _csv_returns(cfg: dict):
@@ -256,7 +265,10 @@ def _csv_returns(cfg: dict):
     elif data["index"] == "synthesize":
         if "weights" not in data:
             raise ConfigError("data.weights", "missing required field")
-        index_returns = synthesize_index(returns, data["weights"])
+        try:
+            index_returns = synthesize_index(returns, IndexComposition(data["weights"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("data.weights", str(exc))
         tracked = data.get("tracked")       # required: _columns rejects None
     else:
         raise ConfigError("data.index", "must be 'column' or 'synthesize'")
@@ -347,7 +359,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_backtest(cfg: dict) -> int:
-    bcfg = _read(cfg, "backtest", BacktestConfig, {"window": int, "out_of_sample": int},
+    bcfg = _read(cfg, "backtest", BacktestConfig, {"window": _int, "out_of_sample": _int},
                  optional=True, ball=_read(cfg, "ball", _ball, _BALL, need=("lambda", "eta")),
                  loss=_read(cfg, "loss", _loss, _LOSS, optional=True),
                  solver=_read(cfg, "solver", SolverConfig, _SOLVER, optional=True))

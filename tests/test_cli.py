@@ -167,10 +167,15 @@ class TestConfigErrors:
         ("backtest", "data", {"csv": None}, "data"),
         ("solve", "io", {"out_dir": None}, "io"),
         ("solve", "solver", {"residual_tol": float("nan")}, "solver"),
+        ("backtest", "backtest", {"window": 40.9}, "backtest"),
+        ("simulate", "experiment", {"seed": True}, "experiment"),
+        ("simulate", "experiment", {"n": 2000.7}, "experiment"),
+        ("solve", "solver", {"max_iterations": 2.5}, "solver"),
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
             "eta-null", "max_iterations-null", "window-list", "loss-kind-list",
             "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
-            "out_dir-null", "residual_tol-nan"])
+            "out_dir-null", "residual_tol-nan", "window-fraction", "seed-true",
+            "n-fraction", "max_iterations-fraction"])
     def test_wrongly_typed_value(self, tmp_path, capsys, no_draws,
                                  command, block, entry, path):
         # a value of the wrong type or outside its domain is a config error
@@ -184,6 +189,12 @@ class TestConfigErrors:
         cfg = small_market_config(tmp_path, tmp_path / "out", **blocks)
         assert main([command, "--config", cfg]) == 2
         assert f"config error at {path}: " in capsys.readouterr().err
+
+    def test_integral_float_is_an_int(self):
+        # JSON writes 2e5 as a float; a value without a fraction is read as it
+        exp = cli._experiment({"experiment": {"n": 2e5, "n_ratio": 1e6, "seed": 3.0}})
+        assert exp == {"n": 200_000, "n_ratio": 1_000_000, "seed": 3}
+        assert all(type(v) is int for v in exp.values())
 
     @pytest.mark.parametrize("command,key,value,message", [
         ("solve", "loss", None, "expected an object, got None"),
@@ -228,11 +239,19 @@ class TestConfigErrors:
         # a synthesized index over every column is replicated exactly by them
         ("solve", {"index": "synthesize", "weights": [0.25] * 4}, "data.tracked"),
         ("backtest", {"index": "synthesize", "weights": [0.25] * 4}, "data.tracked"),
+        ("backtest", {"index": "synthesize", "weights": [0.5, 0.5], "tracked": [0, 1]},
+         "config error at data.weights: asset return columns (4) do not match "
+         "composition size (2)"),
+        ("solve", {"index": "synthesize", "weights": [0.5, 0.5], "tracked": [0, 1]},
+         "config error at data.weights: asset return columns (4)"),
+        ("backtest", {"index": "synthesize", "weights": [0.5, 0.6], "tracked": [0, 1]},
+         "config error at data.weights: index weights must sum to 1"),
     ], ids=["index_col-4", "index_col-negative", "index_col-fraction", "tracked-empty",
             "tracked-9", "tracked-negative",
             "solve-tracked-4", "solve-synthesize-tracked-4",
             "tracked-repeated", "solve-tracked-repeated",
-            "solve-synthesize-untracked", "backtest-synthesize-untracked"])
+            "solve-synthesize-untracked", "backtest-synthesize-untracked",
+            "weights-length", "solve-weights-length", "weights-sum"])
     def test_csv_column_out_of_range(self, tmp_path, capsys, command, data, path):
         csv = write_price_csv(tmp_path, synthetic_prices())   # 4 columns
         cfg = write_config(tmp_path, {

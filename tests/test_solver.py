@@ -363,6 +363,104 @@ class TestInnerTilt:
             assert b == pytest.approx(beta, rel=1e-10, abs=1e-15)
 
 
+def _passes(monkeypatch):
+    """The sizes of the loss vectors of every _estar pass from now on."""
+    sizes = []
+
+    def counted(L, *args, fn=solver._estar):
+        sizes.append(L.size)
+        return fn(L, *args)
+    monkeypatch.setattr(solver, "_estar", counted)
+    return sizes
+
+
+def _losses(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.abs(0.02 * rng.standard_normal(n)) ** 2
+
+
+class TestSubsampleStart:
+    """The starts of the inner solve: from N >= 64 * 1024 losses at the
+    solution for every 64th loss (below that, or where that start fails, at
+    the small-ball estimate), and each beta root on the tangent of
+    beta(alpha)."""
+
+    N = 2 ** 17
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("eta", [0.01, 0.5, 5.0])
+    def test_same_minimizer_as_small_ball_start(self, lam, eta, monkeypatch):
+        loss = _losses(self.N, 21)
+        ball = rt.DivergenceBall(lam, eta)
+        sizes = _passes(monkeypatch)
+        alpha, beta, (_, estar, _) = _dual(loss, ball)
+        assert self.N // solver._STRIDE in sizes
+        if lam == 1.0 and eta == 5.0:
+            assert np.any(estar == 0.0)
+        monkeypatch.setattr(solver, "_COARSE_MIN", np.inf)
+        sizes.clear()
+        a, b, _ = _dual(loss, ball)
+        assert set(sizes) == {self.N}
+        assert alpha == pytest.approx(a, rel=1e-12)
+        assert beta == pytest.approx(b, rel=1e-12)
+
+    def test_no_spread_in_the_subsample_falls_back(self, monkeypatch):
+        # every 64th loss is equal: the subsample's alpha would be 0
+        loss = _losses(2 ** 16, 22)
+        loss[::solver._STRIDE] = 1e-4
+        ball = rt.DivergenceBall(0.1, 0.5)
+        sizes = _passes(monkeypatch)
+        alpha, beta, _ = _dual(loss, ball)         # any float warning is an error
+        assert set(sizes) == {loss.size}
+        monkeypatch.setattr(solver, "_COARSE_MIN", np.inf)
+        assert _dual(loss, ball)[:2] == (alpha, beta)
+
+    def test_failed_subsample_solve_falls_back(self, monkeypatch):
+        loss = _losses(2 ** 16, 23)
+        ball = rt.DivergenceBall(0.1, 0.5)
+        dual = solver._dual
+
+        def failing_on_subsamples(L, *args):
+            if L.size < loss.size:
+                raise rt.NonConvergenceError("alpha search did not converge")
+            return dual(L, *args)
+        monkeypatch.setattr(solver, "_dual", failing_on_subsamples)
+        alpha, beta, _ = dual(loss, ball)
+        monkeypatch.setattr(solver, "_COARSE_MIN", np.inf)
+        assert dual(loss, ball)[:2] == (alpha, beta)
+
+    def test_full_passes_of_a_table_row(self, monkeypatch):
+        # the downturn table's shape: 2^17 rows of the five-asset market,
+        # one-sided loss, lam = 0.1, eta = 0.5.  Started at the small-ball
+        # estimate and restarting each beta root at the last beta, the solve
+        # made 51 passes over all N losses; with the subsample start and the
+        # tangent step it makes 30.
+        scen = make_scenarios(n=self.N, seed=1)
+        sizes = _passes(monkeypatch)
+        rt.solve_robust(scen, rt.DivergenceBall(0.1, 0.5), L1)
+        assert sizes.count(self.N) <= 0.75 * 51
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5])
+    def test_tangent_start_of_the_last_beta_root(self, lam, monkeypatch):
+        # each beta root starts on the tangent of beta(alpha), so once the
+        # alpha steps are small the root's first pass already meets its
+        # tolerance (restarted at the last beta it took two)
+        per_root = []
+        estar, beta_root = solver._estar, solver._beta
+
+        def counted_estar(L, *args):
+            per_root[-1] += 1
+            return estar(L, *args)
+
+        def counted_beta(L, *args):
+            per_root.append(0)
+            return beta_root(L, *args)
+        monkeypatch.setattr(solver, "_estar", counted_estar)
+        monkeypatch.setattr(solver, "_beta", counted_beta)
+        _dual(_losses(4000, 24), rt.DivergenceBall(lam, 0.5))
+        assert len(per_root) > 2 and per_root[-1] == 1
+
+
 class TestHessianDiagnostic:
     def test_nonpositive_at_solutions(self, scenarios4k):
         for spec in (QUAD, L1):
@@ -466,10 +564,12 @@ class TestLazyNewton:
         assert counts["lpp"] == counts["lp"] == sol.iterations + 1
         assert counts["l"] >= sol.iterations + 1
 
-    def test_repeat_solve_is_bit_identical(self, scenarios4k):
+    @pytest.mark.parametrize("n", [4000, 2 ** 16], ids=["4k", "subsample-start"])
+    def test_repeat_solve_is_bit_identical(self, n):
+        scen = make_scenarios(n=n, seed=11)
         ball = rt.DivergenceBall(0.1, 1.0)
-        assert _same_bytes(rt.solve_robust(scenarios4k, ball, L1),
-                           rt.solve_robust(scenarios4k, ball, L1))
+        assert _same_bytes(rt.solve_robust(scen, ball, L1),
+                           rt.solve_robust(scen, ball, L1))
 
 
 def _worst_case_loss(loss, lam, eta):
