@@ -273,6 +273,9 @@ def _csv_returns(cfg: dict):
     else:
         raise ConfigError("data.index", "must be 'column' or 'synthesize'")
     tracked = _columns(tracked, ncols, "data.tracked")
+    if data["index"] == "column" and idx_col in tracked:
+        # the index would track itself exactly: the robust fit's alpha collapses
+        raise ConfigError("data.tracked", f"column {idx_col} is the index column")
     return returns[:, tracked], index_returns
 
 

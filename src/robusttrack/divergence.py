@@ -31,7 +31,8 @@ class DivergenceBall:
     """Ambiguity ball configuration: exponent lam >= 0 and radius eta >= 0.
 
     lam = 0 selects the KL mode; eta = 0 collapses the ball to the nominal
-    distribution alone (no robustification).
+    distribution alone (no robustification).  The robust solver is tested
+    for lam from 0 to 10.
     """
 
     lam: float
@@ -189,7 +190,8 @@ def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,
 
     Draws from the nominal model and averages G(g/f) using the analytic
     log-density ratio; the ratio is exponentiated only after the overflow
-    check, so heavy-tailed ratios fail with a named reason, not an inf.
+    check, so heavy-tailed ratios fail with a ValueError naming the remedy
+    (a smaller lam), not an inf.
     Identical models give a zero log ratio and so exactly zero.
     """
     if n < 2:
@@ -198,7 +200,7 @@ def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,
     logratio = log_density(actual, draws) - log_density(nominal, draws)
     scale = lam + 1.0 if lam > 0 else 1.0
     if np.max(scale * logratio) > 700.0:
-        raise OverflowError(
+        raise ValueError(
             "density ratio overflows the divergence integrand; "
             "a smaller lam keeps the estimate finite"
         )

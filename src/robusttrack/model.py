@@ -13,8 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-# Rows are sampled in fixed-size chunks, each chunk seeded from
-# (seed, chunk index), so results do not depend on how chunks are scheduled.
+# Rows are sampled in fixed-size chunks, each from its own stream seeded
+# from (seed, chunk index); these per-chunk streams fix the draws for each
+# (seed, n).
 _CHUNK = 1 << 18
 
 

@@ -38,6 +38,11 @@ raises DegenerateScenariosError as soon as a trial's loss spread falls below
 sqrt(eps) times the start point's, where the (alpha, beta) block of J turns
 singular to working precision.  Repeated solves at a fixed BLAS thread
 count are bitwise identical.
+
+solve_nonrobust is equality-constrained Newton on mean(l) from the quadratic
+loss's KKT point, where a quadratic loss stops; that point and each step are
+one bordered solve [[M, 1], [1', 0]] [x; nu] = [top; bottom] (Boyd and
+Vandenberghe, Convex Optimization, 10.2).
 """
 
 from __future__ import annotations
@@ -90,12 +95,10 @@ class NonConvergenceError(SolverError):
 
 @dataclass
 class SolverConfig:
-    """Newton solver settings: the starting portfolio (uniform weights by
-    default; (alpha, beta) need no start, they are solved exactly for its
-    losses), the Newton step limit and the tolerance on the largest KKT
-    residual."""
+    """Newton solver settings: the step limit and the tolerance on the
+    largest KKT residual.  Every solve starts at u = 1/d, where (alpha, beta)
+    are solved exactly for its losses."""
 
-    init_u: Optional[np.ndarray] = None
     max_iterations: int = 200
     residual_tol: float = 1e-8
 
@@ -141,18 +144,21 @@ def _estar(L, lam, alpha, beta):
 def _beta(L, lam, alpha, beta):
     """beta with mean(E*) = 1 for losses L at alpha, and its _estar pass.
 
-    For lam > 0 this is Newton on (mean E*)^lam - 1, an L^(1/lam) norm of
-    affine functions of beta minus one: convex and decreasing, so after the
-    first step the iterates rise monotonically to the root.
+    For lam > 0 this is Newton on (mean E*)^lam - 1, which decreases in
+    beta.  For lam <= 1 it is an L^(1/lam) norm of affine functions of beta
+    minus one, hence convex, so after the first step the iterates rise
+    monotonically to the root.  For lam > 1 it is not convex, and a step
+    that leaves the sign bracket [lo, hi] of the root bisects it instead.
     """
     top = L.max()
     if lam == 0.0:
         beta = top + alpha * (logsumexp((L - top) / alpha) - np.log(L.size))
         return beta, _estar(L, lam, alpha, beta)
     c = lam / (lam + 1.0)
-    # every root lies right of floor, where the largest E* is exp(300)
-    floor = top - alpha * np.expm1(300.0 * lam) / c
-    beta = min(max(beta, floor), top)       # some E* >= 1 at the start
+    # mean E* <= 1 at hi, where the largest E* is 1, and mean E* >= 1 at lo,
+    # where it is exp(min(300, 700/lam)) (>= N while lam <= 700/log N)
+    lo, hi = top - alpha * np.expm1(min(300.0 * lam, 700.0)) / c, top
+    beta = min(max(beta, lo), hi)
     for _ in range(_INNER_STEPS):
         _, e, w = p = _estar(L, lam, alpha, beta)
         m = e.mean()
@@ -161,7 +167,11 @@ def _beta(L, lam, alpha, beta):
         # a step within one spacing of beta can only step to a neighbour
         if abs(step) <= max(1e-13 * alpha, np.spacing(abs(beta))):
             return beta, p
-        beta = max(beta + step, floor)
+        if m >= 1.0:
+            lo = beta
+        else:
+            hi = beta
+        beta = beta + step if lo < beta + step < hi else 0.5 * (lo + hi)
     raise NonConvergenceError("beta root did not converge")
 
 
@@ -294,8 +304,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
     if scenarios.n < d + 3:
         raise ValueError(f"need at least d+3={d+3} scenarios, got {scenarios.n}")
 
-    u = (np.full(d, 1.0 / d) if config.init_u is None
-         else np.asarray(config.init_u, dtype=float))
+    u = np.full(d, 1.0 / d)
     x = B - R @ u
     L = loss_value(spec, x)
     spread0 = spread = float(L.max() - L.min())
@@ -357,36 +366,34 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
     )
 
 
-def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
-    """Minimize the empirical mean loss subject to 1'u = 1.
+def _bordered(M, top, bottom, message):
+    """x of the bordered system [[M, 1], [1', 0]] [x; nu] = [top; bottom]."""
+    d = M.shape[0]
+    A = np.zeros((d + 1, d + 1))
+    A[:d, :d] = M
+    A[:d, d] = 1.0
+    A[d, :d] = 1.0
+    rhs = np.append(top, bottom)
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(message) from exc
+    if not np.all(np.isfinite(sol)) or np.max(np.abs(A @ sol - rhs)) > 1e-6:
+        raise SingularSystemError(message)
+    return sol[:d]
 
-    The quadratic case is the exact KKT linear solve; smoothed losses run an
-    equality-constrained Newton method started from the quadratic solution.
-    """
+
+def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
+    """Minimize the empirical mean loss subject to 1'u = 1 by Newton's
+    method from the quadratic loss's KKT point, where a quadratic loss stops
+    at the first test; the start and each step are one bordered solve."""
     R, B = scenarios.R, scenarios.B
     N, d = R.shape
     if N < d:
         raise ValueError(f"need at least d={d} scenarios, got {N}")
 
-    def quad_kkt():
-        A = np.zeros((d + 1, d + 1))
-        A[:d, :d] = 2.0 * R.T @ R / N
-        A[:d, d] = 1.0
-        A[d, :d] = 1.0
-        rhs = np.concatenate([2.0 * R.T @ B / N, [1.0]])
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("singular tracking KKT system") from exc
-        if not np.all(np.isfinite(sol)) or np.max(np.abs(A @ sol - rhs)) > 1e-6:
-            raise SingularSystemError("singular tracking KKT system")
-        return sol[:d]
-
-    u = quad_kkt()
-    if spec.kind == "quadratic":
-        return u
-
-    # equality-constrained Newton on mean l(B - R'u), from each accepted trial
+    u = _bordered(2.0 * R.T @ R / N, 2.0 * R.T @ B / N, 1.0,
+                  "singular tracking KKT system")
     x = B - R @ u
     f0 = loss_value(spec, x).mean()
     for _ in range(100):
@@ -395,15 +402,8 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
         if np.max(np.abs(reduced)) <= 1e-11 * max(1.0, np.max(np.abs(grad))):
             break
         H = (R * loss_deriv2(spec, x)[:, None]).T @ R / N
-        K = np.zeros((d + 1, d + 1))
-        K[:d, :d] = H + 1e-14 * np.trace(H) * np.eye(d)
-        K[:d, d] = 1.0
-        K[d, :d] = 1.0
-        rhs = np.concatenate([-grad, [0.0]])
-        try:
-            step = np.linalg.solve(K, rhs)[:d]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("singular Newton KKT system") from exc
+        step = _bordered(H + 1e-14 * np.trace(H) * np.eye(d), -grad, 0.0,
+                         "singular Newton KKT system")
         t = 1.0
         while t > 1e-14:
             x_t = B - R @ (u + t * step)

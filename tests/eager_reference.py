@@ -215,8 +215,7 @@ def eager_newton(z0, scenarios, ball, spec, config):
 def eager_solve_robust(scenarios, ball, spec, config=None):
     config = config or SolverConfig()
     d = scenarios.d
-    u0 = (np.full(d, 1.0 / d) if config.init_u is None
-          else np.asarray(config.init_u, dtype=float))
+    u0 = np.full(d, 1.0 / d)
     _check_degenerate(scenarios, spec, u0)
     z0 = np.concatenate([u0, INIT_MULTIPLIERS])
     while eager_assemble(z0, scenarios, ball, spec, want_jacobian=False) is None:

@@ -2,9 +2,11 @@
 
 Every exported name resolves; the names the acceptance gate and the
 benchmark's tracer look up are present; names deleted as unused stay gone,
-and the option counts of the config types do not grow back.
+the option counts of the config types do not grow back, and no module holds
+an unused import or an unread private name.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -20,6 +22,7 @@ GATE = ["payoff_H", "divergence_mc", "system_residual", "system_jacobian",
         "hessian_diagnostic", "scalar_G", "solve_robust", "solve_nonrobust",
         "run_table", "backtest_sliding",
         "SolverConfig", "BacktestConfig", "RowConfig", "DivergenceBall", "LossSpec"]
+SRC = Path(rt.__file__).resolve().parent
 DELETED = ["generator_F", "PerturbationSpec", "sample_gaussian", "sample_student_t",
            "estar_value", "excess_index"]
 
@@ -55,7 +58,7 @@ def test_deleted_names_absent():
 
 def test_option_counts():
     assert [f.name for f in dataclasses.fields(rt.SolverConfig)] == [
-        "init_u", "max_iterations", "residual_tol"]
+        "max_iterations", "residual_tol"]
     assert [f.name for f in dataclasses.fields(rt.BacktestConfig)] == [
         "ball", "loss", "window", "out_of_sample", "solver"]
     for fn in (rt.compare, rt.run_table):
@@ -83,3 +86,46 @@ def test_records_hold_only_what_is_read():
     row.report = rt.compare([1.0], [1.0], rt.scenarios_from([[0.0]], [0.0]),
                             rt.LossSpec.quadratic())
     assert row.converged
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _loaded(tree):
+    """The names a module reads: bare names and attributes."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def test_every_import_is_used():
+    # __init__.py imports only to re-export
+    for name, tree in _trees().items():
+        if name == "__init__.py":
+            continue
+        used = set(_loaded(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    assert bound in used, f"{name}: unused import {bound}"
+
+
+def test_every_private_name_is_read():
+    trees = _trees()
+    read = {n for tree in trees.values() for n in _loaded(tree)}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__"):
+                    assert private in read, f"{name}: {private} is never read"

@@ -100,6 +100,21 @@ class TestSimulateHeavyTail:
         assert table[1]["eta"] > 0
         assert all(row["converged"] for row in table)
 
+    def test_ratio_overflow_is_a_config_error(self, tmp_path, capsys):
+        # at lam = 100 the radius of k = -50 overflows the integrand
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "student_t", "mean": MU5.tolist(),
+                      "scale": SIGMA5.tolist(), "dof": 10},
+            "composition": WEIGHTS5.tolist(),
+            "tracked_assets": [0, 1, 2, 3],
+            "ball": {"lambda": 100.0, "k_grid": [-50.0]},
+            "loss": {"kind": "l1"},
+            "experiment": {"n": 2000, "seed": 1, "n_ratio": 20000},
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "config error: density ratio overflows" in capsys.readouterr().err
+
 
 @pytest.fixture
 def no_draws(monkeypatch):
@@ -246,12 +261,18 @@ class TestConfigErrors:
          "config error at data.weights: asset return columns (4)"),
         ("backtest", {"index": "synthesize", "weights": [0.5, 0.6], "tracked": [0, 1]},
          "config error at data.weights: index weights must sum to 1"),
+        # the index column among the tracked assets replicates the index
+        ("solve", {"tracked": [0, 1, 2]},
+         "config error at data.tracked: column 0 is the index column"),
+        ("backtest", {"tracked": [0, 1, 2]},
+         "config error at data.tracked: column 0 is the index column"),
     ], ids=["index_col-4", "index_col-negative", "index_col-fraction", "tracked-empty",
             "tracked-9", "tracked-negative",
             "solve-tracked-4", "solve-synthesize-tracked-4",
             "tracked-repeated", "solve-tracked-repeated",
             "solve-synthesize-untracked", "backtest-synthesize-untracked",
-            "weights-length", "solve-weights-length", "weights-sum"])
+            "weights-length", "solve-weights-length", "weights-sum",
+            "solve-tracked-index", "backtest-tracked-index"])
     def test_csv_column_out_of_range(self, tmp_path, capsys, command, data, path):
         csv = write_price_csv(tmp_path, synthetic_prices())   # 4 columns
         cfg = write_config(tmp_path, {
@@ -411,6 +432,19 @@ class TestDivergenceCommand:
         assert main(["divergence", "--config", cfg]) == 0
         record = json.loads((out / "divergence_report.json").read_text())[0]
         assert record["closed_form"] == rt.divergence_gaussian(MU5, SIGMA5, 2 * MU5, cov, 0.1)
+
+    def test_ratio_overflow_is_a_config_error(self, tmp_path, capsys):
+        # a 10x wider actual covariance at lam = 100 overflows the integrand
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()},
+            "actual": {"kind": "gaussian", "mean": MU5.tolist(),
+                       "cov": (10.0 * SIGMA5).tolist()},
+            "ball": {"lambda": 100.0},
+            "experiment": {"n": 20000, "seed": 1},
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main(["divergence", "--config", cfg]) == 2
+        assert "config error: density ratio overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ball,path", [
         ({"eta_grid": [0.1, -1.0]}, "ball: eta must be finite and > 0"),

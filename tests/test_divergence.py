@@ -240,6 +240,12 @@ class TestEtaFromRatioMC:
                                    n=200_000, seed=5)
         assert np.isfinite(out.estimate) and out.estimate > 0
 
+    def test_ratio_overflow_is_a_value_error(self, gaussian5):
+        # its remedy is a config value (a smaller lam), not a crash
+        actual = rt.NominalModel.gaussian(MU5, 10.0 * SIGMA5)
+        with pytest.raises(ValueError, match="a smaller lam"):
+            rt.eta_from_ratio_mc(gaussian5, actual, 100.0, n=20_000, seed=1)
+
     def test_kl_mode(self, gaussian5):
         actual = gaussian5.with_mean_scaled(2.0)
         out = rt.eta_from_ratio_mc(gaussian5, actual, 0.0, n=200_000, seed=7)

@@ -211,6 +211,22 @@ class TestSolveNonrobust:
         reduced = grad - grad.mean()
         assert np.max(np.abs(reduced)) < 1e-10
 
+    @pytest.mark.parametrize("window", [False, True], ids=["4k", "104x12"])
+    def test_quadratic_is_the_bordered_kkt_solve(self, scenarios4k, window):
+        # the Newton loop stops at its start: the bits of one direct solve
+        scen = scenarios4k
+        if window:              # a weekly backtest window of 12 stocks
+            rng = np.random.default_rng(14)
+            r = 0.02 * rng.standard_normal((104, 12)) + 0.001
+            scen = rt.scenarios_from(r, r.mean(axis=1) + 0.002 * rng.standard_normal(104))
+        R, B = scen.R, scen.B
+        N, d = R.shape
+        A = np.zeros((d + 1, d + 1))
+        A[:d, :d] = 2.0 * R.T @ R / N
+        A[:d, d] = A[d, :d] = 1.0
+        kkt = np.linalg.solve(A, np.concatenate([2.0 * R.T @ B / N, [1.0]]))
+        assert rt.solve_nonrobust(scen, QUAD).tobytes() == kkt[:d].tobytes()
+
     def test_singular_system_raises(self):
         scen = rt.ScenarioSet(R=np.ones((10, 2)), B=np.ones(10))
         with pytest.raises(rt.SingularSystemError):
@@ -322,10 +338,23 @@ class TestSolveRobust:
             rt.solve_robust(scen, rt.DivergenceBall(0.1, 0.5), QUAD)
 
     def test_config_overrides(self, scenarios4k):
-        cfg = rt.SolverConfig(init_u=np.array([0.4, 0.3, 0.2, 0.1]),
-                              residual_tol=1e-10)
+        cfg = rt.SolverConfig(residual_tol=1e-10)
         sol = rt.solve_robust(scenarios4k, rt.DivergenceBall(0.1, 0.5), QUAD, cfg)
         assert sol.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    @pytest.mark.parametrize("lam", [2.5, 3.0, 5.0, 10.0])
+    def test_large_lam_converges(self, scenarios4k, spec, lam):
+        # for lam > 1, (mean E*)^lam is not convex in beta: the root's sign
+        # bracket keeps Newton inside it, and its floor stays finite
+        for eta in (0.1, 1.0, 5.0):
+            ball = rt.DivergenceBall(lam, eta)
+            sol = rt.solve_robust(scenarios4k, ball, spec)
+            assert sol.residual_norm <= 1e-8
+            assert sol.estar.mean() == pytest.approx(1.0, abs=1e-9)
+            e = sol.estar          # G(0) = 1 where the worst case drops a scenario
+            assert np.mean(e ** (lam + 1.0) / lam - (lam + 1.0) / lam * e + 1.0) \
+                == pytest.approx(eta, rel=1e-8)
 
 
 class TestInnerTilt:
