@@ -191,7 +191,8 @@ def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,
     Draws from the nominal model and averages G(g/f) using the analytic
     log-density ratio; the ratio is exponentiated only after the overflow
     check, so heavy-tailed ratios fail with a ValueError naming the remedy
-    (a smaller lam), not an inf.
+    (a smaller lam), not an inf.  The check bounds (lam+1) log(g/f) by 350,
+    so that the square of G, which the standard error sums, stays finite too.
     Identical models give a zero log ratio and so exactly zero.
     """
     if n < 2:
@@ -199,7 +200,7 @@ def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,
     draws = sample_model(nominal, n, seed)
     logratio = log_density(actual, draws) - log_density(nominal, draws)
     scale = lam + 1.0 if lam > 0 else 1.0
-    if np.max(scale * logratio) > 700.0:
+    if np.max(scale * logratio) > 350.0:
         raise ValueError(
             "density ratio overflows the divergence integrand; "
             "a smaller lam keeps the estimate finite"

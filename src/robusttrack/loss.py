@@ -53,58 +53,112 @@ class LossSpec:
         return cls(kind=SMOOTHED_PLUS, epsilon=epsilon)
 
 
-def _phi(t):
-    return np.exp(-0.5 * t * t) / _SQRT_2PI
+def _phi(t, out=None):
+    """The standard normal density exp(-t^2/2) / sqrt(2 pi), written into out
+    (a fresh array by default)."""
+    out = np.multiply(-0.5, t, out=np.empty(np.shape(t)) if out is None else out)
+    out *= t
+    np.exp(out, out=out)
+    out /= _SQRT_2PI
+    return out
 
 
 def _clamp_nonneg(out):
-    """max(out, 0).  Far in the left tail the two terms of the smoothed_pos_sq
-    forms cancel, and rounding can leave a tiny negative value; values that
-    are already >= 0 pass unchanged.  Arrays are clamped in place, so the
-    kernel allocates no extra temporary."""
-    return np.maximum(out, 0.0, out=out if out.ndim else None)
+    """max(out, 0) in place.  Far in the left tail the two terms of the
+    smoothed_pos_sq forms cancel, and rounding can leave a tiny negative
+    value; values that are already >= 0 pass unchanged."""
+    return np.maximum(out, 0.0, out=out)
 
+
+# Each kernel writes into its output and at most two scratch arrays of the
+# size of x, in place, evaluating the same expressions in the same order as
+# the closed forms in its comments, so the results are those forms bit for
+# bit.  x itself is never written.
 
 def loss_value(spec: LossSpec, x):
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    eps = spec.epsilon
     if spec.kind == QUADRATIC:
-        out = x * x
+        np.multiply(x, x, out=out)
     elif spec.kind == SMOOTHED_POS_SQ:
-        t = x / spec.epsilon
-        out = _clamp_nonneg((x * x + spec.epsilon**2) * ndtr(t)
-                            + x * spec.epsilon * _phi(t))
+        # (x*x + eps^2) * ndtr(t) + x * eps * phi(t),  t = x / eps
+        t = np.divide(x, eps, out=np.empty_like(x))
+        tmp = ndtr(t, out=np.empty_like(x))
+        np.multiply(x, x, out=out)
+        out += eps**2
+        out *= tmp
+        _phi(t, out=tmp)
+        np.multiply(x, eps, out=t)
+        t *= tmp
+        out += t
+        _clamp_nonneg(out)
     else:
-        # stable form of x + eps*log(1+exp(-x/eps)); exact for both tails
-        t = np.abs(x) / spec.epsilon
-        out = np.maximum(x, 0.0) + spec.epsilon * np.log1p(np.exp(-t))
+        # max(x, 0) + eps * log1p(exp(-|x| / eps)), the stable form of
+        # x + eps*log(1+exp(-x/eps)); exact for both tails
+        t = np.abs(x, out=np.empty_like(x))
+        t /= eps
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        t *= eps
+        np.maximum(x, 0.0, out=out)
+        out += t
     return float(out) if out.ndim == 0 else out
 
 
 def loss_deriv1(spec: LossSpec, x):
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    eps = spec.epsilon
     if spec.kind == QUADRATIC:
-        out = 2.0 * x
+        np.multiply(2.0, x, out=out)
     elif spec.kind == SMOOTHED_POS_SQ:
-        t = x / spec.epsilon
-        out = _clamp_nonneg(2.0 * x * ndtr(t) + 2.0 * spec.epsilon * _phi(t))
+        # 2 * x * ndtr(t) + 2 * eps * phi(t),  t = x / eps
+        t = np.divide(x, eps, out=np.empty_like(x))
+        _phi(t, out=out)
+        out *= 2.0 * eps
+        ndtr(t, out=t)
+        tmp = np.multiply(2.0, x, out=np.empty_like(x))
+        tmp *= t
+        out += tmp
+        _clamp_nonneg(out)
     else:
-        # logistic 1/(1+exp(-x/eps)), evaluated without overflow
-        t = x / spec.epsilon
-        out = np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))),
-                       np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
+        # the logistic function of t = x / eps without overflow:
+        # 1 / (1 + exp(-|t|)) where t >= 0, exp(-|t|) / (1 + exp(-|t|)) elsewhere
+        t = np.divide(x, eps, out=np.empty_like(x))
+        right = t >= 0
+        np.abs(t, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.add(1.0, t, out=out)
+        np.copyto(t, 1.0, where=right)
+        np.divide(t, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
 def loss_deriv2(spec: LossSpec, x):
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    eps = spec.epsilon
     if spec.kind == QUADRATIC:
-        out = np.full_like(x, 2.0)
+        out.fill(2.0)
     elif spec.kind == SMOOTHED_POS_SQ:
-        out = 2.0 * ndtr(x / spec.epsilon)
+        # 2 * ndtr(x / eps)
+        np.divide(x, eps, out=out)
+        ndtr(out, out=out)
+        out *= 2.0
     else:
-        # symmetric stable form of exp(t/eps) / (eps (1+exp(t/eps))^2)
-        w = np.exp(-np.abs(x) / spec.epsilon)
-        out = w / (spec.epsilon * np.square(1.0 + w))
+        # w / (eps * (1 + w)^2),  w = exp(-|x| / eps): the symmetric stable
+        # form of exp(x/eps) / (eps (1+exp(x/eps))^2)
+        w = np.abs(x, out=np.empty_like(x))
+        np.negative(w, out=w)
+        w /= eps
+        np.exp(w, out=w)
+        np.add(1.0, w, out=out)
+        np.square(out, out=out)
+        out *= eps
+        np.divide(w, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 

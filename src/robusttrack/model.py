@@ -106,6 +106,8 @@ class NominalModel:
 class ScenarioSet:
     """Gross asset returns R (N x d) and gross index returns B (N,).
 
+    R is stored column-major, one contiguous column per asset, so the
+    solvers' products R @ u, R.T @ v and R.T (w R) stream whole columns.
     Arrays are frozen (read-only) after construction so a scenario set can be
     shared across threads.
     """
@@ -114,7 +116,7 @@ class ScenarioSet:
     B: np.ndarray
 
     def __post_init__(self):
-        R = np.ascontiguousarray(self.R, dtype=float)
+        R = np.asfortranarray(self.R, dtype=float)
         B = np.ascontiguousarray(self.B, dtype=float)
         if R.ndim != 2 or B.ndim != 1 or R.shape[0] != B.shape[0]:
             raise ValueError("R must be (N, d) and B must be (N,) with matching N")
@@ -149,10 +151,11 @@ def sample_model(model: NominalModel, n: int, seed: int) -> np.ndarray:
     for ci, start in enumerate(range(0, n, _CHUNK)):
         m = min(_CHUNK, n - start)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
-        z = rng.standard_normal((m, model.dim)) @ model._chol.T
+        z = np.matmul(rng.standard_normal((m, model.dim)), model._chol.T,
+                      out=out[start:start + m])
         if model.kind == "student_t":
             z *= np.sqrt(model.dof / rng.chisquare(model.dof, m))[:, None]
-        out[start:start + m] = model.mean + z
+        z += model.mean
     return out
 
 
@@ -169,7 +172,7 @@ def synthesize_index(asset_returns: np.ndarray, comp: IndexComposition) -> np.nd
 
 def scenarios_from(asset_returns: np.ndarray, index_returns: np.ndarray) -> ScenarioSet:
     """Build a ScenarioSet of gross returns from simple returns."""
-    return ScenarioSet(R=1.0 + np.asarray(asset_returns, dtype=float),
+    return ScenarioSet(R=np.add(1.0, np.asarray(asset_returns, dtype=float), order="F"),
                        B=1.0 + np.asarray(index_returns, dtype=float))
 
 

@@ -39,6 +39,14 @@ sqrt(eps) times the start point's, where the (alpha, beta) block of J turns
 singular to working precision.  Repeated solves at a fixed BLAS thread
 count are bitwise identical.
 
+Each pass over the N scenarios streams its arrays once.  The pass _estar
+and the loss kernels write in place into arrays of their own, R is stored
+column-major (see ScenarioSet), and the (alpha, beta) block reads one set
+of moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2:
+the inner solve's slope and curvature, since mean(E* s) = m1 + c m2, and
+the scalar entries of J.  The divergence residual mean G(E*) is summed term
+by term, which rounds finer than that moment form.
+
 solve_nonrobust is equality-constrained Newton on mean(l) from the quadratic
 loss's KKT point, where a quadratic loss stops; that point and each step are
 one bordered solve [[M, 1], [1', 0]] [x; nu] = [top; bottom] (Boyd and
@@ -66,6 +74,7 @@ _COLLAPSE = np.sqrt(np.finfo(float).eps)
 # solution for every _STRIDE-th loss
 _STRIDE = 64
 _COARSE_MIN = 1024
+_TINY = np.finfo(float).smallest_subnormal
 
 
 class SolverError(RuntimeError):
@@ -130,15 +139,43 @@ class RobustSolution:
 
 
 def _estar(L, lam, alpha, beta):
-    """The pass (s, E*, E*^(1-lam)) over losses L, s = (L - beta)/alpha."""
-    s = (L - beta) / alpha
+    """The pass (s, E*, E*^(1-lam)) over losses L, s = (L - beta)/alpha, in
+    three arrays of the size of L."""
+    s = np.subtract(L, beta)
+    s /= alpha
     if lam == 0.0:
         e = np.exp(s)
         return s, e, e
-    base = np.maximum(1.0 + lam / (lam + 1.0) * s, 0.0)
+    base = np.multiply(lam / (lam + 1.0), s)
+    base += 1.0
+    np.maximum(base, 0.0, out=base)
     e = base ** (1.0 / lam)
     # where base is 0, E* is 0 too, and the quotient by the tiny floor is 0
-    return s, e, e / np.maximum(base, np.finfo(float).smallest_subnormal)
+    np.maximum(base, _TINY, out=base)
+    return s, e, np.divide(e, base, out=base)
+
+
+def _mean_G(p, lam):
+    """mean G(E*) = mean(E* s/(lam+1) - E* + 1) of the _estar pass p, summed
+    term by term.  The moment form (m1 + c m2)/(lam+1) - mean E* + 1 takes
+    the difference of two means of size 1 and rounds several times coarser,
+    too coarse for a finite-difference check of J's divergence row."""
+    s, e, _ = p
+    g = e * s
+    g /= lam + 1.0
+    g -= e
+    g += 1.0
+    return g.mean()
+
+
+def _moments(p):
+    """(mean E*, m0, m1, m2) of the _estar pass p, mk = mean(E*^(1-lam) s^k).
+    As E* = E*^(1-lam) (1 + c s), mean(E* s) = m1 + c m2."""
+    s, e, w = p
+    ws = w * s
+    m1 = ws.mean()
+    ws *= s
+    return e.mean(), w.mean(), m1, ws.mean()
 
 
 def _beta(L, lam, alpha, beta):
@@ -196,21 +233,22 @@ def _dual(L, ball, alpha=None, beta=None):
             except NonConvergenceError:
                 pass
     lam, eta = ball.lam, ball.eta
+    c = lam / (lam + 1.0)
     if alpha is None:
         alpha = float(L.std()) / np.sqrt(2.0 * eta * (lam + 1.0))
         beta = float(L.mean())
     lo, hi = 0.0, np.inf
     for _ in range(_INNER_STEPS):
         beta, p = _beta(L, lam, alpha, beta)
-        s, e, w = p
-        slope = eta - (e * s / (lam + 1.0) - e + 1.0).mean()
+        me, m0, m1, m2 = _moments(p)
+        # d Phi / d alpha = eta - mean G(E*)
+        slope = eta - ((m1 + c * m2) / (lam + 1.0) - me + 1.0)
         if slope == 0.0:
             return alpha, beta, p
         if slope > 0.0:
             hi = alpha
         else:
             lo = alpha
-        m0, m1, m2 = w.mean(), (w * s).mean(), (w * s * s).mean()
         curv = (m2 - m1 * m1 / m0) / ((lam + 1.0) * alpha)
         new = alpha - slope / curv if curv > 0.0 else np.nan
         if abs(new - alpha) <= 1e-12 * alpha or hi - lo <= 1e-12 * alpha:
@@ -227,48 +265,66 @@ def _phi(alpha, beta, p, ball):
     """Phi(alpha, beta) = alpha eta + beta + alpha mean(G*(s)), with
     G*(s) = E* (1 + c s) - 1."""
     s, e, _ = p
-    c = ball.lam / (ball.lam + 1.0)
-    return alpha * ball.eta + beta + alpha * (e * (1.0 + c * s) - 1.0).mean()
+    g = np.multiply(ball.lam / (ball.lam + 1.0), s)
+    g += 1.0
+    g *= e
+    g -= 1.0
+    return alpha * ball.eta + beta + alpha * g.mean()
 
 
 def _kkt(u, alpha, x, p, scenarios, ball, spec):
     """Residual F, at theta = 0, and Jacobian J of the system at (u, alpha,
     beta), for the shortfall x = B - R'u and the _estar pass p at
     (alpha, beta).  J does not depend on theta."""
-    R = scenarios.R
-    N, d = R.shape
+    RT = scenarios.R.T                 # d contiguous rows of N returns
+    d, N = RT.shape
     lam = ball.lam
     s, e, w = p
+    me, m0, m1, m2 = _moments(p)
+    k = (lam + 1.0) * alpha            # psi = E*^(1-lam) / k
     lp = loss_deriv1(spec, x)
     lpp = loss_deriv2(spec, x)
-    psi = w / ((lam + 1.0) * alpha)
-    spsi = s * psi
+    lpe = lp * e
+    g = lp * w                         # l' psi k
 
     F = np.empty(d + 3)
-    F[:d] = R.T @ (lp * e) / N
+    F[:d] = RT @ lpe / N
     F[d] = u.sum() - 1.0
-    F[d + 1] = (e * s / (lam + 1.0) - e + 1.0).mean() - ball.eta
-    F[d + 2] = e.mean() - 1.0
+    F[d + 1] = _mean_G(p, lam) - ball.eta
+    F[d + 2] = me - 1.0
 
     J = np.zeros((d + 3, d + 3))
-    J[:d, :d] = -(R * (lpp * e + lp * lp * psi)[:, None]).T @ R / N
-    J[:d, d:d + 2] = -(R.T @ np.column_stack([lp * spsi, lp * psi])) / N
+    # the weights l'' E* + l'^2 psi of the u-block, written over l'' and l' E*
+    lpp *= e
+    np.multiply(g, lp, out=lpe)
+    lpe /= k
+    lpp += lpe
+    J[:d, :d] = -((RT * lpp) @ scenarios.R) / N
+    J[:d, d + 1] = -(RT @ g) / (N * k)
+    g *= s
+    J[:d, d] = -(RT @ g) / (N * k)
     J[:d, d + 2] = -1.0
     J[d, :d] = 1.0
     J[d + 1, :d] = J[:d, d]            # symmetry of the mixed partials
-    J[d + 1, d] = -(s * spsi).mean()
-    J[d + 1, d + 1] = -spsi.mean()
+    J[d + 1, d] = -m2 / k
+    J[d + 1, d + 1] = -m1 / k
     J[d + 2, :d] = J[:d, d + 1]
-    J[d + 2, d] = -spsi.mean()
-    J[d + 2, d + 1] = -psi.mean()
+    J[d + 2, d] = -m1 / k
+    J[d + 2, d + 1] = -m0 / k
     return F, J
+
+
+def _shortfall(scenarios, u):
+    """x = B - R'u, formed in one array."""
+    x = scenarios.R @ u
+    return np.subtract(scenarios.B, x, out=x)
 
 
 def _system(u, alpha, beta, theta, scenarios, ball, spec):
     if alpha <= 0:
         raise FeasibilityError("infeasible point: alpha <= 0")
     u, alpha, beta = np.asarray(u, dtype=float), float(alpha), float(beta)
-    x = scenarios.B - scenarios.R @ u
+    x = _shortfall(scenarios, u)
     p = _estar(loss_value(spec, x), ball.lam, alpha, beta)
     F, J = _kkt(u, alpha, x, p, scenarios, ball, spec)
     F[:scenarios.d] -= float(theta)
@@ -297,7 +353,6 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
     steps taken when the residual tolerance is not met.
     """
     config = config or SolverConfig()
-    R, B = scenarios.R, scenarios.B
     d = scenarios.d
     if ball.eta <= 0:
         raise ValueError("solve_robust requires eta > 0")
@@ -305,7 +360,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
         raise ValueError(f"need at least d+3={d+3} scenarios, got {scenarios.n}")
 
     u = np.full(d, 1.0 / d)
-    x = B - R @ u
+    x = _shortfall(scenarios, u)
     L = loss_value(spec, x)
     spread0 = spread = float(L.max() - L.min())
     if spread0 <= 1e-14 * max(1.0, float(np.abs(L).max())):
@@ -337,7 +392,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
         t = 1.0
         while True:
             u_t = u + t * du
-            x_t = B - R @ u_t
+            x_t = _shortfall(scenarios, u_t)
             L_t = loss_value(spec, x_t)
             spread_t = float(L_t.max() - L_t.min())
             if spread_t < _COLLAPSE * spread0:
@@ -394,19 +449,19 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
 
     u = _bordered(2.0 * R.T @ R / N, 2.0 * R.T @ B / N, 1.0,
                   "singular tracking KKT system")
-    x = B - R @ u
+    x = _shortfall(scenarios, u)
     f0 = loss_value(spec, x).mean()
     for _ in range(100):
         grad = -(R.T @ loss_deriv1(spec, x)) / N
         reduced = grad - grad.mean()
         if np.max(np.abs(reduced)) <= 1e-11 * max(1.0, np.max(np.abs(grad))):
             break
-        H = (R * loss_deriv2(spec, x)[:, None]).T @ R / N
+        H = (R.T * loss_deriv2(spec, x)) @ R / N
         step = _bordered(H + 1e-14 * np.trace(H) * np.eye(d), -grad, 0.0,
                          "singular Newton KKT system")
         t = 1.0
         while t > 1e-14:
-            x_t = B - R @ (u + t * step)
+            x_t = _shortfall(scenarios, u + t * step)
             f_new = loss_value(spec, x_t).mean()
             if f_new < f0:
                 break
@@ -427,7 +482,7 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     for alpha > 0, so the result should not exceed roundoff times the
     problem scale.
     """
-    x = scenarios.B - scenarios.R @ solution.u
+    x = _shortfall(scenarios, solution.u)
     e = solution.estar
     s = (loss_value(spec, x) - solution.beta) / solution.alpha
     w = np.power(e, 1.0 - ball.lam, out=np.zeros_like(e), where=e > 0.0)

@@ -9,15 +9,25 @@ from the non-robust weights with (alpha, beta) from nested scalar roots.
 E* uses the power form, which rejects a non-positive base as infeasible.
 The helpers it needs are copied here, so the reference does not depend on
 the solver it is compared with; see tests/test_solver.py::TestLazyNewton.
+It reads a row-major copy of R, the layout it was frozen with: in the
+column-major layout of ScenarioSet the sums run in another order, and on
+window 2 of the replicable panel its Levenberg-Marquardt steps then stall.
 
 recomputing_solve_nonrobust is the non-robust Newton loop as it was before
 each step reused its accepted line-search trial: it forms the shortfall and
 the mean loss again at the top of every step.
+
+frozen_loss_value, frozen_loss_deriv1, frozen_loss_deriv2 and frozen_estar
+are the loss kernels and the worst-case pass as closed-form expressions, one
+temporary array per operation, as they were before they worked in place;
+the in-place forms must give their results bit for bit.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 
 from robusttrack.loss import LossSpec, loss_deriv1, loss_deriv2, loss_value
 from robusttrack.solver import (DegenerateScenariosError, NonConvergenceError,
@@ -214,6 +224,8 @@ def eager_newton(z0, scenarios, ball, spec, config):
 
 def eager_solve_robust(scenarios, ball, spec, config=None):
     config = config or SolverConfig()
+    scenarios = SimpleNamespace(R=np.ascontiguousarray(scenarios.R), B=scenarios.B,
+                                n=scenarios.n, d=scenarios.d)
     d = scenarios.d
     u0 = np.full(d, 1.0 / d)
     _check_degenerate(scenarios, spec, u0)
@@ -274,3 +286,57 @@ def recomputing_solve_nonrobust(scenarios, spec):
             break
         u = u + t * step
     return u
+
+
+def _frozen_phi(t):
+    return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+
+
+def frozen_loss_value(spec, x):
+    x = np.asarray(x, dtype=float)
+    if spec.kind == "quadratic":
+        out = x * x
+    elif spec.kind == "smoothed_pos_sq":
+        t = x / spec.epsilon
+        out = np.maximum((x * x + spec.epsilon**2) * ndtr(t)
+                         + x * spec.epsilon * _frozen_phi(t), 0.0)
+    else:
+        t = np.abs(x) / spec.epsilon
+        out = np.maximum(x, 0.0) + spec.epsilon * np.log1p(np.exp(-t))
+    return float(out) if out.ndim == 0 else out
+
+
+def frozen_loss_deriv1(spec, x):
+    x = np.asarray(x, dtype=float)
+    if spec.kind == "quadratic":
+        out = 2.0 * x
+    elif spec.kind == "smoothed_pos_sq":
+        t = x / spec.epsilon
+        out = np.maximum(2.0 * x * ndtr(t) + 2.0 * spec.epsilon * _frozen_phi(t), 0.0)
+    else:
+        t = x / spec.epsilon
+        out = np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))),
+                       np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
+    return float(out) if out.ndim == 0 else out
+
+
+def frozen_loss_deriv2(spec, x):
+    x = np.asarray(x, dtype=float)
+    if spec.kind == "quadratic":
+        out = np.full_like(x, 2.0)
+    elif spec.kind == "smoothed_pos_sq":
+        out = 2.0 * ndtr(x / spec.epsilon)
+    else:
+        w = np.exp(-np.abs(x) / spec.epsilon)
+        out = w / (spec.epsilon * np.square(1.0 + w))
+    return float(out) if out.ndim == 0 else out
+
+
+def frozen_estar(L, lam, alpha, beta):
+    s = (L - beta) / alpha
+    if lam == 0.0:
+        e = np.exp(s)
+        return s, e, e
+    base = np.maximum(1.0 + lam / (lam + 1.0) * s, 0.0)
+    e = base ** (1.0 / lam)
+    return s, e, e / np.maximum(base, np.finfo(float).smallest_subnormal)

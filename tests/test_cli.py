@@ -446,6 +446,21 @@ class TestDivergenceCommand:
         assert main(["divergence", "--config", cfg]) == 2
         assert "config error: density ratio overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_square_overflow_is_a_config_error(self, tmp_path, capsys, seed):
+        # at these seeds the integrand is finite and its square, in the
+        # standard error, overflows
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()},
+            "actual": {"kind": "gaussian", "mean": MU5.tolist(),
+                       "cov": (10.0 * SIGMA5).tolist()},
+            "ball": {"lambda": 100.0},
+            "experiment": {"n": 20000, "seed": seed},
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main(["divergence", "--config", cfg]) == 2
+        assert "config error: density ratio overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ball,path", [
         ({"eta_grid": [0.1, -1.0]}, "ball: eta must be finite and > 0"),
         ({"eta_grid": [0.1], "sign": "x"}, "ball: sign must be '+' or '-'"),

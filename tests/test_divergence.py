@@ -246,6 +246,14 @@ class TestEtaFromRatioMC:
         with pytest.raises(ValueError, match="a smaller lam"):
             rt.eta_from_ratio_mc(gaussian5, actual, 100.0, n=20_000, seed=1)
 
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_square_overflow_is_a_value_error(self, gaussian5, seed):
+        # at these seeds G itself stays finite but its square, which the
+        # standard error sums, overflows; the true divergence is infinite
+        actual = rt.NominalModel.gaussian(MU5, 10.0 * SIGMA5)
+        with pytest.raises(ValueError, match="a smaller lam"):
+            rt.eta_from_ratio_mc(gaussian5, actual, 100.0, n=20_000, seed=seed)
+
     def test_kl_mode(self, gaussian5):
         actual = gaussian5.with_mean_scaled(2.0)
         out = rt.eta_from_ratio_mc(gaussian5, actual, 0.0, n=200_000, seed=7)

@@ -8,6 +8,8 @@ from robusttrack.loss import _phi
 
 import robusttrack as rt
 
+from eager_reference import frozen_loss_deriv1, frozen_loss_deriv2, frozen_loss_value
+
 EPS = 0.01
 L1 = rt.LossSpec.smoothed_pos_sq(EPS)
 L2 = rt.LossSpec.smoothed_plus(EPS)
@@ -132,6 +134,63 @@ class TestSmoothedTails:
         spec = rt.LossSpec.smoothed_pos_sq(eps)
         assert rt.loss_value(spec, x) == max(raw, 0.0)
         assert rt.loss_deriv1(spec, x) == max(raw1, 0.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestInPlaceKernels:
+    """Each kernel works in place in scratch arrays of its own: its results
+    are the closed forms of tests/eager_reference.py bit for bit, and the
+    caller's x is never written."""
+
+    SPECS = [QUAD, L1, L2, rt.LossSpec.smoothed_pos_sq(0.234375),
+             rt.LossSpec.smoothed_plus(0.5)]
+    KERNELS = [(rt.loss_value, frozen_loss_value), (rt.loss_deriv1, frozen_loss_deriv1),
+               (rt.loss_deriv2, frozen_loss_deriv2)]
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(5)
+        # the shortfalls of a table row, both tails of the smoothing, and
+        # zeros, subnormals, huge values, infinities and nan
+        return np.concatenate([
+            0.05 * rng.standard_normal(4000), EPS * rng.uniform(-60.0, 60.0, 4000),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+             1.7e308, -1.7e308, np.inf, -np.inf, np.nan]])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["quad", "l1", "l2", "l1-wide", "l2-wide"])
+    @pytest.mark.parametrize("kernel,frozen", KERNELS, ids=["l", "lp", "lpp"])
+    def test_bits_of_the_closed_form_on_arrays(self, spec, kernel, frozen):
+        x = self.points()
+        for arg in (x, x[::3]):               # contiguous and strided
+            keep = arg.copy()
+            with np.errstate(all="ignore"):   # the infinities overflow
+                got, ref = kernel(spec, arg), frozen(spec, arg)
+            assert np.array_equal(_bits(got), _bits(ref))
+            assert np.array_equal(_bits(arg), _bits(keep))
+            assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["quad", "l1", "l2", "l1-wide", "l2-wide"])
+    @pytest.mark.parametrize("kernel,frozen", KERNELS, ids=["l", "lp", "lpp"])
+    def test_bits_of_the_closed_form_on_scalars(self, spec, kernel, frozen):
+        x = self.points()
+        for v in np.concatenate([x[:8000:400], x[8000:]]):
+            zero_d = np.asarray(v)
+            with np.errstate(all="ignore"):
+                got, ref = kernel(spec, zero_d), frozen(spec, v)
+                got_float = kernel(spec, float(v))
+            assert type(got) is float and type(got_float) is float
+            assert _bits(got) == _bits(ref) == _bits(got_float)
+            assert _bits(zero_d) == _bits(v)
+
+    def test_phi_writes_only_its_output(self):
+        t = np.linspace(-40.0, 40.0, 1001)
+        out = np.empty_like(t)
+        assert _phi(t, out=out) is out
+        assert np.array_equal(_bits(out), _bits(np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)))
+        assert np.array_equal(t, np.linspace(-40.0, 40.0, 1001))
 
 
 class TestPayoff:

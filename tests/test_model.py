@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import robusttrack as rt
+from robusttrack.model import _CHUNK
 
 from conftest import MU5, SIGMA5, WEIGHTS5
 
@@ -88,6 +89,18 @@ class TestSampleStream:
         assert np.array_equal(rt.sample_model(model, n, seed=21),
                               self.reference(model, n, seed=21))
 
+    @pytest.mark.parametrize("model", [
+        rt.NominalModel.gaussian(MU5, SIGMA5),
+        rt.NominalModel.student_t(MU5, SIGMA5, dof=10.0),
+    ], ids=["gaussian", "student_t"])
+    def test_in_place_chunks_have_the_bits_of_the_reference(self, model):
+        # each chunk is drawn into the output and shifted there; a short
+        # second chunk of three rows follows a full one
+        n = _CHUNK + 3
+        got = rt.sample_model(model, n, seed=22)
+        ref = self.reference(model, n, seed=22, chunk=_CHUNK)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
 
 class TestSynthesizeIndex:
     def test_single_asset_identity(self):
@@ -148,6 +161,19 @@ class TestScenariosFrom:
         scen = rt.scenarios_from(np.zeros((2, 1)), np.zeros(2))
         with pytest.raises(ValueError):
             scen.R[0, 0] = 5.0
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_returns_are_stored_column_major(self, layout):
+        rng = np.random.default_rng(3)
+        wide = 1.0 + 0.01 * rng.standard_normal((400, 8))
+        R = {"C": np.ascontiguousarray(wide[:, :4]),
+             "F": np.asfortranarray(wide[:, :4]),
+             "strided": wide[:, ::2]}[layout]
+        expected = R.copy()
+        scen = rt.ScenarioSet(R=R, B=wide[:, 4])
+        assert scen.R.flags.f_contiguous and not scen.R.flags.writeable
+        assert np.array_equal(scen.R, expected)
+        assert rt.scenarios_from(R - 1.0, wide[:, 4] - 1.0).R.flags.f_contiguous
 
 
 class TestLoadPricesCsv:

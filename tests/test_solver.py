@@ -12,7 +12,8 @@ import robusttrack.solver as solver
 from robusttrack.solver import _dual, _estar
 
 from conftest import MU5, SIGMA5, make_scenarios, replicable_window
-from eager_reference import eager_assemble, eager_solve_robust, recomputing_solve_nonrobust
+from eager_reference import (eager_assemble, eager_solve_robust, frozen_estar,
+                             recomputing_solve_nonrobust)
 
 QUAD = rt.LossSpec.quadratic()
 L1 = rt.LossSpec.smoothed_pos_sq(0.01)
@@ -488,6 +489,62 @@ class TestSubsampleStart:
         monkeypatch.setattr(solver, "_beta", counted_beta)
         _dual(_losses(4000, 24), rt.DivergenceBall(lam, 0.5))
         assert len(per_root) > 2 and per_root[-1] == 1
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestInPlacePasses:
+    """The worst-case pass and the system assembly work in place in arrays
+    of their own: the pass has the bits of its closed form, and no pass
+    writes the caller's losses, shortfalls or an earlier pass."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0, 2.0, 2.5])
+    def test_estar_has_the_bits_of_the_closed_form(self, lam):
+        loss = _losses(50_000, 25)
+        # for lam > 0 base = 1 + c s is 0 below the losses' 30 % quantile
+        beta = float(np.quantile(loss, 0.6))
+        alpha = (beta - float(np.quantile(loss, 0.3))) * lam / (lam + 1.0) if lam else 0.01
+        keep = loss.copy()
+        got, ref = _estar(loss, lam, alpha, beta), frozen_estar(loss, lam, alpha, beta)
+        for a, b in zip(got, ref):
+            assert np.array_equal(_bits(a), _bits(b))
+        assert np.array_equal(_bits(loss), _bits(keep))
+        if lam > 0.0:
+            assert 0 < np.count_nonzero(got[1] == 0.0) < loss.size
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    def test_inner_solve_leaves_the_losses(self, lam):
+        # above the subsample floor, so the strided start runs as well
+        loss = _losses(2 ** 16, 26)
+        keep = loss.copy()
+        _dual(loss, rt.DivergenceBall(lam, 0.5))
+        assert np.array_equal(_bits(loss), _bits(keep))
+
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_assembly_leaves_its_inputs(self, scenarios4k, spec):
+        ball = rt.DivergenceBall(0.1, 0.5)
+        u = np.array([0.4, 0.3, 0.2, 0.1])
+        x = scenarios4k.B - scenarios4k.R @ u
+        alpha, beta, p = _dual(rt.loss_value(spec, x), ball)
+        keep = [a.copy() for a in (x, *p)]
+        solver._kkt(u, alpha, x, p, scenarios4k, ball, spec)
+        for a, b in zip((x, *p), keep):
+            assert np.array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_solves_do_not_depend_on_the_callers_layout(self, scenarios4k, spec):
+        R, B = np.array(scenarios4k.R), np.array(scenarios4k.B)
+        sets = [rt.ScenarioSet(np.ascontiguousarray(R), B),
+                rt.ScenarioSet(np.asfortranarray(R), B),
+                rt.ScenarioSet(np.repeat(R, 2, axis=1)[:, ::2], B)]
+        ball = rt.DivergenceBall(0.1, 1.0)
+        robust = [rt.solve_robust(scen, ball, spec) for scen in sets]
+        nonrobust = [rt.solve_nonrobust(scen, spec) for scen in sets]
+        for sol, u in zip(robust[1:], nonrobust[1:]):
+            assert _same_bytes(sol, robust[0])
+            assert u.tobytes() == nonrobust[0].tobytes()
 
 
 class TestHessianDiagnostic:
