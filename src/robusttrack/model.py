@@ -108,8 +108,8 @@ class ScenarioSet:
 
     R is stored column-major, one contiguous column per asset, so the
     solvers' products R @ u, R.T @ v and R.T (w R) stream whole columns.
-    Arrays are frozen (read-only) after construction so a scenario set can be
-    shared across threads.
+    The set's arrays are read-only views, so a scenario set can be shared
+    across threads; the caller's own arrays stay writeable.
     """
 
     R: np.ndarray
@@ -124,6 +124,7 @@ class ScenarioSet:
             raise ValueError("scenario set must contain at least one row")
         if not (np.all(np.isfinite(R)) and np.all(np.isfinite(B))):
             raise DataError("scenario returns contain NaN or infinite entries")
+        R, B = R.view(), B.view()      # the caller's arrays stay writeable
         R.setflags(write=False)
         B.setflags(write=False)
         object.__setattr__(self, "R", R)

@@ -22,15 +22,15 @@ G*(s) = E* (1 + c s) - 1, so a pass over the scenarios takes one power and
 no logarithm.  The paper's system in (u, alpha, beta, theta) is the KKT
 system of this problem, and its Jacobian J is the bordered Hessian of Phi.
 
-solve_robust is Newton's method on rho.  At every point (alpha, beta)
-minimize Phi exactly for the current losses: beta by a monotone root (a
-closed form for lam = 0), alpha by safeguarded Newton on the convex function
-alpha -> Phi(alpha, beta(alpha)), each beta root started on the tangent
-line of beta(alpha).  The cold start at the first point solves a strided
-subsample of the losses first (N >= 65,536), then starts the full solve
-at its (alpha, beta).  The bordered solve J dz = -F gives the
-equality-constrained Newton step in u, which an Armijo search on rho
-accepts.  Trials evaluate l only; l' and l'' run once per accepted point.
+solve_robust is Newton's method on rho.  At every point minimize Phi
+exactly over (alpha, beta) for the current losses.  G is lam + 1 times the
+Cressie-Read divergence of that order, so the minimizer is a closed form in
+one scalar (Duchi and Namkoong, Annals of Statistics 49(3), 2021), the root
+of an increasing function (see _tilt and _dual).  The bordered solve
+J dz = -F gives the equality-constrained Newton step in u, which an Armijo
+search on rho accepts; a step whose decrease no trial can resolve from
+rho's rounding is a stall.  Trials evaluate l only; l' and l'' run once per
+accepted point.
 
 Where the losses can be made all equal (an index the tracked assets
 replicate) the optimum has alpha = 0 and no KKT point exists.  The solve
@@ -41,11 +41,8 @@ count are bitwise identical.
 
 Each pass over the N scenarios streams its arrays once.  The pass _estar
 and the loss kernels write in place into arrays of their own, R is stored
-column-major (see ScenarioSet), and the (alpha, beta) block reads one set
-of moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2:
-the inner solve's slope and curvature, since mean(E* s) = m1 + c m2, and
-the scalar entries of J.  The divergence residual mean G(E*) is summed term
-by term, which rounds finer than that moment form.
+column-major (see ScenarioSet), and the scalar entries of J read one set of
+moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2.
 
 solve_nonrobust is equality-constrained Newton on mean(l) from the quadratic
 loss's KKT point, where a quadratic loss stops; that point and each step are
@@ -59,21 +56,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergence import DivergenceBall
 from .loss import LossSpec, loss_deriv1, loss_deriv2, loss_value
 from .model import ScenarioSet
 
-# steps allowed to each scalar root of the inner (alpha, beta) solve
+# steps allowed to the scalar root of the inner (alpha, beta) solve
 _INNER_STEPS = 100
 # a trial whose loss spread falls below this share of the start point's
 # spread is taken as the alpha -> 0 collapse
 _COLLAPSE = np.sqrt(np.finfo(float).eps)
-# the inner solve over N >= _STRIDE * _COARSE_MIN losses starts at the
-# solution for every _STRIDE-th loss
-_STRIDE = 64
-_COARSE_MIN = 1024
 _TINY = np.finfo(float).smallest_subnormal
 
 
@@ -169,8 +161,7 @@ def _mean_G(p, lam):
 
 
 def _moments(p):
-    """(mean E*, m0, m1, m2) of the _estar pass p, mk = mean(E*^(1-lam) s^k).
-    As E* = E*^(1-lam) (1 + c s), mean(E* s) = m1 + c m2."""
+    """(mean E*, m0, m1, m2) of the _estar pass p, mk = mean(E*^(1-lam) s^k)."""
     s, e, w = p
     ws = w * s
     m1 = ws.mean()
@@ -178,87 +169,89 @@ def _moments(p):
     return e.mean(), w.mean(), m1, ws.mean()
 
 
-def _beta(L, lam, alpha, beta):
-    """beta with mean(E*) = 1 for losses L at alpha, and its _estar pass.
+def _tilt(L, top, lam, eta, x):
+    """One pass of the inner root at its scalar x over losses L with largest
+    loss top: (g, g', alpha, beta), with (alpha, beta) the closed forms at x.
 
-    For lam > 0 this is Newton on (mean E*)^lam - 1, which decreases in
-    beta.  For lam <= 1 it is an L^(1/lam) norm of affine functions of beta
-    minus one, hence convex, so after the first step the iterates rise
-    monotonically to the root.  For lam > 1 it is not convex, and a step
-    that leaves the sign bracket [lo, hi] of the root bisects it instead.
+    lam > 0:  x is the threshold t = beta - alpha/c below which E* = 0.  With
+              y = (L - t)_+ / (top - t) in [0, 1], p = 1/lam and A, B, C the
+              means of y^p, y^(p+1) and y^(p-1) (0 where y = 0),
+              g = log B - (lam+1) log A - log1p(lam eta),
+              g' = (p+1)/(top - t) (C/A - A/B) >= 0 (Cauchy-Schwarz),
+              alpha = c (top - t) A^lam and beta = t + alpha/c.
+    lam = 0:  x = 1/alpha.  With e = exp(x (L - top)),
+              g = x mean(e (L - top))/mean(e) - log mean(e) - eta,
+              g' = x Var_E(L) and beta = top + alpha log mean(e).
     """
-    top = L.max()
     if lam == 0.0:
-        beta = top + alpha * (logsumexp((L - top) / alpha) - np.log(L.size))
-        return beta, _estar(L, lam, alpha, beta)
-    c = lam / (lam + 1.0)
-    # mean E* <= 1 at hi, where the largest E* is 1, and mean E* >= 1 at lo,
-    # where it is exp(min(300, 700/lam)) (>= N while lam <= 700/log N)
-    lo, hi = top - alpha * np.expm1(min(300.0 * lam, 700.0)) / c, top
-    beta = min(max(beta, lo), hi)
-    for _ in range(_INNER_STEPS):
-        _, e, w = p = _estar(L, lam, alpha, beta)
+        z = np.subtract(L, top)
+        e = np.multiply(z, x)
+        np.exp(e, out=e)
         m = e.mean()
-        step = (np.expm1(lam * np.log(m)) / lam * (lam + 1.0) * alpha
-                * m ** (1.0 - lam) / w.mean())
-        # a step within one spacing of beta can only step to a neighbour
-        if abs(step) <= max(1e-13 * alpha, np.spacing(abs(beta))):
-            return beta, p
-        if m >= 1.0:
-            lo = beta
-        else:
-            hi = beta
-        beta = beta + step if lo < beta + step < hi else 0.5 * (lo + hi)
-    raise NonConvergenceError("beta root did not converge")
+        e *= z
+        m1 = e.mean() / m
+        e *= z
+        alpha = 1.0 / x
+        return (x * m1 - np.log(m) - eta, x * (e.mean() / m - m1 * m1),
+                alpha, top + alpha * np.log(m))
+    scale = top - x
+    y = np.subtract(L, x)
+    np.maximum(y, 0.0, out=y)
+    y /= scale
+    yp = y ** (1.0 / lam)
+    A = yp.mean()
+    q = yp * y
+    B = q.mean()
+    np.maximum(y, _TINY, out=y)        # y^(p-1) = y^p / y is then 0 at y = 0
+    C = np.divide(yp, y, out=q).mean()
+    alpha = lam / (lam + 1.0) * scale * A ** lam
+    return (np.log(B) - (lam + 1.0) * np.log(A) - np.log1p(lam * eta),
+            (1.0 + 1.0 / lam) / scale * (C / A - A / B),
+            alpha, x + alpha * (lam + 1.0) / lam)
 
 
 def _dual(L, ball, alpha=None, beta=None):
-    """(alpha, beta, _estar pass) minimizing Phi for fixed losses L, by
-    safeguarded Newton in alpha started at alpha (and beta).  After each
-    alpha step beta moves along the tangent of the curve mean E* = 1,
-    dbeta/dalpha = -m1/m0 with m0 = mean E*^(1-lam) and
-    m1 = mean E*^(1-lam) s, so the next beta root starts close to it.
-
-    The default start, from N >= _STRIDE * _COARSE_MIN losses, is this
-    minimizer for every _STRIDE-th loss, found the same way.  Below that
-    size, where the subsample's losses are all equal, or where a solve from
-    its start fails, it is the small-ball estimate: for small eta,
-    mean G(E*) ~ var(l)/(2 alpha^2 (lam+1)), and beta ~ mean(l).
-    """
-    if alpha is None and L.size >= _STRIDE * _COARSE_MIN:
-        sub = L[::_STRIDE]
-        if sub.max() > sub.min():
-            try:
-                return _dual(L, ball, *_dual(sub, ball)[:2])
-            except NonConvergenceError:
-                pass
+    """(alpha, beta, _estar pass) minimizing Phi for fixed losses L: Newton
+    on g of _tilt (g = 0 is mean G(E*) = eta) from alpha and beta, by default
+    the small-ball estimate (beta ~ mean(l), mean G(E*) ~ var(l)/(2 alpha^2
+    (lam+1))).  A step out of the sign bracket doubles the distance to an
+    open bound, or bisects.  It stops once g is at its rounding, or once the
+    step is below 1e-12 of the scale (top - t, or x) while g is small: where
+    a scenario sits at the support's edge, g' is unbounded for lam > 1 and g
+    can step by more than the system's tolerance between floats of t, so a
+    bracket that holds no float interpolates (alpha, beta) at its ends."""
     lam, eta = ball.lam, ball.eta
-    c = lam / (lam + 1.0)
+    top = L.max()
     if alpha is None:
         alpha = float(L.std()) / np.sqrt(2.0 * eta * (lam + 1.0))
         beta = float(L.mean())
-    lo, hi = 0.0, np.inf
+    if lam == 0.0:
+        x, lo, hi = 1.0 / alpha, 0.0, np.inf
+    else:
+        x, lo, hi = min(beta, top) - alpha * (lam + 1.0) / lam, -np.inf, top
+    below = above = None               # (g, alpha, beta) at the bracket's ends
     for _ in range(_INNER_STEPS):
-        beta, p = _beta(L, lam, alpha, beta)
-        me, m0, m1, m2 = _moments(p)
-        # d Phi / d alpha = eta - mean G(E*)
-        slope = eta - ((m1 + c * m2) / (lam + 1.0) - me + 1.0)
-        if slope == 0.0:
-            return alpha, beta, p
-        if slope > 0.0:
-            hi = alpha
+        g, slope, alpha, beta = _tilt(L, top, lam, eta, x)
+        if g > 0.0:
+            hi, above = x, (g, alpha, beta)
         else:
-            lo = alpha
-        curv = (m2 - m1 * m1 / m0) / ((lam + 1.0) * alpha)
-        new = alpha - slope / curv if curv > 0.0 else np.nan
-        if abs(new - alpha) <= 1e-12 * alpha or hi - lo <= 1e-12 * alpha:
-            return alpha, beta, p
+            lo, below = x, (g, alpha, beta)
+        new = x - g / slope if slope > 0.0 else np.nan
+        if abs(g) <= 1e-15 or abs(g) <= 1e-10 and \
+                abs(new - x) <= 1e-12 * (x if lam == 0.0 else top - x):
+            return alpha, beta, _estar(L, lam, alpha, beta)
         if not lo < new < hi:
-            new = 4.0 * alpha if hi == np.inf else alpha / 4.0 if lo == 0.0 \
-                else 0.5 * (lo + hi)
-        beta -= m1 / m0 * (new - alpha)
-        alpha = new
-    raise NonConvergenceError("alpha search did not converge")
+            new = (2.0 * x if hi == np.inf else 2.0 * x - top if lo == -np.inf
+                   else 0.5 * (lo + hi))
+        if new in (lo, hi):
+            if below is None or above is None:
+                break
+            (g0, a0, b0), (g1, a1, b1) = below, above
+            w = g1 / (g1 - g0)
+            alpha, beta = w * a0 + (1.0 - w) * a1, w * b0 + (1.0 - w) * b1
+            return alpha, beta, _estar(L, lam, alpha, beta)
+        x = new
+    raise NonConvergenceError("inner (alpha, beta) root did not converge")
 
 
 def _phi(alpha, beta, p, ball):
@@ -391,6 +384,12 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
         slope = -float(F[:d] @ du)     # directional derivative of rho
         t = 1.0
         while True:
+            # a decrease below a few spacings of rho, which no trial can
+            # verify (Armijo's test would accept rounding), is a stall too
+            if t < 1e-10 or -slope <= 8.0 * np.spacing(phi):
+                raise NonConvergenceError(
+                    f"robust solve stalled above residual tolerance "
+                    f"{config.residual_tol}", residual_norm=best, iterations=it)
             u_t = u + t * du
             x_t = _shortfall(scenarios, u_t)
             L_t = loss_value(spec, x_t)
@@ -409,10 +408,6 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             if phi_t <= phi + 1e-4 * t * slope:
                 break
             t *= 0.5
-            if t < 1e-10:
-                raise NonConvergenceError(
-                    f"robust solve stalled above residual tolerance "
-                    f"{config.residual_tol}", residual_norm=best, iterations=it)
         u, x, alpha, beta, p, phi = u_t, x_t, a_t, b_t, p_t, phi_t
         spread = spread_t
     raise NonConvergenceError(
@@ -459,6 +454,9 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
         H = (R.T * loss_deriv2(spec, x)) @ R / N
         step = _bordered(H + 1e-14 * np.trace(H) * np.eye(d), -grad, 0.0,
                          "singular Newton KKT system")
+        # no line search can verify a decrement within a few spacings of f
+        if -(grad @ step) <= 8.0 * np.spacing(f0):
+            break
         t = 1.0
         while t > 1e-14:
             x_t = _shortfall(scenarios, u + t * step)

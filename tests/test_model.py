@@ -162,6 +162,16 @@ class TestScenariosFrom:
         with pytest.raises(ValueError):
             scen.R[0, 0] = 5.0
 
+    def test_callers_arrays_stay_writeable(self):
+        # arrays already in the stored layout are not copied, and freezing
+        # them must not lock their owner out
+        R, B = np.asfortranarray(np.ones((5, 2))), np.ones(5)
+        scen = rt.ScenarioSet(R=R, B=B)
+        assert R.flags.writeable and B.flags.writeable
+        assert not (scen.R.flags.writeable or scen.B.flags.writeable)
+        B[0] = 2.0
+        R[0, 0] = 2.0
+
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_returns_are_stored_column_major(self, layout):
         rng = np.random.default_rng(3)
