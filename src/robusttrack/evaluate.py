@@ -278,17 +278,17 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
     u = dict.fromkeys(fits, np.full(d, 1.0 / d))
     W = {name: np.empty((cfg.out_of_sample, d)) for name in fits}
     flagged = []
-    unfit = set()                     # the portfolios whose first fit failed
+    ete_in = dict.fromkeys(fits, float("nan"))    # NaN where the first fit failed
     bounds = [(t - cfg.window, t) for t in range(cfg.window, total)]
     for step, (lo, hi) in enumerate(bounds):
         window_set = scenarios_from(r[lo:hi], b[lo:hi])
         for name, fit in fits.items():
             try:
                 u[name] = fit(window_set)
+                if step == 0:
+                    ete_in[name] = float(tracking_error(u[name], window_set, cfg.loss).mean())
             except SolverError as exc:
                 flagged.append((step, f"{name}: {exc}"))
-                if step == 0:
-                    unfit.add(name)
             W[name][step] = u[name]
     W_rob, W_non = W["robust"], W["nonrobust"]
 
@@ -301,11 +301,7 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
     x_n = B_out - (R_out * W_non).sum(axis=1)
     loss_r = loss_value(cfg.loss, x_r)
     loss_n = loss_value(cfg.loss, x_n)
-    in_set = scenarios_from(r[:cfg.window], b[:cfg.window])
-    ete_in = {name: float("nan") if name in unfit
-              else float(tracking_error(W[name][0], in_set, cfg.loss).mean())
-              for name in fits}
-    fitted_in = (np.full(cfg.window, np.nan) if "robust" in unfit
+    fitted_in = (np.full(cfg.window, np.nan) if np.isnan(ete_in["robust"])
                  else (1.0 + r[:cfg.window]) @ W_rob[0])
 
     return BacktestResult(

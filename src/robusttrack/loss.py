@@ -54,8 +54,7 @@ class LossSpec:
 
 
 def _phi(t, out=None):
-    """The standard normal density exp(-t^2/2) / sqrt(2 pi), written into out
-    (a fresh array by default)."""
+    """The standard normal density at t, written into out (default: fresh)."""
     out = np.multiply(-0.5, t, out=np.empty(np.shape(t)) if out is None else out)
     out *= t
     np.exp(out, out=out)
@@ -63,17 +62,9 @@ def _phi(t, out=None):
     return out
 
 
-def _clamp_nonneg(out):
-    """max(out, 0) in place.  Far in the left tail the two terms of the
-    smoothed_pos_sq forms cancel, and rounding can leave a tiny negative
-    value; values that are already >= 0 pass unchanged."""
-    return np.maximum(out, 0.0, out=out)
-
-
-# Each kernel writes into its output and at most two scratch arrays of the
-# size of x, in place, evaluating the same expressions in the same order as
-# the closed forms in its comments, so the results are those forms bit for
-# bit.  x itself is never written.
+# loss_value works in place, evaluating the forms in its comments bit for bit,
+# because every line-search trial runs it while the accepted point's pass is
+# still alive: as closed forms the smoothed kinds peak at 4-5 arrays, not 2-3.
 
 def loss_value(spec: LossSpec, x):
     x = np.asarray(x, dtype=float)
@@ -82,7 +73,8 @@ def loss_value(spec: LossSpec, x):
     if spec.kind == QUADRATIC:
         np.multiply(x, x, out=out)
     elif spec.kind == SMOOTHED_POS_SQ:
-        # (x*x + eps^2) * ndtr(t) + x * eps * phi(t),  t = x / eps
+        # max((x*x + eps^2) * ndtr(t) + x * eps * phi(t), 0),  t = x / eps:
+        # far in the left tail the terms cancel and can round below 0
         t = np.divide(x, eps, out=np.empty_like(x))
         tmp = ndtr(t, out=np.empty_like(x))
         np.multiply(x, x, out=out)
@@ -92,7 +84,7 @@ def loss_value(spec: LossSpec, x):
         np.multiply(x, eps, out=t)
         t *= tmp
         out += t
-        _clamp_nonneg(out)
+        np.maximum(out, 0.0, out=out)
     else:
         # max(x, 0) + eps * log1p(exp(-|x| / eps)), the stable form of
         # x + eps*log(1+exp(-x/eps)); exact for both tails
@@ -109,56 +101,29 @@ def loss_value(spec: LossSpec, x):
 
 def loss_deriv1(spec: LossSpec, x):
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     eps = spec.epsilon
     if spec.kind == QUADRATIC:
-        np.multiply(2.0, x, out=out)
+        out = 2.0 * x
     elif spec.kind == SMOOTHED_POS_SQ:
-        # 2 * x * ndtr(t) + 2 * eps * phi(t),  t = x / eps
-        t = np.divide(x, eps, out=np.empty_like(x))
-        _phi(t, out=out)
-        out *= 2.0 * eps
-        ndtr(t, out=t)
-        tmp = np.multiply(2.0, x, out=np.empty_like(x))
-        tmp *= t
-        out += tmp
-        _clamp_nonneg(out)
+        t = x / eps
+        out = np.maximum(2.0 * x * ndtr(t) + 2.0 * eps * _phi(t), 0.0)
     else:
-        # the logistic function of t = x / eps without overflow:
-        # 1 / (1 + exp(-|t|)) where t >= 0, exp(-|t|) / (1 + exp(-|t|)) elsewhere
-        t = np.divide(x, eps, out=np.empty_like(x))
-        right = t >= 0
-        np.abs(t, out=t)
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.add(1.0, t, out=out)
-        np.copyto(t, 1.0, where=right)
-        np.divide(t, out, out=out)
+        t = x / eps
+        w = np.exp(-np.abs(t))        # the logistic function of t without overflow
+        out = np.where(t >= 0, 1.0, w) / (1.0 + w)
     return float(out) if out.ndim == 0 else out
 
 
 def loss_deriv2(spec: LossSpec, x):
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    eps = spec.epsilon
     if spec.kind == QUADRATIC:
-        out.fill(2.0)
+        out = np.full_like(x, 2.0)
     elif spec.kind == SMOOTHED_POS_SQ:
-        # 2 * ndtr(x / eps)
-        np.divide(x, eps, out=out)
-        ndtr(out, out=out)
-        out *= 2.0
+        out = 2.0 * ndtr(x / spec.epsilon)
     else:
-        # w / (eps * (1 + w)^2),  w = exp(-|x| / eps): the symmetric stable
-        # form of exp(x/eps) / (eps (1+exp(x/eps))^2)
-        w = np.abs(x, out=np.empty_like(x))
-        np.negative(w, out=w)
-        w /= eps
-        np.exp(w, out=w)
-        np.add(1.0, w, out=out)
-        np.square(out, out=out)
-        out *= eps
-        np.divide(w, out, out=out)
+        # the symmetric stable form of exp(x/eps) / (eps (1+exp(x/eps))^2)
+        w = np.exp(-np.abs(x) / spec.epsilon)
+        out = w / (spec.epsilon * np.square(1.0 + w))
     return float(out) if out.ndim == 0 else out
 
 

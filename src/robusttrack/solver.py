@@ -39,10 +39,10 @@ sqrt(eps) times the start point's, where the (alpha, beta) block of J turns
 singular to working precision.  Repeated solves at a fixed BLAS thread
 count are bitwise identical.
 
-Each pass over the N scenarios streams its arrays once.  The pass _estar
-and the loss kernels write in place into arrays of their own, R is stored
-column-major (see ScenarioSet), and the scalar entries of J read one set of
-moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2.
+The passes that every line-search trial runs, _estar and loss_value, work
+in place beside the accepted point's pass; R is stored column-major (see
+ScenarioSet), and the scalar entries of J read one set of moments of the
+pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2.
 
 solve_nonrobust is equality-constrained Newton on mean(l) from the quadratic
 loss's KKT point, where a quadratic loss stops; that point and each step are
@@ -78,7 +78,8 @@ class FeasibilityError(SolverError):
 
 
 class DegenerateScenariosError(SolverError):
-    """The losses are, or can be made, all equal: alpha collapses to 0."""
+    """alpha collapses to 0: the losses are, or can be made, all equal, or
+    eta admits the point mass on the largest loss (see solve_robust)."""
 
 
 class SingularSystemError(SolverError):
@@ -132,7 +133,9 @@ class RobustSolution:
 
 def _estar(L, lam, alpha, beta):
     """The pass (s, E*, E*^(1-lam)) over losses L, s = (L - beta)/alpha, in
-    three arrays of the size of L."""
+    three arrays of the size of L.  Kept in place because every line-search
+    trial runs it while the accepted point's pass is still alive: for lam > 0
+    its closed form would peak at 5 arrays of the size of L, not 3."""
     s = np.subtract(L, beta)
     s /= alpha
     if lam == 0.0:
@@ -153,11 +156,7 @@ def _mean_G(p, lam):
     the difference of two means of size 1 and rounds several times coarser,
     too coarse for a finite-difference check of J's divergence row."""
     s, e, _ = p
-    g = e * s
-    g /= lam + 1.0
-    g -= e
-    g += 1.0
-    return g.mean()
+    return (e * s / (lam + 1.0) - e + 1.0).mean()
 
 
 def _moments(p):
@@ -258,11 +257,8 @@ def _phi(alpha, beta, p, ball):
     """Phi(alpha, beta) = alpha eta + beta + alpha mean(G*(s)), with
     G*(s) = E* (1 + c s) - 1."""
     s, e, _ = p
-    g = np.multiply(ball.lam / (ball.lam + 1.0), s)
-    g += 1.0
-    g *= e
-    g -= 1.0
-    return alpha * ball.eta + beta + alpha * g.mean()
+    return (alpha * ball.eta + beta
+            + alpha * ((ball.lam / (ball.lam + 1.0) * s + 1.0) * e - 1.0).mean())
 
 
 def _kkt(u, alpha, x, p, scenarios, ball, spec):
@@ -341,7 +337,8 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
 
     Requires eta > 0 (a zero radius collapses the ball; use solve_nonrobust)
     and at least d + 3 scenarios.  Raises DegenerateScenariosError when the
-    losses are, or approach being, all equal (alpha collapses to 0), and
+    losses are, or approach being, all equal, or when eta reaches the largest
+    divergence of N scenarios (alpha collapses to 0), and
     NonConvergenceError with the smallest residual reached and the Newton
     steps taken when the residual tolerance is not met.
     """
@@ -351,11 +348,17 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
         raise ValueError("solve_robust requires eta > 0")
     if scenarios.n < d + 3:
         raise ValueError(f"need at least d+3={d+3} scenarios, got {scenarios.n}")
+    log_n = np.log(scenarios.n)        # a point mass's divergence is the largest
+    largest = log_n if ball.lam == 0.0 else np.expm1(ball.lam * log_n) / ball.lam
+    if ball.eta >= largest:
+        raise DegenerateScenariosError(
+            f"eta = {ball.eta:g} reaches the largest divergence {largest:.6g} of {scenarios.n} "
+            "scenarios: the worst case is the point mass on the largest loss, alpha = 0")
 
     u = np.full(d, 1.0 / d)
     x = _shortfall(scenarios, u)
     L = loss_value(spec, x)
-    spread0 = spread = float(L.max() - L.min())
+    spread0 = float(L.max() - L.min())
     if spread0 <= 1e-14 * max(1.0, float(np.abs(L).max())):
         raise DegenerateScenariosError(
             "all scenarios give the same payoff; the divergence and "
@@ -399,17 +402,15 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
                     "alpha collapse: the losses approach equality (the index is "
                     "replicable), so the worst case degenerates to alpha = 0")
             # warm start from the Newton step's multipliers; where that
-            # alpha is not positive, scale the current one with the spread
+            # alpha is not positive, from the small-ball estimate
             a_t = alpha + t * da
-            start = ((a_t, beta + t * db) if a_t > 0
-                     else (alpha * spread_t / spread, beta))
+            start = (a_t, beta + t * db) if a_t > 0 else ()
             a_t, b_t, p_t = _dual(L_t, ball, *start)
             phi_t = _phi(a_t, b_t, p_t, ball)
             if phi_t <= phi + 1e-4 * t * slope:
                 break
             t *= 0.5
         u, x, alpha, beta, p, phi = u_t, x_t, a_t, b_t, p_t, phi_t
-        spread = spread_t
     raise NonConvergenceError(
         f"robust solve did not reach residual tolerance {config.residual_tol}",
         residual_norm=best, iterations=config.max_iterations,

@@ -367,6 +367,14 @@ class TestSolve:
         })
         assert main(["solve", "--config", cfg]) == 3
 
+    def test_eta_beyond_the_largest_divergence_exits_3(self, tmp_path, capsys):
+        # at lam = 1 the largest divergence of 4000 scenarios is 3999
+        cfg = small_market_config(tmp_path, tmp_path / "out",
+                                  ball={"lambda": 1.0, "eta": 4100.0},
+                                  experiment={"n": 4000, "seed": 2})
+        assert main(["solve", "--config", cfg]) == 3
+        assert "largest divergence 3999 of 4000 scenarios" in capsys.readouterr().err
+
     def test_synthesized_index(self, tmp_path, monkeypatch):
         prices = independent_prices()
         weights = [0.1, 0.2, 0.3, 0.4]

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -442,11 +444,11 @@ class TestInnerTilt:
         assert solver._phi(alpha, beta, p, ball) == pytest.approx(best.fun, rel=1e-10)
 
 
-def _passes(monkeypatch):
+def _passes(monkeypatch, names=("_tilt", "_estar")):
     """The sizes of the loss vectors of every pass over the losses from now
-    on: the inner root's and _estar's."""
+    on: by default the inner root's and _estar's."""
     sizes = []
-    for name in ("_tilt", "_estar"):
+    for name in names:
         def counted(L, *args, fn=getattr(solver, name)):
             sizes.append(L.size)
             return fn(L, *args)
@@ -499,6 +501,40 @@ class TestSubsampleStart:
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _peak_arrays(call, n):
+    """The peak memory that call() allocates, under tracemalloc, in arrays
+    of n floats."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n)
+
+
+class TestTrialPathMemory:
+    """The passes that every line-search trial runs while the accepted
+    point's pass is still alive, loss_value and _estar, work in place: at
+    N = 2^16 each allocates at most 3 arrays of N floats.  Their closed
+    forms in tests/eager_reference.py peak at 5 (the smoothed_pos_sq loss,
+    and _estar for lam > 0)."""
+
+    N = 2 ** 16
+
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_loss_value(self, spec):
+        x = 0.01 * np.random.default_rng(31).standard_normal(self.N)
+        assert _peak_arrays(lambda: rt.loss_value(spec, x), self.N) <= 3.1
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_estar_beyond_its_input(self, lam):
+        loss = _losses(self.N, 32)
+        beta = float(np.quantile(loss, 0.6))
+        alpha = (beta - float(np.quantile(loss, 0.3))) * lam / (lam + 1.0) if lam else 0.01
+        assert _peak_arrays(lambda: _estar(loss, lam, alpha, beta), self.N) <= 3.1
 
 
 class TestInPlacePasses:
@@ -718,6 +754,36 @@ class TestReplicableWindows:
         with pytest.raises(rt.DegenerateScenariosError, match="alpha collapse"):
             rt.solve_robust(replicable_window(k), REPL_BALL, L1)
         assert len(steps) - 1 <= 30       # Newton steps: one l'' per accepted point
+
+    def test_collapse_restarts_the_inner_root_at_the_small_ball_estimate(self, monkeypatch):
+        # a trial whose Newton step takes alpha to 0 or below starts its
+        # inner root at the small-ball estimate; started from the current
+        # alpha scaled by the trial's loss spread, window 1 took 523 passes
+        sizes = _passes(monkeypatch, ("_tilt",))
+        with pytest.raises(rt.DegenerateScenariosError, match="alpha collapse"):
+            rt.solve_robust(replicable_window(1), REPL_BALL, L1)
+        assert len(sizes) <= 470
+
+
+class TestLargestDivergence:
+    """No distribution on N scenarios lies further from the nominal than a
+    point mass on one of them, at mean G = log N for lam = 0 and
+    expm1(lam log N)/lam otherwise.  A radius at or beyond that holds the
+    point mass on the largest loss, so alpha = 0."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    def test_raises_before_the_first_pass(self, scenarios4k, lam, monkeypatch):
+        n = scenarios4k.n
+        largest = np.log(n) if lam == 0.0 else np.expm1(lam * np.log(n)) / lam
+        # mean G of the point mass E = N on one scenario, G(0) = 1 elsewhere
+        assert largest == pytest.approx((rt.scalar_G(float(n), lam) + n - 1.0) / n,
+                                        rel=1e-12)
+        sizes = _passes(monkeypatch)
+        for eta in (largest, 1.01 * largest):
+            with pytest.raises(rt.DegenerateScenariosError,
+                               match=re.escape(f"largest divergence {largest:.6g} of {n}")):
+                rt.solve_robust(scenarios4k, rt.DivergenceBall(lam, eta), L1)
+        assert sizes == []
 
 
 class TestNonConvergenceReport:
