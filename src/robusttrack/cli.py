@@ -28,12 +28,12 @@ from . import __version__
 from .divergence import (DivergenceBall, divergence_gaussian,
                          divergence_gaussian_equal_cov, eta_from_ratio_mc,
                          k_from_eta)
-from .evaluate import (BacktestConfig, RowConfig, backtest_sliding,
-                       run_table, write_backtest_json, write_json,
-                       write_plot_csv, write_table_csv, write_table_json)
+from .evaluate import (BacktestConfig, RowConfig, backtest_sliding, draw_scenarios, run_table,
+                       write_backtest_json, write_json, write_plot_csv, write_table_csv,
+                       write_table_json)
 from .loss import LossSpec
 from .model import (DataError, IndexComposition, NominalModel, load_prices_csv,
-                    sample_model, scenarios_from, synthesize_index)
+                    scenarios_from, synthesize_index)
 from .solver import (SolverConfig, SolverError, hessian_diagnostic,
                      solve_nonrobust, solve_robust)
 
@@ -151,8 +151,8 @@ def _divergence_rows(**ball):
 
 def _draws(n, n_ratio, seed) -> dict:
     """The experiment block's draw counts and seed, which only the CLI reads."""
-    if n < 1 or (n_ratio is not None and n_ratio < 1) or seed < 0:
-        raise ValueError(f"n and n_ratio must be >= 1 and seed >= 0, "
+    if n < 1 or (n_ratio is not None and n_ratio < 2) or seed < 0:
+        raise ValueError(f"n must be >= 1, n_ratio >= 2 and seed >= 0, "
                          f"got n={n}, n_ratio={n_ratio}, seed={seed}")
     return {"n": n, "n_ratio": n_ratio, "seed": seed}
 
@@ -301,12 +301,8 @@ def cmd_solve(cfg: dict) -> int:
     ball = _read(cfg, "ball", _ball, _BALL, need=("lambda", "eta"))
     solver_cfg = _read(cfg, "solver", SolverConfig, _SOLVER, optional=True)
     out = _out_dir(cfg)
-    if "data" in cfg:
-        scen = scenarios_from(*_csv_returns(cfg))
-    else:
-        model, comp, tracked = _market(cfg)
-        draws = sample_model(model, exp["n"], exp["seed"])
-        scen = scenarios_from(draws[:, tracked], synthesize_index(draws, comp))
+    scen = (scenarios_from(*_csv_returns(cfg)) if "data" in cfg
+            else draw_scenarios(*_market(cfg), exp["n"], exp["seed"]))
 
     u_non = solve_nonrobust(scen, spec)
     sol = solve_robust(scen, ball, spec, solver_cfg)

@@ -1,4 +1,7 @@
-"""Performance metrics, the simulation-table driver and the sliding backtest.
+"""Performance metrics, the scenario builder, the table driver and the backtest.
+
+Every sampled scenario set, the table's and ``track solve``'s, is drawn by
+``draw_scenarios``.
 
 Comparison conventions
 ----------------------
@@ -8,9 +11,10 @@ max(x,0) for the smoothed specs.  The smoothed losses exist for the solvers'
 derivatives; the raw one-sided losses are exactly zero whenever the
 portfolio matches or beats the index, which makes the "both losses zero"
 ties of the exclude variant well defined.  Every metric of a portfolio is
-a function of its shortfall x = B - R'u, formed once per portfolio: expected
-tracking error (ETE) is the mean spec loss l(x), as in ``tracking_error``,
-and expected excess over the index (EEI) is the mean of -x.
+a function of its shortfall x = B - R'u, ``ScenarioSet.shortfall``, formed
+once per portfolio: expected tracking error (ETE) is the mean spec loss
+l(x), as in ``tracking_error``, and expected excess over the index (EEI) is
+the mean of -x.
 """
 
 from __future__ import annotations
@@ -53,17 +57,9 @@ class ComparisonReport:
     tie_count: int
 
 
-def _shortfall(u, scenarios: ScenarioSet) -> np.ndarray:
-    """Per-scenario shortfall B - R'u of the portfolio u against the index."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (scenarios.d,):
-        raise ValueError("weight dimension does not match the scenario set")
-    return scenarios.B - scenarios.R @ u
-
-
 def tracking_error(u, scenarios: ScenarioSet, spec: LossSpec = LossSpec.quadratic()) -> np.ndarray:
     """Per-scenario tracking loss; (u'R - B)^2 for the quadratic spec."""
-    return loss_value(spec, _shortfall(u, scenarios))
+    return loss_value(spec, scenarios.shortfall(u))
 
 
 def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet,
@@ -74,8 +70,8 @@ def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet,
     variant drops scenarios where both raw losses are <= TIE_TOL from
     numerator and denominator, and is NaN when no scenario survives.
     """
-    x_r = _shortfall(u_robust, actual_scenarios)
-    x_n = _shortfall(u_nonrobust, actual_scenarios)
+    x_r = actual_scenarios.shortfall(u_robust)
+    x_n = actual_scenarios.shortfall(u_nonrobust)
     raw_r = raw_loss_value(spec, x_r)
     raw_n = raw_loss_value(spec, x_n)
     wins = raw_r <= raw_n
@@ -119,6 +115,8 @@ class RowConfig:
             raise ValueError("lam must be finite and >= 0")
         if self.eta is not None and not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError("eta must be finite and > 0")
+        if self.k is not None and not np.isfinite(self.k):
+            raise ValueError("k must be finite")
 
 
 @dataclass
@@ -141,6 +139,13 @@ class TableRow:
         return self.report is not None
 
 
+def draw_scenarios(model: NominalModel, composition: IndexComposition,
+                   tracked: Sequence[int], n: int, seed: int) -> ScenarioSet:
+    """n scenarios from the model: the tracked assets against the composition's index."""
+    draws = sample_model(model, n, seed)
+    return scenarios_from(draws[:, tracked], synthesize_index(draws, composition))
+
+
 def _row_seeds(seed: int, n_rows: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(3 * n_rows, np.uint64)
 
@@ -152,19 +157,17 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
     """Fit robust and non-robust portfolios per row and compare on actual draws.
 
     Per row: resolve (eta, k); draw n fit scenarios from the nominal model;
-    solve both portfolios; draw n scenarios from the mean-scaled actual
-    model; emit a ComparisonReport.  Both portfolios are always evaluated on
-    the identical draw set (common random numbers).  Solver failures are
-    annotated on the row instead of aborting the table.
+    solve both portfolios and release the fit set; draw n scenarios from the
+    mean-scaled actual model, alive only for their ComparisonReport.  Both
+    portfolios are always evaluated on the identical draw set (common random
+    numbers).  Solver failures are annotated on the row, not raised.
     """
     tracked = list(tracked_assets)
     n_ratio = n_ratio or n
     states = _row_seeds(seed, len(grid))
     rows = []
     for i, rc in enumerate(grid):
-        seed_fit = int(states[3 * i])
-        seed_eval = int(states[3 * i + 1])
-        seed_ratio = int(states[3 * i + 2])
+        seed_fit, seed_eval, seed_ratio = map(int, states[3 * i:3 * i + 3])
         eta_se = 0.0
         if rc.eta is not None:
             eta = rc.eta
@@ -186,21 +189,18 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
         row = TableRow(lam=rc.lam, eta=eta, k=k, eta_std_error=eta_se,
                        seed_fit=seed_fit, seed_eval=seed_eval)
         rows.append(row)
-        fit_draws = sample_model(nominal, n, seed_fit)
-        fit = scenarios_from(fit_draws[:, tracked],
-                             synthesize_index(fit_draws, composition))
         ball = DivergenceBall(lam=rc.lam, eta=max(eta, ETA_FLOOR))
+        fit = draw_scenarios(nominal, composition, tracked, n, seed_fit)
         u_non = solve_nonrobust(fit, spec)
         try:
             sol = solve_robust(fit, ball, spec, solver_config)
         except SolverError as exc:
             row.solver_message = str(exc)
             continue
-
-        eval_draws = sample_model(nominal.with_mean_scaled(k), n, seed_eval)
-        eval_set = scenarios_from(eval_draws[:, tracked],
-                                  synthesize_index(eval_draws, composition))
-        row.report = compare(sol.u, u_non, eval_set, spec)
+        finally:
+            del fit
+        row.report = compare(sol.u, u_non, draw_scenarios(
+            nominal.with_mean_scaled(k), composition, tracked, n, seed_eval), spec)
         row.residual_norm, row.iterations = sol.residual_norm, sol.iterations
     return rows
 
@@ -294,15 +294,15 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
 
     # step s holds the weights fitted on rows [s, s + window) and is applied
     # to the gross returns of row s + window
-    R_out = 1.0 + r[cfg.window:total]
-    B_out = 1.0 + b[cfg.window:total]
+    panel = scenarios_from(r[:total], b[:total])
+    R_out, B_out = panel.R[cfg.window:], panel.B[cfg.window:]
     port_r = (R_out * W_rob).sum(axis=1)
     x_r = B_out - port_r
     x_n = B_out - (R_out * W_non).sum(axis=1)
     loss_r = loss_value(cfg.loss, x_r)
     loss_n = loss_value(cfg.loss, x_n)
     fitted_in = (np.full(cfg.window, np.nan) if np.isnan(ete_in["robust"])
-                 else (1.0 + r[:cfg.window]) @ W_rob[0])
+                 else panel.R[:cfg.window] @ W_rob[0])
 
     return BacktestResult(
         weights_robust=W_rob, weights_nonrobust=W_non,
@@ -313,7 +313,7 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
         ete_in_robust=ete_in["robust"], ete_in_nonrobust=ete_in["nonrobust"],
         ete_out_robust=float(loss_r.mean()), ete_out_nonrobust=float(loss_n.mean()),
         flagged_steps=flagged, window_bounds=bounds,
-        plot_periods=np.arange(total), plot_observed=1.0 + b[:total],
+        plot_periods=np.arange(total), plot_observed=panel.B,
         plot_fitted=np.concatenate([fitted_in, port_r]),
     )
 

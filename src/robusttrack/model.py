@@ -138,6 +138,14 @@ class ScenarioSet:
     def d(self) -> int:
         return self.R.shape[1]
 
+    def shortfall(self, u) -> np.ndarray:
+        """Per-scenario shortfall x = B - R'u of the portfolio u, in one array."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.d,):
+            raise ValueError("weight dimension does not match the scenario set")
+        x = self.R @ u
+        return np.subtract(self.B, x, out=x)
+
 
 def sample_model(model: NominalModel, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. simple-return rows from the model.

@@ -303,17 +303,11 @@ def _kkt(u, alpha, x, p, scenarios, ball, spec):
     return F, J
 
 
-def _shortfall(scenarios, u):
-    """x = B - R'u, formed in one array."""
-    x = scenarios.R @ u
-    return np.subtract(scenarios.B, x, out=x)
-
-
 def _system(u, alpha, beta, theta, scenarios, ball, spec):
     if alpha <= 0:
         raise FeasibilityError("infeasible point: alpha <= 0")
     u, alpha, beta = np.asarray(u, dtype=float), float(alpha), float(beta)
-    x = _shortfall(scenarios, u)
+    x = scenarios.shortfall(u)
     p = _estar(loss_value(spec, x), ball.lam, alpha, beta)
     F, J = _kkt(u, alpha, x, p, scenarios, ball, spec)
     F[:scenarios.d] -= float(theta)
@@ -356,7 +350,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             "scenarios: the worst case is the point mass on the largest loss, alpha = 0")
 
     u = np.full(d, 1.0 / d)
-    x = _shortfall(scenarios, u)
+    x = scenarios.shortfall(u)
     L = loss_value(spec, x)
     spread0 = float(L.max() - L.min())
     if spread0 <= 1e-14 * max(1.0, float(np.abs(L).max())):
@@ -394,7 +388,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
                     f"robust solve stalled above residual tolerance "
                     f"{config.residual_tol}", residual_norm=best, iterations=it)
             u_t = u + t * du
-            x_t = _shortfall(scenarios, u_t)
+            x_t = scenarios.shortfall(u_t)
             L_t = loss_value(spec, x_t)
             spread_t = float(L_t.max() - L_t.min())
             if spread_t < _COLLAPSE * spread0:
@@ -445,7 +439,7 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
 
     u = _bordered(2.0 * R.T @ R / N, 2.0 * R.T @ B / N, 1.0,
                   "singular tracking KKT system")
-    x = _shortfall(scenarios, u)
+    x = scenarios.shortfall(u)
     f0 = loss_value(spec, x).mean()
     for _ in range(100):
         grad = -(R.T @ loss_deriv1(spec, x)) / N
@@ -460,7 +454,7 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
             break
         t = 1.0
         while t > 1e-14:
-            x_t = _shortfall(scenarios, u + t * step)
+            x_t = scenarios.shortfall(u + t * step)
             f_new = loss_value(spec, x_t).mean()
             if f_new < f0:
                 break
@@ -481,7 +475,7 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     for alpha > 0, so the result should not exceed roundoff times the
     problem scale.
     """
-    x = _shortfall(scenarios, solution.u)
+    x = scenarios.shortfall(solution.u)
     e = solution.estar
     s = (loss_value(spec, x) - solution.beta) / solution.alpha
     w = np.power(e, 1.0 - ball.lam, out=np.zeros_like(e), where=e > 0.0)

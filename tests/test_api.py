@@ -54,6 +54,11 @@ def test_deleted_names_absent():
     assert not hasattr(rt.DivergenceBall, "is_kl")
     assert not hasattr(rt.LossSpec, "is_one_sided")
     assert [f.name for f in dataclasses.fields(rt.LoadedPrices)] == ["returns", "columns"]
+    # the shortfall is ScenarioSet.shortfall, and the CLI draws through
+    # evaluate.draw_scenarios
+    for module in (rt.solver, rt.evaluate):
+        assert not hasattr(module, "_shortfall"), module.__name__
+    assert not hasattr(cli, "sample_model")
 
 
 def test_option_counts():

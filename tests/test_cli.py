@@ -118,10 +118,11 @@ class TestSimulateHeavyTail:
 
 @pytest.fixture
 def no_draws(monkeypatch):
-    """Fails a test that draws scenarios: a config error is found first."""
+    """Fails a test that draws scenarios: a config error is found first.
+    The CLI draws only through these two modules."""
     def sample_model(*args):
         raise AssertionError("sample_model called before the config was read")
-    for module in (cli, divergence, evaluate):
+    for module in (divergence, evaluate):
         monkeypatch.setattr(module, "sample_model", sample_model)
 
 
@@ -186,11 +187,13 @@ class TestConfigErrors:
         ("simulate", "experiment", {"seed": True}, "experiment"),
         ("simulate", "experiment", {"n": 2000.7}, "experiment"),
         ("solve", "solver", {"max_iterations": 2.5}, "solver"),
+        ("simulate", "ball", {"k_grid": [float("nan")]}, "ball"),
+        ("simulate", "experiment", {"n_ratio": 1}, "experiment"),
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
             "eta-null", "max_iterations-null", "window-list", "loss-kind-list",
             "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
             "out_dir-null", "residual_tol-nan", "window-fraction", "seed-true",
-            "n-fraction", "max_iterations-fraction"])
+            "n-fraction", "max_iterations-fraction", "k_grid-nan", "n_ratio-one"])
     def test_wrongly_typed_value(self, tmp_path, capsys, no_draws,
                                  command, block, entry, path):
         # a value of the wrong type or outside its domain is a config error

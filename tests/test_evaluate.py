@@ -155,6 +155,22 @@ class TestRunTable:
                             n=4000, seed=3, n_ratio=50_000)
         assert rows[0].eta > 0 and rows[0].eta_std_error > 0
 
+    def test_one_scenario_set_alive(self, gaussian5, composition5):
+        # a row's solves run with only its fit set alive, and its evaluation
+        # set lives only for its comparison: at N = 2^16 the three rows peak
+        # at 20 arrays of N floats
+        n = 2 ** 16
+        grid = [rt.RowConfig(lam=0.1, eta=eta) for eta in (0.1, 0.5, 1.0)]
+        tracemalloc.start()
+        try:
+            rows = rt.run_table(gaussian5, composition5, [0, 1, 2, 3], grid, L1,
+                                n=n, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(row.converged for row in rows)
+        assert peak / (8 * n) <= 21.0
+
     def test_row_config_validation(self):
         with pytest.raises(ValueError):
             rt.RowConfig(lam=0.1)
@@ -162,8 +178,8 @@ class TestRunTable:
             rt.RowConfig(lam=0.1, eta=0.5, k=2.0)
         for bad in ({"lam": float("nan"), "eta": 0.5}, {"lam": -0.1, "k": 2.0},
                     {"lam": 0.1, "eta": 0.0}, {"lam": 0.1, "eta": -1.0},
-                    {"lam": 0.1, "eta": float("nan")}):
-            with pytest.raises(ValueError, match="lam must|eta must"):
+                    {"lam": 0.1, "eta": float("nan")}, {"lam": 0.1, "k": float("inf")}):
+            with pytest.raises(ValueError, match="lam must|eta must|k must"):
                 rt.RowConfig(**bad)
 
 
