@@ -12,11 +12,10 @@ from .loss import LossSpec, loss_deriv1, loss_deriv2, loss_value, payoff_H, raw_
 from .model import (DataError, IndexComposition, LoadedPrices, NominalModel,
                     ScenarioSet, load_prices_csv, sample_model, scenarios_from,
                     synthesize_index)
-from .solver import (DegenerateScenariosError, FeasibilityError,
-                     NonConvergenceError, RobustSolution, SingularSystemError,
-                     SolverConfig, SolverError, hessian_diagnostic,
-                     solve_nonrobust, solve_robust, system_jacobian,
-                     system_residual)
+from .solver import (DegenerateScenariosError, NonConvergenceError,
+                     RobustSolution, SingularSystemError, SolverConfig,
+                     SolverError, hessian_diagnostic, solve_nonrobust,
+                     solve_robust, system_jacobian, system_residual)
 
 __all__ = [
     "__version__",
@@ -31,7 +30,7 @@ __all__ = [
     "DataError", "IndexComposition", "LoadedPrices", "NominalModel",
     "ScenarioSet", "load_prices_csv", "sample_model", "scenarios_from",
     "synthesize_index",
-    "DegenerateScenariosError", "FeasibilityError", "NonConvergenceError",
+    "DegenerateScenariosError", "NonConvergenceError",
     "RobustSolution", "SingularSystemError", "SolverConfig", "SolverError",
     "hessian_diagnostic", "solve_nonrobust", "solve_robust",
     "system_jacobian", "system_residual",

@@ -285,13 +285,17 @@ def _composition(weights, dim: int) -> IndexComposition:
     return comp
 
 
-def _market(cfg: dict):
+def _market(cfg: dict, n: int):
     """(model, composition, tracked assets) of a parametric config; the
-    tracked list is required, since tracking every asset replicates the index."""
+    tracked list is required, since tracking every asset replicates the index,
+    and the robust solve of d tracked assets needs n >= d + 3 scenarios."""
     model = _read(cfg, "model", _model, _MODEL, need=("kind",))
     comp = _read(cfg, "composition", lambda w: _composition(w, model.dim))
     tracked = _read(cfg, "tracked_assets",
                     lambda t: _columns(t, model.dim, "tracked_assets"))
+    if n < len(tracked) + 3:
+        raise ConfigError("experiment.n", f"need at least d+3={len(tracked) + 3} scenarios "
+                                          f"for {len(tracked)} tracked assets, got {n}")
     return model, comp, tracked
 
 
@@ -302,7 +306,7 @@ def cmd_solve(cfg: dict) -> int:
     solver_cfg = _read(cfg, "solver", SolverConfig, _SOLVER, optional=True)
     out = _out_dir(cfg)
     scen = (scenarios_from(*_csv_returns(cfg)) if "data" in cfg
-            else draw_scenarios(*_market(cfg), exp["n"], exp["seed"]))
+            else draw_scenarios(*_market(cfg, exp["n"]), exp["n"], exp["seed"]))
 
     u_non = solve_nonrobust(scen, spec)
     sol = solve_robust(scen, ball, spec, solver_cfg)
@@ -336,7 +340,7 @@ def cmd_simulate(cfg: dict) -> int:
     exp = _experiment(cfg)
     spec = _read(cfg, "loss", _loss, _LOSS, optional=True)
     solver_cfg = _read(cfg, "solver", SolverConfig, _SOLVER, optional=True)
-    model, comp, tracked = _market(cfg)
+    model, comp, tracked = _market(cfg, exp["n"])
     grid = _read(cfg, "ball", _grid, _BALL, need=("lambda",))
     out = _out_dir(cfg)
     rows = run_table(model, comp, tracked, grid, spec, n=exp["n"], seed=exp["seed"],

@@ -240,7 +240,6 @@ class BacktestResult:
     ete_out_nonrobust: float
     flagged_steps: list = field(default_factory=list)
     window_bounds: list = field(default_factory=list)
-    plot_periods: np.ndarray = None
     plot_observed: np.ndarray = None
     plot_fitted: np.ndarray = None
 
@@ -312,8 +311,7 @@ def backtest_sliding(asset_returns: np.ndarray, index_returns: np.ndarray,
         bt_steps=cfg.out_of_sample,
         ete_in_robust=ete_in["robust"], ete_in_nonrobust=ete_in["nonrobust"],
         ete_out_robust=float(loss_r.mean()), ete_out_nonrobust=float(loss_n.mean()),
-        flagged_steps=flagged, window_bounds=bounds,
-        plot_periods=np.arange(total), plot_observed=panel.B,
+        flagged_steps=flagged, window_bounds=bounds, plot_observed=panel.B,
         plot_fitted=np.concatenate([fitted_in, port_r]),
     )
 
@@ -349,18 +347,6 @@ def write_table_csv(rows: Sequence[TableRow], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def table_rows_as_dicts(rows: Sequence[TableRow]) -> list:
-    """Each row's fields less its report, the report's fields and converged."""
-    out = []
-    for row in rows:
-        rec = {key: value for key, value in vars(row).items() if key != "report"}
-        rec["converged"] = row.converged
-        if row.report is not None:
-            rec.update(vars(row.report))
-        out.append(rec)
-    return out
-
-
 def write_json(payload, path) -> None:
     """Indented JSON with sorted keys and a trailing newline: the one format
     of every JSON file the package writes."""
@@ -371,14 +357,21 @@ def write_json(payload, path) -> None:
 
 def write_table_json(rows: Sequence[TableRow], path) -> None:
     """Full-precision JSON mirror including seeds and solver diagnostics."""
-    write_json(table_rows_as_dicts(rows), path)
+    records = []
+    for row in rows:
+        rec = {key: value for key, value in vars(row).items() if key != "report"}
+        rec["converged"] = row.converged
+        if row.report is not None:
+            rec.update(vars(row.report))
+        records.append(rec)
+    write_json(records, path)
 
 
 def write_plot_csv(result: BacktestResult, path) -> None:
     """Figure series: period index, observed gross index, fitted robust value."""
     lines = ["period,observed,fitted"]
-    for p, o, f in zip(result.plot_periods, result.plot_observed, result.plot_fitted):
-        lines.append(f"{int(p)},{float(o)!r},{float(f)!r}")
+    for p, (o, f) in enumerate(zip(result.plot_observed, result.plot_fitted)):
+        lines.append(f"{p},{float(o)!r},{float(f)!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

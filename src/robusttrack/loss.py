@@ -1,4 +1,4 @@
-"""Tracking losses and the negative-loss payoff used by the solvers.
+"""Tracking losses and the negative-loss payoff of the paper's formulation.
 
 Three loss kinds on the shortfall x = B - R'u:
 
@@ -8,8 +8,8 @@ Three loss kinds on the shortfall x = B - R'u:
     smoothed_plus:    l(x) = x + eps log(1 + exp(-x/eps)),
                       the smooth-plus surrogate for max(x, 0)
 
-The payoff is H(u) = -l(B - R'u); for the quadratic kind this equals
--(R'u - B)^2.
+The payoff is H(u) = -l(B - R'u), -(R'u - B)^2 for the quadratic kind.
+No solver calls payoff_H; it gives H and its gradient for checks.
 """
 
 from __future__ import annotations

@@ -42,10 +42,6 @@ class IndexComposition:
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"index weights must sum to 1, got {w.sum()!r}")
 
-    @property
-    def n_assets(self) -> int:
-        return self.weights.size
-
 
 @dataclass(frozen=True)
 class NominalModel:
@@ -171,10 +167,10 @@ def sample_model(model: NominalModel, n: int, seed: int) -> np.ndarray:
 def synthesize_index(asset_returns: np.ndarray, comp: IndexComposition) -> np.ndarray:
     """Per-row index simple return b_i = w' r_i."""
     r = np.asarray(asset_returns, dtype=float)
-    if r.ndim != 2 or r.shape[1] != comp.n_assets:
+    if r.ndim != 2 or r.shape[1] != comp.weights.size:
         raise ValueError(
             f"asset return columns ({r.shape[1] if r.ndim == 2 else '?'}) "
-            f"do not match composition size ({comp.n_assets})"
+            f"do not match composition size ({comp.weights.size})"
         )
     return r @ comp.weights
 
@@ -187,10 +183,17 @@ def scenarios_from(asset_returns: np.ndarray, index_returns: np.ndarray) -> Scen
 
 @dataclass(frozen=True)
 class LoadedPrices:
-    """Simple returns derived from a price CSV plus column metadata."""
+    """Simple returns derived from a price CSV."""
 
     returns: np.ndarray             # (T-1, n_cols) simple returns
-    columns: Optional[list] = None  # header names if the file had a header row
+
+
+def _number(cell):
+    """The float a CSV cell holds, or None."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
 
 
 def load_prices_csv(path) -> LoadedPrices:
@@ -201,31 +204,25 @@ def load_prices_csv(path) -> LoadedPrices:
     rejected rather than imputed.
     """
     rows = []
-    header = None
+    header_width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for line_no, rec in enumerate(csv.reader(fh), start=1):
             if not rec or all(cell.strip() == "" for cell in rec):
                 continue
-            try:
-                rows.append([float(cell) for cell in rec])
-            except ValueError:
-                def _numeric(cell):
-                    try:
-                        float(cell)
-                        return True
-                    except ValueError:
-                        return False
-                # only a fully non-numeric first row counts as a header
-                if header is None and not rows and not any(map(_numeric, rec)):
-                    header = [cell.strip() for cell in rec]
-                    continue
+            values = [_number(cell) for cell in rec]
+            if None not in values:
+                rows.append(values)
+            # only a fully non-numeric first row counts as a header
+            elif header_width is None and not rows and all(v is None for v in values):
+                header_width = len(values)
+            else:
                 raise DataError(f"{path}: non-numeric cell on line {line_no}")
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 price rows, got {len(rows)}")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DataError(f"{path}: ragged rows (expected {width} columns)")
-    if header is not None and len(header) != width:
+    if header_width not in (None, width):
         raise DataError(f"{path}: header width does not match data width")
     prices = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(prices)):
@@ -233,4 +230,4 @@ def load_prices_csv(path) -> LoadedPrices:
     if np.any(prices <= 0):
         raise DataError(f"{path}: prices must be strictly positive")
     returns = prices[1:] / prices[:-1] - 1.0
-    return LoadedPrices(returns=returns, columns=header)
+    return LoadedPrices(returns=returns)

@@ -73,10 +73,6 @@ class SolverError(RuntimeError):
     """Base class for solver failures."""
 
 
-class FeasibilityError(SolverError):
-    """A point with alpha <= 0 was evaluated."""
-
-
 class DegenerateScenariosError(SolverError):
     """alpha collapses to 0: the losses are, or can be made, all equal, or
     eta admits the point mass on the largest loss (see solve_robust)."""
@@ -305,7 +301,7 @@ def _kkt(u, alpha, x, p, scenarios, ball, spec):
 
 def _system(u, alpha, beta, theta, scenarios, ball, spec):
     if alpha <= 0:
-        raise FeasibilityError("infeasible point: alpha <= 0")
+        raise ValueError("infeasible point: alpha <= 0")
     u, alpha, beta = np.asarray(u, dtype=float), float(alpha), float(beta)
     x = scenarios.shortfall(u)
     p = _estar(loss_value(spec, x), ball.lam, alpha, beta)

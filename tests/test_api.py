@@ -53,7 +53,12 @@ def test_deleted_names_absent():
     assert not hasattr(rt.NominalModel, "covariance")
     assert not hasattr(rt.DivergenceBall, "is_kl")
     assert not hasattr(rt.LossSpec, "is_one_sided")
-    assert [f.name for f in dataclasses.fields(rt.LoadedPrices)] == ["returns", "columns"]
+    assert [f.name for f in dataclasses.fields(rt.LoadedPrices)] == ["returns"]
+    # values no caller read
+    assert not hasattr(rt, "FeasibilityError")
+    assert not hasattr(rt.IndexComposition, "n_assets")
+    assert "plot_periods" not in [f.name for f in dataclasses.fields(rt.BacktestResult)]
+    assert not hasattr(rt.evaluate, "table_rows_as_dicts")
     # the shortfall is ScenarioSet.shortfall, and the CLI draws through
     # evaluate.draw_scenarios
     for module in (rt.solver, rt.evaluate):

@@ -80,6 +80,27 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg2, "--seed", "99"]) == 0
         assert (out1 / "table.csv").read_bytes() != (out2 / "table.csv").read_bytes()
 
+    def test_failed_row_is_annotated(self, tmp_path, capsys):
+        # eta 10 reaches the largest divergence of 50 scenarios, 4.79, so the
+        # second row fails before any inner pass; the first row stands, the
+        # failure is reported on its row and the command exits 3
+        out = tmp_path / "out"
+        cfg = small_market_config(tmp_path, out, experiment={"n": 50, "seed": 3},
+                                  ball={"lambda": 0.1, "eta_grid": [0.1, 10.0], "sign": "-"})
+        assert main(["simulate", "--config", cfg]) == 3
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("eta=0.1 k=-2.2158: BT=")
+        assert printed[1].startswith("eta=10 k=-25.8397: solver failed: eta = 10 reaches "
+                                     "the largest divergence 4.78758 of 50 scenarios")
+        csv_rows = (out / "table.csv").read_text().splitlines()[2:]
+        assert csv_rows[0].startswith("0.1,0.1,") and csv_rows[0].endswith(",0,50,True")
+        assert csv_rows[1] == "0.1,10.0,-25.83973191321563,,,,,,,,,,,False"
+        first, second = json.loads((out / "table.json").read_text())
+        assert (first["converged"], first["solver_message"]) == (True, "")
+        assert second["converged"] is False
+        assert second["solver_message"].startswith("eta = 10 reaches the largest divergence")
+        assert "bt_percent" not in second and second["iterations"] is None
+
 
 class TestSimulateHeavyTail:
     def test_student_t_k_grid(self, tmp_path):
@@ -189,11 +210,14 @@ class TestConfigErrors:
         ("solve", "solver", {"max_iterations": 2.5}, "solver"),
         ("simulate", "ball", {"k_grid": [float("nan")]}, "ball"),
         ("simulate", "experiment", {"n_ratio": 1}, "experiment"),
+        ("simulate", "experiment", {"n": 5}, "experiment.n"),
+        ("solve", "experiment", {"n": 5}, "experiment.n"),
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
             "eta-null", "max_iterations-null", "window-list", "loss-kind-list",
             "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
             "out_dir-null", "residual_tol-nan", "window-fraction", "seed-true",
-            "n-fraction", "max_iterations-fraction", "k_grid-nan", "n_ratio-one"])
+            "n-fraction", "max_iterations-fraction", "k_grid-nan", "n_ratio-one",
+            "simulate-n-below-d3", "solve-n-below-d3"])
     def test_wrongly_typed_value(self, tmp_path, capsys, no_draws,
                                  command, block, entry, path):
         # a value of the wrong type or outside its domain is a config error

@@ -214,7 +214,7 @@ class TestBacktest:
     def test_plot_series_lengths(self):
         r, b = self.synthetic()
         res = rt.backtest_sliding(r, b, self._config())
-        assert len(res.plot_periods) == 48
+        assert len(res.plot_fitted) == 48
         assert len(res.plot_observed) == 48
         assert np.allclose(res.plot_observed, 1.0 + b[:48])
 

@@ -208,7 +208,6 @@ class TestLoadPricesCsv:
 
     def test_header_row(self, tmp_path):
         loaded = rt.load_prices_csv(self._write(tmp_path, "idx,a\n100,50\n110,55\n"))
-        assert loaded.columns == ["idx", "a"]
         assert np.allclose(loaded.returns, [[0.1, 0.1]])
 
     @pytest.mark.parametrize("text,match", [
@@ -216,6 +215,11 @@ class TestLoadPricesCsv:
         ("100\n", "at least 2"),
         ("100,2\n101\n", "ragged"),
         ("100\n-5\n", "strictly positive"),
+        # the one rule: a row of numbers is data, and only a first row
+        # without any number is a header
+        ("idx,a\nx,y\n100,50\n110,55\n", "non-numeric cell on line 2"),
+        ("100,50\nidx,a\n110,55\n", "non-numeric cell on line 2"),
+        ("idx\n100,50\n110,55\n", "header width"),
     ])
     def test_rejects_bad_input(self, tmp_path, text, match):
         with pytest.raises(rt.DataError, match=match):

@@ -87,7 +87,7 @@ class TestEstarValue:
     def test_requires_positive_alpha(self, scenarios4k):
         u = np.full(scenarios4k.d, 1.0 / scenarios4k.d)
         for alpha in (0.0, -0.01):
-            with pytest.raises(rt.FeasibilityError, match="alpha <= 0"):
+            with pytest.raises(ValueError, match="alpha <= 0"):
                 rt.system_residual(u, alpha, 0.0, 0.0, scenarios4k,
                                    rt.DivergenceBall(0.1, 0.5), QUAD)
 
@@ -806,6 +806,15 @@ class TestNonConvergenceReport:
         with pytest.raises(rt.NonConvergenceError, match="stalled") as info:
             rt.solve_robust(scenarios4k, rt.DivergenceBall(10.0, 2.0), QUAD)
         assert info.value.iterations <= 10
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_inner_root_that_runs_out_of_steps(self, scenarios4k, lam, monkeypatch):
+        # one step cannot take the inner root from the small-ball estimate
+        # to its tolerance; the solve raises the root's own error
+        monkeypatch.setattr(solver, "_INNER_STEPS", 1)
+        with pytest.raises(rt.NonConvergenceError,
+                           match=r"^inner \(alpha, beta\) root did not converge$"):
+            rt.solve_robust(scenarios4k, rt.DivergenceBall(lam, 2.0), L1)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
