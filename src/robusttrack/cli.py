@@ -134,6 +134,8 @@ def _ball(**ball) -> DivergenceBall:
 def _grid(sign="-", **ball) -> list:
     """The table rows of the ball block: eta_grid, else k_grid, else eta."""
     lam = ball["lambda"]
+    if any(name in ball and not ball[name] for name in ("eta_grid", "k_grid")):
+        raise ValueError("eta_grid and k_grid must not be empty")
     if "eta_grid" in ball:
         return [RowConfig(lam=lam, eta=e, sign=sign) for e in ball["eta_grid"]]
     if "k_grid" in ball:
@@ -197,6 +199,8 @@ def cmd_divergence(cfg: dict) -> int:
             for rc in grid]
     actual = (_read(cfg, "actual", _model, _MODEL, need=("kind",)) if "actual" in cfg
               else None)
+    if actual is not None and actual.dim != model.dim:
+        raise ConfigError("actual", f"dimension {actual.dim} is not the model's {model.dim}")
     out = _out_dir(cfg)
     records = []
 
@@ -230,8 +234,8 @@ def cmd_divergence(cfg: dict) -> int:
 
 
 def _columns(indices, ncols: int, path: str) -> list:
-    """Column indices from the config: a non-empty list of distinct ints in
-    0..ncols-1.
+    """Column indices from the config: a non-empty list of distinct integers
+    (read as ``_int`` reads them) in 0..ncols-1.
 
     Negative indices are rejected, because numpy would select from the end,
     and repeats, because two identical assets make the system singular.
@@ -239,8 +243,12 @@ def _columns(indices, ncols: int, path: str) -> list:
     if not isinstance(indices, list) or not indices:
         raise ConfigError(path, f"expected a non-empty list of column indices, "
                                 f"got {indices!r}")
+    try:
+        indices = [_int(j) for j in indices]
+    except ValueError as exc:
+        raise ConfigError(path, str(exc))
     for j in indices:
-        if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < ncols:
+        if not 0 <= j < ncols:
             raise ConfigError(path, f"column index {j!r} is outside 0..{ncols - 1}")
     if len(set(indices)) < len(indices):
         raise ConfigError(path, f"column indices repeat: {indices!r}")

@@ -146,10 +146,6 @@ def draw_scenarios(model: NominalModel, composition: IndexComposition,
     return scenarios_from(draws[:, tracked], synthesize_index(draws, composition))
 
 
-def _row_seeds(seed: int, n_rows: int) -> np.ndarray:
-    return np.random.SeedSequence(seed).generate_state(3 * n_rows, np.uint64)
-
-
 def run_table(nominal: NominalModel, composition: IndexComposition,
               tracked_assets: Sequence[int], grid: Sequence[RowConfig],
               spec: LossSpec, n: int, seed: int, n_ratio: Optional[int] = None,
@@ -164,7 +160,7 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
     """
     tracked = list(tracked_assets)
     n_ratio = n_ratio or n
-    states = _row_seeds(seed, len(grid))
+    states = np.random.SeedSequence(seed).generate_state(3 * len(grid), np.uint64)
     rows = []
     for i, rc in enumerate(grid):
         seed_fit, seed_eval, seed_ratio = map(int, states[3 * i:3 * i + 3])

@@ -53,49 +53,23 @@ class LossSpec:
         return cls(kind=SMOOTHED_PLUS, epsilon=epsilon)
 
 
-def _phi(t, out=None):
-    """The standard normal density at t, written into out (default: fresh)."""
-    out = np.multiply(-0.5, t, out=np.empty(np.shape(t)) if out is None else out)
-    out *= t
-    np.exp(out, out=out)
-    out /= _SQRT_2PI
-    return out
+def _phi(t):
+    """The standard normal density at t."""
+    return np.exp(-0.5 * t * t) / _SQRT_2PI
 
-
-# loss_value works in place, evaluating the forms in its comments bit for bit,
-# because every line-search trial runs it while the accepted point's pass is
-# still alive: as closed forms the smoothed kinds peak at 4-5 arrays, not 2-3.
 
 def loss_value(spec: LossSpec, x):
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     eps = spec.epsilon
     if spec.kind == QUADRATIC:
-        np.multiply(x, x, out=out)
+        out = x * x
     elif spec.kind == SMOOTHED_POS_SQ:
-        # max((x*x + eps^2) * ndtr(t) + x * eps * phi(t), 0),  t = x / eps:
         # far in the left tail the terms cancel and can round below 0
-        t = np.divide(x, eps, out=np.empty_like(x))
-        tmp = ndtr(t, out=np.empty_like(x))
-        np.multiply(x, x, out=out)
-        out += eps**2
-        out *= tmp
-        _phi(t, out=tmp)
-        np.multiply(x, eps, out=t)
-        t *= tmp
-        out += t
-        np.maximum(out, 0.0, out=out)
+        t = x / eps
+        out = np.maximum((x * x + eps**2) * ndtr(t) + x * eps * _phi(t), 0.0)
     else:
-        # max(x, 0) + eps * log1p(exp(-|x| / eps)), the stable form of
-        # x + eps*log(1+exp(-x/eps)); exact for both tails
-        t = np.abs(x, out=np.empty_like(x))
-        t /= eps
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        np.log1p(t, out=t)
-        t *= eps
-        np.maximum(x, 0.0, out=out)
-        out += t
+        # the stable form of x + eps*log(1+exp(-x/eps)); exact for both tails
+        out = np.maximum(x, 0.0) + eps * np.log1p(np.exp(-np.abs(x) / eps))
     return float(out) if out.ndim == 0 else out
 
 

@@ -39,10 +39,11 @@ sqrt(eps) times the start point's, where the (alpha, beta) block of J turns
 singular to working precision.  Repeated solves at a fixed BLAS thread
 count are bitwise identical.
 
-The passes that every line-search trial runs, _estar and loss_value, work
-in place beside the accepted point's pass; R is stored column-major (see
-ScenarioSet), and the scalar entries of J read one set of moments of the
-pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2.
+Each N-point array lives only until its last read, so a solve peaks in
+_kkt, which works in place, and the line-search passes are closed forms.
+R is stored column-major (see ScenarioSet), and the scalar entries of J
+read one set of moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k)
+for k = 0, 1, 2.
 
 solve_nonrobust is equality-constrained Newton on mean(l) from the quadratic
 loss's KKT point, where a quadratic loss stops; that point and each step are
@@ -128,22 +129,15 @@ class RobustSolution:
 
 
 def _estar(L, lam, alpha, beta):
-    """The pass (s, E*, E*^(1-lam)) over losses L, s = (L - beta)/alpha, in
-    three arrays of the size of L.  Kept in place because every line-search
-    trial runs it while the accepted point's pass is still alive: for lam > 0
-    its closed form would peak at 5 arrays of the size of L, not 3."""
-    s = np.subtract(L, beta)
-    s /= alpha
+    """The pass (s, E*, E*^(1-lam)) over losses L, s = (L - beta)/alpha."""
+    s = (L - beta) / alpha
     if lam == 0.0:
         e = np.exp(s)
         return s, e, e
-    base = np.multiply(lam / (lam + 1.0), s)
-    base += 1.0
-    np.maximum(base, 0.0, out=base)
+    base = np.maximum(1.0 + lam / (lam + 1.0) * s, 0.0)
     e = base ** (1.0 / lam)
     # where base is 0, E* is 0 too, and the quotient by the tiny floor is 0
-    np.maximum(base, _TINY, out=base)
-    return s, e, np.divide(e, base, out=base)
+    return s, e, e / np.maximum(base, _TINY)
 
 
 def _mean_G(p, lam):
@@ -179,26 +173,19 @@ def _tilt(L, top, lam, eta, x):
               g' = x Var_E(L) and beta = top + alpha log mean(e).
     """
     if lam == 0.0:
-        z = np.subtract(L, top)
-        e = np.multiply(z, x)
-        np.exp(e, out=e)
+        z = L - top
+        e = np.exp(z * x)
         m = e.mean()
-        e *= z
-        m1 = e.mean() / m
-        e *= z
+        m1 = (e * z).mean() / m
         alpha = 1.0 / x
-        return (x * m1 - np.log(m) - eta, x * (e.mean() / m - m1 * m1),
+        return (x * m1 - np.log(m) - eta, x * ((e * z * z).mean() / m - m1 * m1),
                 alpha, top + alpha * np.log(m))
     scale = top - x
-    y = np.subtract(L, x)
-    np.maximum(y, 0.0, out=y)
-    y /= scale
+    y = np.maximum(L - x, 0.0) / scale
     yp = y ** (1.0 / lam)
     A = yp.mean()
-    q = yp * y
-    B = q.mean()
-    np.maximum(y, _TINY, out=y)        # y^(p-1) = y^p / y is then 0 at y = 0
-    C = np.divide(yp, y, out=q).mean()
+    B = (yp * y).mean()
+    C = (yp / np.maximum(y, _TINY)).mean()   # y^(p-1) = y^p / y is then 0 at y = 0
     alpha = lam / (lam + 1.0) * scale * A ** lam
     return (np.log(B) - (lam + 1.0) * np.log(A) - np.log1p(lam * eta),
             (1.0 + 1.0 / lam) / scale * (C / A - A / B),
@@ -354,6 +341,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             "all scenarios give the same payoff; the divergence and "
             "normalization equations are underdetermined in (alpha, beta)")
     alpha, beta, p = _dual(L, ball)
+    del L
     phi = _phi(alpha, beta, p, ball)
 
     best = np.inf
@@ -373,6 +361,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             dz = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError("singular Newton system") from exc
+        del x, p                       # no trial reads the accepted point's arrays
         du, da, db = dz[:d], dz[d], dz[d + 1]
         slope = -float(F[:d] @ du)     # directional derivative of rho
         t = 1.0
@@ -401,6 +390,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
                 break
             t *= 0.5
         u, x, alpha, beta, p, phi = u_t, x_t, a_t, b_t, p_t, phi_t
+        del x_t, L_t, p_t
     raise NonConvergenceError(
         f"robust solve did not reach residual tolerance {config.residual_tol}",
         residual_norm=best, iterations=config.max_iterations,

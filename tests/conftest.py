@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -38,6 +40,18 @@ def make_scenarios(n=4000, seed=0, model=None, weights=WEIGHTS5, tracked=(0, 1, 
     draws = rt.sample_model(model, n, seed)
     comp = rt.IndexComposition(weights)
     return rt.scenarios_from(draws[:, list(tracked)], rt.synthesize_index(draws, comp))
+
+
+def peak_arrays(call, n):
+    """The peak memory that call() allocates, under tracemalloc, in arrays
+    of n floats."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n)
 
 
 @pytest.fixture(scope="session")

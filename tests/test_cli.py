@@ -212,12 +212,14 @@ class TestConfigErrors:
         ("simulate", "experiment", {"n_ratio": 1}, "experiment"),
         ("simulate", "experiment", {"n": 5}, "experiment.n"),
         ("solve", "experiment", {"n": 5}, "experiment.n"),
+        ("simulate", "ball", {"eta_grid": []}, "ball"),
+        ("simulate", "ball", {"k_grid": []}, "ball"),
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
             "eta-null", "max_iterations-null", "window-list", "loss-kind-list",
             "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
             "out_dir-null", "residual_tol-nan", "window-fraction", "seed-true",
             "n-fraction", "max_iterations-fraction", "k_grid-nan", "n_ratio-one",
-            "simulate-n-below-d3", "solve-n-below-d3"])
+            "simulate-n-below-d3", "solve-n-below-d3", "eta_grid-empty", "k_grid-empty"])
     def test_wrongly_typed_value(self, tmp_path, capsys, no_draws,
                                  command, block, entry, path):
         # a value of the wrong type or outside its domain is a config error
@@ -238,6 +240,21 @@ class TestConfigErrors:
         assert exp == {"n": 200_000, "n_ratio": 1_000_000, "seed": 3}
         assert all(type(v) is int for v in exp.values())
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_integral_float_column_index(self, tmp_path, command):
+        # a column index is read as every integer value is: 1.0 names column 1
+        cols = cli._columns([0, 1.0, 2, 3], 5, "tracked_assets")
+        assert cols == [0, 1, 2, 3] and all(type(j) is int for j in cols)
+        outputs = []
+        for tracked in ([0, 1, 2, 3], [0, 1.0, 2, 3]):
+            out = tmp_path / str(len(outputs))
+            cfg = small_market_config(tmp_path, out, tracked_assets=tracked,
+                                      ball={"lambda": 0.1, "eta": 0.2})
+            assert main([command, "--config", cfg]) == 0
+            name = "solution.json" if command == "solve" else "table.csv"
+            outputs.append((out / name).read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command,key,value,message", [
         ("solve", "loss", None, "expected an object, got None"),
         ("solve", "model", None, "expected an object, got None"),
@@ -250,9 +267,11 @@ class TestConfigErrors:
          "asset return columns (5) do not match composition size (2)"),
         ("solve", "composition", [0.5, 0.5],
          "asset return columns (5) do not match composition size (2)"),
+        ("simulate", "tracked_assets", [0, 1.5, 2, 3], "expected an integer, got 1.5"),
+        ("solve", "tracked_assets", [0, True, 2, 3], "expected an integer, got True"),
     ], ids=["loss-null", "model-null", "actual-null", "data-null", "io-null",
             "solver-null", "composition-string", "simulate-composition-length",
-            "solve-composition-length"])
+            "solve-composition-length", "tracked-fraction", "tracked-bool"])
     def test_bad_entry(self, tmp_path, capsys, no_draws, command, key, value, message):
         # a null block is an error, not an absent one, and the composition
         # must fit the model before any scenario is drawn
@@ -269,7 +288,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command,data,path", [
         ("backtest", {"index_col": 4}, "data.index_col"),
         ("backtest", {"index_col": -1}, "data.index_col"),
-        ("backtest", {"index_col": 1.5}, "data.index_col"),
+        ("backtest", {"index_col": 1.5}, "config error at data.index_col: "
+                                         "expected an integer, got 1.5"),
+        ("solve", {"tracked": [1.0, 2.5]}, "config error at data.tracked: "
+                                           "expected an integer, got 2.5"),
         ("backtest", {"tracked": []}, "data.tracked"),
         ("backtest", {"tracked": [1, 9]}, "data.tracked"),
         ("backtest", {"tracked": [-1, 2]}, "data.tracked"),
@@ -293,7 +315,8 @@ class TestConfigErrors:
          "config error at data.tracked: column 0 is the index column"),
         ("backtest", {"tracked": [0, 1, 2]},
          "config error at data.tracked: column 0 is the index column"),
-    ], ids=["index_col-4", "index_col-negative", "index_col-fraction", "tracked-empty",
+    ], ids=["index_col-4", "index_col-negative", "index_col-fraction",
+            "tracked-fraction", "tracked-empty",
             "tracked-9", "tracked-negative",
             "solve-tracked-4", "solve-synthesize-tracked-4",
             "tracked-repeated", "solve-tracked-repeated",
@@ -421,6 +444,20 @@ class TestSolve:
 
 
 class TestDivergenceCommand:
+    def test_actual_of_another_dimension(self, tmp_path, capsys, no_draws):
+        # named at its block before any draw, not a broadcast error after them
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()},
+            "actual": {"kind": "gaussian", "mean": MU5[:3].tolist(),
+                       "cov": SIGMA5[:3, :3].tolist()},
+            "ball": {"lambda": 0.1},
+            "experiment": {"n": 1000, "seed": 1},
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main(["divergence", "--config", cfg]) == 2
+        assert ("config error at actual: dimension 3 is not the model's 5"
+                in capsys.readouterr().err)
+
     def test_k_table(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, {

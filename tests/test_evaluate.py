@@ -6,7 +6,7 @@ import pytest
 import robusttrack as rt
 from robusttrack.evaluate import write_table_csv, write_table_json
 
-from conftest import MU5, SIGMA5, make_scenarios, replicable_panel
+from conftest import MU5, SIGMA5, make_scenarios, peak_arrays, replicable_panel
 
 QUAD = rt.LossSpec.quadratic()
 L1 = rt.LossSpec.smoothed_pos_sq(0.01)
@@ -158,18 +158,14 @@ class TestRunTable:
     def test_one_scenario_set_alive(self, gaussian5, composition5):
         # a row's solves run with only its fit set alive, and its evaluation
         # set lives only for its comparison: at N = 2^16 the three rows peak
-        # at 20 arrays of N floats
+        # at 18 arrays of N floats
         n = 2 ** 16
         grid = [rt.RowConfig(lam=0.1, eta=eta) for eta in (0.1, 0.5, 1.0)]
-        tracemalloc.start()
-        try:
-            rows = rt.run_table(gaussian5, composition5, [0, 1, 2, 3], grid, L1,
-                                n=n, seed=7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows = []
+        peak = peak_arrays(lambda: rows.extend(rt.run_table(
+            gaussian5, composition5, [0, 1, 2, 3], grid, L1, n=n, seed=7)), n)
         assert all(row.converged for row in rows)
-        assert peak / (8 * n) <= 21.0
+        assert peak <= 19.0
 
     def test_row_config_validation(self):
         with pytest.raises(ValueError):

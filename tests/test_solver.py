@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import robusttrack as rt
 import robusttrack.solver as solver
 from robusttrack.solver import _dual, _estar
 
-from conftest import MU5, SIGMA5, make_scenarios, replicable_window
+from conftest import MU5, SIGMA5, make_scenarios, peak_arrays, replicable_window
 from eager_reference import (eager_assemble, eager_solve_robust, frozen_estar,
                              recomputing_solve_nonrobust)
 
@@ -503,43 +502,30 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-def _peak_arrays(call, n):
-    """The peak memory that call() allocates, under tracemalloc, in arrays
-    of n floats."""
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / (8 * n)
-
-
 class TestTrialPathMemory:
-    """The passes that every line-search trial runs while the accepted
-    point's pass is still alive, loss_value and _estar, work in place: at
-    N = 2^16 each allocates at most 3 arrays of N floats.  Their closed
-    forms in tests/eager_reference.py peak at 5 (the smoothed_pos_sq loss,
-    and _estar for lam > 0)."""
+    """solve_robust keeps each array of N points only until its last read:
+    the start point's losses go once their (alpha, beta) are solved, and
+    the accepted point's shortfall and pass once its Newton step is.  At
+    N = 2^16 a solve then peaks at 12 arrays of N floats, in the assembly
+    _kkt, with its line-search passes as closed forms; while those arrays
+    lived on, the peak was 13 to 14."""
 
     N = 2 ** 16
 
-    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
-    def test_loss_value(self, spec):
-        x = 0.01 * np.random.default_rng(31).standard_normal(self.N)
-        assert _peak_arrays(lambda: rt.loss_value(spec, x), self.N) <= 3.1
+    @pytest.fixture(scope="class")
+    def scenarios(self):
+        return make_scenarios(n=self.N, seed=1)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.1])
-    def test_estar_beyond_its_input(self, lam):
-        loss = _losses(self.N, 32)
-        beta = float(np.quantile(loss, 0.6))
-        alpha = (beta - float(np.quantile(loss, 0.3))) * lam / (lam + 1.0) if lam else 0.01
-        assert _peak_arrays(lambda: _estar(loss, lam, alpha, beta), self.N) <= 3.1
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_solve_peak(self, scenarios, spec, lam):
+        ball = rt.DivergenceBall(lam, 0.5)
+        assert peak_arrays(lambda: rt.solve_robust(scenarios, ball, spec), self.N) <= 12.1
 
 
 class TestInPlacePasses:
-    """The worst-case pass and the system assembly work in place in arrays
-    of their own: the pass has the bits of its closed form, and no pass
+    """The worst-case pass has the bits of its closed form in
+    tests/eager_reference.py, and no pass, nor the in-place assembly _kkt,
     writes the caller's losses, shortfalls or an earlier pass."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0, 2.0, 2.5])
