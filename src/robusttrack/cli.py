@@ -25,9 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .divergence import (DivergenceBall, divergence_gaussian,
-                         divergence_gaussian_equal_cov, eta_from_ratio_mc,
-                         k_from_eta)
+from .divergence import DivergenceBall, divergence_gaussian, eta_from_ratio_mc
 from .evaluate import (BacktestConfig, RowConfig, backtest_sliding, draw_scenarios, run_table,
                        write_backtest_json, write_json, write_plot_csv, write_table_csv,
                        write_table_json)
@@ -145,9 +143,17 @@ def _grid(sign="-", **ball) -> list:
     raise ValueError("one of eta, eta_grid or k_grid is required")
 
 
-def _divergence_rows(**ball):
-    """(lam, optional eta rows); the Monte-Carlo radius needs a valid lam."""
-    rows = _grid(**ball) if "eta_grid" in ball or "eta" in ball else []
+def _divergence_rows(nominal, **ball):
+    """(lam, [(eta, k, round trip, sign)]): the rows of ``_grid``, each eta
+    resolved to its k and that k back to its radius.  A block of only lambda
+    and sign has no rows; the Monte-Carlo radius needs a valid lam."""
+    rows = []
+    for rc in _grid(**ball) if set(ball) - {"lambda", "sign"} else []:
+        if rc.eta is None:
+            raise ConfigError("ball.k_grid", "divergence inverts eta rows, not k rows")
+        k = rc.resolve(nominal, None, 0)[1]
+        back = RowConfig(lam=rc.lam, k=k).resolve(nominal, None, 0)[0]
+        rows.append((rc.eta, k, back, rc.sign))
     return DivergenceBall(lam=ball["lambda"], eta=0.0).lam, rows
 
 
@@ -190,13 +196,7 @@ def write_manifest(cfg: dict, command: str, outputs: list, out_dir: Path) -> Non
 def cmd_divergence(cfg: dict) -> int:
     model = _read(cfg, "model", _model, _MODEL, need=("kind",))
     exp = _experiment(cfg)
-    lam, grid = _read(cfg, "ball", _divergence_rows, _BALL, need=("lambda",))
-    if grid and model.kind != "gaussian":
-        raise ConfigError("ball.eta_grid", "k inversion requires a gaussian model")
-    if any(rc.eta is None for rc in grid):
-        raise ConfigError("ball.k_grid", "divergence inverts eta rows, not k rows")
-    rows = [(rc.eta, k_from_eta(rc.eta, lam, model.mean, model.scale, rc.sign), rc.sign)
-            for rc in grid]
+    lam, rows = _read(cfg, "ball", _divergence_rows, _BALL, need=("lambda",), nominal=model)
     actual = (_read(cfg, "actual", _model, _MODEL, need=("kind",)) if "actual" in cfg
               else None)
     if actual is not None and actual.dim != model.dim:
@@ -222,8 +222,7 @@ def cmd_divergence(cfg: dict) -> int:
 
     if rows:
         print(f"{'eta':>8} {'k':>12} {'round_trip':>14}")
-    for eta, k, sign in rows:
-        back = divergence_gaussian_equal_cov(model.mean, k * model.mean, model.scale, lam)
+    for eta, k, back, sign in rows:
         records.append({"lam": lam, "eta": eta, "sign": sign, "k": k, "round_trip": back})
         print(f"{eta:>8} {k:>12.4f} {back:>14.10f}")
 
@@ -430,7 +429,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
-        # a rejection raised inside a library call, e.g. k_from_eta's lam > 0
+        # a rejection raised inside a library call, e.g. an overflowing density ratio
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

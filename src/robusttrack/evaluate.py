@@ -95,10 +95,10 @@ def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet,
 class RowConfig:
     """One table row: a ball exponent plus either a radius or a mean factor.
 
-    Exactly one of eta / k is given.  With eta, the mean factor follows from
-    the closed-form inversion (Gaussian nominal only); with k, the radius is
-    the equal-covariance closed form for Gaussian nominals and a Monte-Carlo
-    estimate otherwise.
+    Exactly one of eta / k is given; ``resolve`` gives the other.  With eta,
+    the mean factor follows from the closed-form inversion (Gaussian nominal
+    only); with k, the radius is 0 at k = 1, the equal-covariance closed form
+    for Gaussian nominals and a Monte-Carlo estimate otherwise.
     """
 
     lam: float
@@ -117,6 +117,23 @@ class RowConfig:
             raise ValueError("eta must be finite and > 0")
         if self.k is not None and not np.isfinite(self.k):
             raise ValueError("k must be finite")
+
+    def resolve(self, nominal: NominalModel, n_ratio: int, seed: int) -> tuple:
+        """(eta, k, eta_std_error) of the row for the nominal model; a
+        Monte-Carlo radius draws n_ratio points from seed."""
+        if self.eta is not None:
+            if nominal.kind != "gaussian":
+                raise ValueError("eta-only rows require a gaussian nominal model")
+            return self.eta, k_from_eta(self.eta, self.lam, nominal.mean, nominal.scale,
+                                        self.sign), 0.0
+        if self.k == 1.0:
+            return 0.0, self.k, 0.0
+        if nominal.kind == "gaussian":
+            return divergence_gaussian_equal_cov(
+                nominal.mean, self.k * nominal.mean, nominal.scale, self.lam), self.k, 0.0
+        est = eta_from_ratio_mc(nominal, nominal.with_mean_scaled(self.k),
+                                self.lam, n_ratio, seed)
+        return est.estimate, self.k, est.std_error
 
 
 @dataclass
@@ -164,24 +181,7 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
     rows = []
     for i, rc in enumerate(grid):
         seed_fit, seed_eval, seed_ratio = map(int, states[3 * i:3 * i + 3])
-        eta_se = 0.0
-        if rc.eta is not None:
-            eta = rc.eta
-            if nominal.kind != "gaussian":
-                raise ValueError("eta-only rows require a gaussian nominal model")
-            k = k_from_eta(eta, rc.lam, nominal.mean, nominal.scale, rc.sign)
-        else:
-            k = rc.k
-            if k == 1.0:
-                eta = 0.0
-            elif nominal.kind == "gaussian":
-                eta = divergence_gaussian_equal_cov(
-                    nominal.mean, k * nominal.mean, nominal.scale, rc.lam)
-            else:
-                est = eta_from_ratio_mc(nominal, nominal.with_mean_scaled(k),
-                                        rc.lam, n_ratio, seed_ratio)
-                eta, eta_se = est.estimate, est.std_error
-
+        eta, k, eta_se = rc.resolve(nominal, n_ratio, seed_ratio)
         row = TableRow(lam=rc.lam, eta=eta, k=k, eta_std_error=eta_se,
                        seed_fit=seed_fit, seed_eval=seed_eval)
         rows.append(row)

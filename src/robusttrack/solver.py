@@ -149,15 +149,6 @@ def _mean_G(p, lam):
     return (e * s / (lam + 1.0) - e + 1.0).mean()
 
 
-def _moments(p):
-    """(mean E*, m0, m1, m2) of the _estar pass p, mk = mean(E*^(1-lam) s^k)."""
-    s, e, w = p
-    ws = w * s
-    m1 = ws.mean()
-    ws *= s
-    return e.mean(), w.mean(), m1, ws.mean()
-
-
 def _tilt(L, top, lam, eta, x):
     """One pass of the inner root at its scalar x over losses L with largest
     loss top: (g, g', alpha, beta), with (alpha, beta) the closed forms at x.
@@ -252,7 +243,11 @@ def _kkt(u, alpha, x, p, scenarios, ball, spec):
     d, N = RT.shape
     lam = ball.lam
     s, e, w = p
-    me, m0, m1, m2 = _moments(p)
+    ws = w * s                         # m1, m2: means of E*^(1-lam) s, s^2
+    m1 = ws.mean()
+    ws *= s
+    m2 = ws.mean()
+    del ws
     k = (lam + 1.0) * alpha            # psi = E*^(1-lam) / k
     lp = loss_deriv1(spec, x)
     lpp = loss_deriv2(spec, x)
@@ -263,7 +258,7 @@ def _kkt(u, alpha, x, p, scenarios, ball, spec):
     F[:d] = RT @ lpe / N
     F[d] = u.sum() - 1.0
     F[d + 1] = _mean_G(p, lam) - ball.eta
-    F[d + 2] = me - 1.0
+    F[d + 2] = e.mean() - 1.0
 
     J = np.zeros((d + 3, d + 3))
     # the weights l'' E* + l'^2 psi of the u-block, written over l'' and l' E*
@@ -282,7 +277,7 @@ def _kkt(u, alpha, x, p, scenarios, ball, spec):
     J[d + 1, d + 1] = -m1 / k
     J[d + 2, :d] = J[:d, d + 1]
     J[d + 2, d] = -m1 / k
-    J[d + 2, d + 1] = -m0 / k
+    J[d + 2, d + 1] = -w.mean() / k
     return F, J
 
 

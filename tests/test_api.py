@@ -64,6 +64,11 @@ def test_deleted_names_absent():
     for module in (rt.solver, rt.evaluate):
         assert not hasattr(module, "_shortfall"), module.__name__
     assert not hasattr(cli, "sample_model")
+    # the table-row rule is RowConfig.resolve, and the pass moments are
+    # formed in _kkt, their one reader
+    for name in ("k_from_eta", "divergence_gaussian_equal_cov"):
+        assert not hasattr(cli, name), name
+    assert not hasattr(rt.solver, "_moments")
 
 
 def test_option_counts():

@@ -163,6 +163,22 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"ball": ', "config error at config: invalid JSON: "),
+        ("[1, 2]", "config error at config: expected an object, got [1, 2]"),
+    ], ids=["invalid-json", "list"])
+    def test_config_file_not_an_object(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["divergence", "solve", "simulate"])
+    def test_ball_without_lambda(self, tmp_path, capsys, no_draws, command):
+        cfg = small_market_config(tmp_path, tmp_path / "out", ball={"eta": 0.2})
+        assert main([command, "--config", cfg]) == 2
+        assert "config error at ball.lambda: missing required field" in capsys.readouterr().err
+
     def test_command_mismatch(self, tmp_path):
         cfg = small_market_config(tmp_path, tmp_path, command="backtest")
         assert main(["simulate", "--config", cfg]) == 2
@@ -269,9 +285,12 @@ class TestConfigErrors:
          "asset return columns (5) do not match composition size (2)"),
         ("simulate", "tracked_assets", [0, 1.5, 2, 3], "expected an integer, got 1.5"),
         ("solve", "tracked_assets", [0, True, 2, 3], "expected an integer, got True"),
+        ("simulate", "ball", {"lambda": 0.1}, "one of eta, eta_grid or k_grid is required"),
+        ("simulate", "model", {"kind": "cauchy"}, "unknown model kind 'cauchy'"),
     ], ids=["loss-null", "model-null", "actual-null", "data-null", "io-null",
             "solver-null", "composition-string", "simulate-composition-length",
-            "solve-composition-length", "tracked-fraction", "tracked-bool"])
+            "solve-composition-length", "tracked-fraction", "tracked-bool",
+            "ball-without-rows", "model-kind-unknown"])
     def test_bad_entry(self, tmp_path, capsys, no_draws, command, key, value, message):
         # a null block is an error, not an absent one, and the composition
         # must fit the model before any scenario is drawn
@@ -315,6 +334,10 @@ class TestConfigErrors:
          "config error at data.tracked: column 0 is the index column"),
         ("backtest", {"tracked": [0, 1, 2]},
          "config error at data.tracked: column 0 is the index column"),
+        ("backtest", {"index": "weighted"},
+         "config error at data.index: must be 'column' or 'synthesize'"),
+        ("solve", {"index": "synthesize", "tracked": [0, 1]},
+         "config error at data.weights: missing required field"),
     ], ids=["index_col-4", "index_col-negative", "index_col-fraction",
             "tracked-fraction", "tracked-empty",
             "tracked-9", "tracked-negative",
@@ -322,7 +345,8 @@ class TestConfigErrors:
             "tracked-repeated", "solve-tracked-repeated",
             "solve-synthesize-untracked", "backtest-synthesize-untracked",
             "weights-length", "solve-weights-length", "weights-sum",
-            "solve-tracked-index", "backtest-tracked-index"])
+            "solve-tracked-index", "backtest-tracked-index", "index-unknown",
+            "synthesize-without-weights"])
     def test_csv_column_out_of_range(self, tmp_path, capsys, command, data, path):
         csv = write_price_csv(tmp_path, synthetic_prices())   # 4 columns
         cfg = write_config(tmp_path, {
@@ -533,16 +557,24 @@ class TestDivergenceCommand:
         assert main(["divergence", "--config", cfg]) == 2
         assert "config error: density ratio overflows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ball,path", [
-        ({"eta_grid": [0.1, -1.0]}, "ball: eta must be finite and > 0"),
-        ({"eta_grid": [0.1], "sign": "x"}, "ball: sign must be '+' or '-'"),
+    @pytest.mark.parametrize("kind,ball,path", [
+        ("gaussian", {"eta_grid": [0.1, -1.0]}, "ball: eta must be finite and > 0"),
+        ("gaussian", {"eta_grid": [0.1], "sign": "x"}, "ball: sign must be '+' or '-'"),
         # the rows reader takes k_grid over eta, and k rows have no inversion
-        ({"eta": 0.1, "k_grid": [1.0]}, "ball.k_grid"),
-    ], ids=["negative-eta", "bad-sign", "k-rows"])
-    def test_bad_eta_rows_print_nothing(self, tmp_path, capsys, ball, path):
+        ("gaussian", {"eta": 0.1, "k_grid": [1.0]}, "ball.k_grid"),
+        ("gaussian", {"k_grid": [-2.0]}, "ball.k_grid"),
+        ("gaussian", {"lambda": 0.0, "eta_grid": [0.1]}, "ball: k_from_eta requires lam > 0"),
+        ("student_t", {"eta_grid": [0.1]}, "ball: eta-only rows require a gaussian"),
+    ], ids=["negative-eta", "bad-sign", "k-rows", "only-k-rows", "lambda-zero",
+            "student-t"])
+    def test_bad_eta_rows_print_nothing(self, tmp_path, capsys, kind, ball, path):
         out = tmp_path / "out"
+        model = ({"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()}
+                 if kind == "gaussian" else
+                 {"kind": "student_t", "mean": MU5.tolist(), "scale": SIGMA5.tolist(),
+                  "dof": 10.0})
         cfg = write_config(tmp_path, {
-            "model": {"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()},
+            "model": model,
             "actual": {"kind": "gaussian", "mean": (2 * MU5).tolist(),
                        "cov": SIGMA5.tolist()},
             "ball": {"lambda": 0.1, **ball},

@@ -148,6 +148,19 @@ class TestRunTable:
             rt.run_table(mvt, composition5, [0, 1, 2, 3], self.grid(), QUAD,
                          n=2000, seed=1)
 
+    def test_gaussian_k_rows(self, gaussian5, composition5):
+        # k = 1 is the collapsed ball; any other k of a Gaussian nominal has
+        # the equal-covariance closed-form radius, which k_from_eta inverts
+        rows = rt.run_table(gaussian5, composition5, [0, 1, 2, 3],
+                            [rt.RowConfig(lam=0.1, k=k) for k in (1.0, -2.0)], QUAD,
+                            n=2000, seed=4)
+        assert all(row.converged for row in rows)
+        assert [row.k for row in rows] == [1.0, -2.0]
+        assert rows[0].eta == 0.0
+        eta = rt.divergence_gaussian_equal_cov(MU5, -2 * MU5, SIGMA5, 0.1)
+        assert rows[1].eta == eta and rows[1].eta_std_error == 0.0
+        assert rt.k_from_eta(eta, 0.1, MU5, SIGMA5, "-") == pytest.approx(-2.0, abs=1e-10)
+
     def test_mc_radius_for_student_t(self, composition5):
         mvt = rt.NominalModel.student_t(MU5, SIGMA5, dof=10.0)
         rows = rt.run_table(mvt, composition5, [0, 1, 2, 3],

@@ -210,6 +210,12 @@ class TestLoadPricesCsv:
         loaded = rt.load_prices_csv(self._write(tmp_path, "idx,a\n100,50\n110,55\n"))
         assert np.allclose(loaded.returns, [[0.1, 0.1]])
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        plain = rt.load_prices_csv(self._write(tmp_path, "idx,a\n100,50\n110,55\n121,66\n"))
+        blank = rt.load_prices_csv(self._write(
+            tmp_path, "idx,a\n100,50\n\n110,55\n , \n121,66\n", "blank.csv"))
+        assert blank.returns.tobytes() == plain.returns.tobytes()
+
     @pytest.mark.parametrize("text,match", [
         ("100,abc\n101,1\n", "non-numeric"),
         ("100\n", "at least 2"),

@@ -227,6 +227,29 @@ class TestSolveNonrobust:
         grad = -(scen.R.T @ rt.loss_deriv1(L2, scen.B - scen.R @ u)) / scen.n
         assert np.max(np.abs(grad - grad.mean())) < 1e-9
 
+    def test_line_search_backtracks(self, monkeypatch):
+        # at eps = 1e-4 the smooth-plus loss is nearly a kink: full Newton
+        # steps overshoot, and the line search halves some of them
+        spec = rt.LossSpec.smoothed_plus(1e-4)
+        scen = make_scenarios(n=200, seed=4)
+        steps, trials = [], []
+        lv, lpp = solver.loss_value, solver.loss_deriv2
+        monkeypatch.setattr(solver, "loss_value",
+                            lambda s, x: trials.append(1) or lv(s, x))
+        monkeypatch.setattr(solver, "loss_deriv2",
+                            lambda s, x: steps.append(1) or lpp(s, x))
+        u = rt.solve_nonrobust(scen, spec)
+        # the first loss is the start's; each later one is a trial
+        assert len(trials) - 1 > len(steps)
+        f0 = rt.loss_value(spec, scen.shortfall(u)).mean()
+        d = scen.d
+        for i in range(d):
+            for j in range(i + 1, d):
+                v = np.zeros(d)
+                v[i], v[j] = 1.0, -1.0      # a move on the plane 1'u = 1
+                for t in (1e-6, -1e-6):
+                    assert rt.loss_value(spec, scen.shortfall(u + t * v)).mean() >= f0
+
     @pytest.mark.parametrize("window", [False, True], ids=["4k", "104x12"])
     def test_quadratic_is_the_bordered_kkt_solve(self, scenarios4k, window):
         # the Newton loop stops at its start: the bits of one direct solve
