@@ -143,12 +143,17 @@ def _grid(sign="-", **ball) -> list:
     raise ValueError("one of eta, eta_grid or k_grid is required")
 
 
-def _divergence_rows(nominal, **ball):
+def _divergence_rows(nominal, sign="-", **ball):
     """(lam, [(eta, k, round trip, sign)]): the rows of ``_grid``, each eta
     resolved to its k and that k back to its radius.  A block of only lambda
-    and sign has no rows; the Monte-Carlo radius needs a valid lam."""
+    and sign has no rows, but its sign is checked as a row's would be; the
+    Monte-Carlo radius needs a valid lam."""
+    if set(ball) == {"lambda"}:
+        lam = DivergenceBall(lam=ball["lambda"], eta=0.0).lam
+        RowConfig(lam=lam, k=1.0, sign=sign)
+        return lam, []
     rows = []
-    for rc in _grid(**ball) if set(ball) - {"lambda", "sign"} else []:
+    for rc in _grid(sign, **ball):
         if rc.eta is None:
             raise ConfigError("ball.k_grid", "divergence inverts eta rows, not k rows")
         k = rc.resolve(nominal, None, 0)[1]

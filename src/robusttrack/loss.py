@@ -58,47 +58,63 @@ def _phi(t):
     return np.exp(-0.5 * t * t) / _SQRT_2PI
 
 
-def loss_value(spec: LossSpec, x):
-    x = np.asarray(x, dtype=float)
+def _terms(spec: LossSpec, x, derivs=True):
+    """(l,) at the float array x, or with derivs (l, l', l'').  Each special
+    function is formed once: Phi(x/eps) and phi(x/eps) for smoothed_pos_sq,
+    w = exp(-|x|/eps) for smoothed_plus.  The terms are fresh arrays, worked
+    in place where that saves one, and x is only read; a 0-d x gives numpy
+    scalars."""
     eps = spec.epsilon
     if spec.kind == QUADRATIC:
-        out = x * x
-    elif spec.kind == SMOOTHED_POS_SQ:
-        # far in the left tail the terms cancel and can round below 0
+        l = x * x
+        return (l, 2.0 * x, np.full_like(x, 2.0)) if derivs else (l,)
+    if spec.kind == SMOOTHED_POS_SQ:
+        # Phi is formed before phi: the solve's peak RSS depends on the
+        # order (see solve_robust)
         t = x / eps
-        out = np.maximum((x * x + eps**2) * ndtr(t) + x * eps * _phi(t), 0.0)
-    else:
-        # the stable form of x + eps*log(1+exp(-x/eps)); exact for both tails
-        out = np.maximum(x, 0.0) + eps * np.log1p(np.exp(-np.abs(x) / eps))
+        cdf = ndtr(t)
+        pdf = _phi(t)
+        del t
+        # far in the left tail the terms cancel and can round below 0
+        l = np.maximum((x * x + eps**2) * cdf + x * eps * pdf, 0.0)
+        if not derivs:
+            return (l,)
+        pdf *= 2.0 * eps
+        lp = 2.0 * x * cdf + pdf
+        del pdf
+        lp = np.maximum(lp, 0.0)
+        cdf *= 2.0
+        return l, lp, cdf
+    # the stable form of x + eps*log(1+exp(-x/eps)); exact for both tails
+    w = np.exp(-np.abs(x) / eps)
+    l = np.maximum(x, 0.0) + eps * np.log1p(w)
+    if not derivs:
+        return (l,)
+    den = 1.0 + w
+    lp = np.where(x >= 0, 1.0, w) / den   # the logistic function without overflow
+    # the symmetric stable form of exp(x/eps) / (eps (1+exp(x/eps))^2)
+    den *= den
+    den *= eps
+    w /= den
+    return l, lp, w
+
+
+def _term(spec: LossSpec, x, i):
+    """Term i of (l, l', l'') at x: a float for a scalar x."""
+    out = _terms(spec, np.asarray(x, dtype=float), derivs=i > 0)[i]
     return float(out) if out.ndim == 0 else out
+
+
+def loss_value(spec: LossSpec, x):
+    return _term(spec, x, 0)
 
 
 def loss_deriv1(spec: LossSpec, x):
-    x = np.asarray(x, dtype=float)
-    eps = spec.epsilon
-    if spec.kind == QUADRATIC:
-        out = 2.0 * x
-    elif spec.kind == SMOOTHED_POS_SQ:
-        t = x / eps
-        out = np.maximum(2.0 * x * ndtr(t) + 2.0 * eps * _phi(t), 0.0)
-    else:
-        t = x / eps
-        w = np.exp(-np.abs(t))        # the logistic function of t without overflow
-        out = np.where(t >= 0, 1.0, w) / (1.0 + w)
-    return float(out) if out.ndim == 0 else out
+    return _term(spec, x, 1)
 
 
 def loss_deriv2(spec: LossSpec, x):
-    x = np.asarray(x, dtype=float)
-    if spec.kind == QUADRATIC:
-        out = np.full_like(x, 2.0)
-    elif spec.kind == SMOOTHED_POS_SQ:
-        out = 2.0 * ndtr(x / spec.epsilon)
-    else:
-        # the symmetric stable form of exp(x/eps) / (eps (1+exp(x/eps))^2)
-        w = np.exp(-np.abs(x) / spec.epsilon)
-        out = w / (spec.epsilon * np.square(1.0 + w))
-    return float(out) if out.ndim == 0 else out
+    return _term(spec, x, 2)
 
 
 def raw_loss_value(spec: LossSpec, x):

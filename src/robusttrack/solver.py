@@ -29,8 +29,9 @@ one scalar (Duchi and Namkoong, Annals of Statistics 49(3), 2021), the root
 of an increasing function (see _tilt and _dual).  The bordered solve
 J dz = -F gives the equality-constrained Newton step in u, which an Armijo
 search on rho accepts; a step whose decrease no trial can resolve from
-rho's rounding is a stall.  Trials evaluate l only; l' and l'' run once per
-accepted point.
+rho's rounding is a stall.  Each point, trial or start, forms l, l' and l''
+in one call of loss._terms, which forms each loss's special functions once,
+and an accepted trial's l' and l'' go to the assembly as they are.
 
 Where the losses can be made all equal (an index the tracked assets
 replicate) the optimum has alpha = 0 and no KKT point exists.  The solve
@@ -39,8 +40,9 @@ sqrt(eps) times the start point's, where the (alpha, beta) block of J turns
 singular to working precision.  Repeated solves at a fixed BLAS thread
 count are bitwise identical.
 
-Each N-point array lives only until its last read, so a solve peaks in
-_kkt, which works in place, and the line-search passes are closed forms.
+Each N-point array lives only until its last read, except an accepted
+trial's losses (see solve_robust), so a solve peaks in _kkt, which works
+in place, and the line-search passes are closed forms.
 R is stored column-major (see ScenarioSet), and the scalar entries of J
 read one set of moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k)
 for k = 0, 1, 2.
@@ -59,8 +61,13 @@ from typing import Optional
 import numpy as np
 
 from .divergence import DivergenceBall
-from .loss import LossSpec, loss_deriv1, loss_deriv2, loss_value
+from .loss import LossSpec, _terms, loss_deriv1, loss_deriv2, loss_value
 from .model import ScenarioSet
+
+# bench/tracing.py and tests/test_api.py look up these three names on this
+# module.  No solve calls them (each forms l, l' and l'' through _terms), so
+# they are kept here only for those lookups.
+loss_value, loss_deriv1, loss_deriv2
 
 # steps allowed to the scalar root of the inner (alpha, beta) solve
 _INNER_STEPS = 100
@@ -235,10 +242,11 @@ def _phi(alpha, beta, p, ball):
             + alpha * ((ball.lam / (ball.lam + 1.0) * s + 1.0) * e - 1.0).mean())
 
 
-def _kkt(u, alpha, x, p, scenarios, ball, spec):
+def _kkt(u, alpha, lp, lpp, p, scenarios, ball):
     """Residual F, at theta = 0, and Jacobian J of the system at (u, alpha,
-    beta), for the shortfall x = B - R'u and the _estar pass p at
-    (alpha, beta).  J does not depend on theta."""
+    beta), for the loss derivatives lp = l' and lpp = l'' at the shortfall
+    B - R'u and the _estar pass p at (alpha, beta).  J does not depend on
+    theta.  No input is written."""
     RT = scenarios.R.T                 # d contiguous rows of N returns
     d, N = RT.shape
     lam = ball.lam
@@ -249,8 +257,6 @@ def _kkt(u, alpha, x, p, scenarios, ball, spec):
     m2 = ws.mean()
     del ws
     k = (lam + 1.0) * alpha            # psi = E*^(1-lam) / k
-    lp = loss_deriv1(spec, x)
-    lpp = loss_deriv2(spec, x)
     lpe = lp * e
     g = lp * w                         # l' psi k
 
@@ -261,15 +267,16 @@ def _kkt(u, alpha, x, p, scenarios, ball, spec):
     F[d + 2] = e.mean() - 1.0
 
     J = np.zeros((d + 3, d + 3))
-    # the weights l'' E* + l'^2 psi of the u-block, written over l'' and l' E*
-    lpp *= e
-    np.multiply(g, lp, out=lpe)
+    np.multiply(g, lp, out=lpe)        # l'^2 psi, over l' E*
     lpe /= k
-    lpp += lpe
-    J[:d, :d] = -((RT * lpp) @ scenarios.R) / N
     J[:d, d + 1] = -(RT @ g) / (N * k)
     g *= s
     J[:d, d] = -(RT @ g) / (N * k)
+    # the weights l'' E* + l'^2 psi of the u-block, over l' psi k s
+    np.multiply(lpp, e, out=g)
+    g += lpe
+    del lpe
+    J[:d, :d] = -((RT * g) @ scenarios.R) / N
     J[:d, d + 2] = -1.0
     J[d, :d] = 1.0
     J[d + 1, :d] = J[:d, d]            # symmetry of the mixed partials
@@ -285,9 +292,8 @@ def _system(u, alpha, beta, theta, scenarios, ball, spec):
     if alpha <= 0:
         raise ValueError("infeasible point: alpha <= 0")
     u, alpha, beta = np.asarray(u, dtype=float), float(alpha), float(beta)
-    x = scenarios.shortfall(u)
-    p = _estar(loss_value(spec, x), ball.lam, alpha, beta)
-    F, J = _kkt(u, alpha, x, p, scenarios, ball, spec)
+    L, lp, lpp = _terms(spec, scenarios.shortfall(u))
+    F, J = _kkt(u, alpha, lp, lpp, _estar(L, ball.lam, alpha, beta), scenarios, ball)
     F[:scenarios.d] -= float(theta)
     return F, J
 
@@ -328,8 +334,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             "scenarios: the worst case is the point mass on the largest loss, alpha = 0")
 
     u = np.full(d, 1.0 / d)
-    x = scenarios.shortfall(u)
-    L = loss_value(spec, x)
+    L, lp, lpp = _terms(spec, scenarios.shortfall(u))
     spread0 = float(L.max() - L.min())
     if spread0 <= 1e-14 * max(1.0, float(np.abs(L).max())):
         raise DegenerateScenariosError(
@@ -341,7 +346,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
 
     best = np.inf
     for it in range(config.max_iterations + 1):
-        F, J = _kkt(u, alpha, x, p, scenarios, ball, spec)
+        F, J = _kkt(u, alpha, lp, lpp, p, scenarios, ball)
         theta = float(F[:d].mean())
         F[:d] -= theta
         res = float(np.max(np.abs(F)))
@@ -356,7 +361,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             dz = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError("singular Newton system") from exc
-        del x, p                       # no trial reads the accepted point's arrays
+        del lp, lpp, p                 # no trial reads the accepted point's arrays
         du, da, db = dz[:d], dz[d], dz[d + 1]
         slope = -float(F[:d] @ du)     # directional derivative of rho
         t = 1.0
@@ -368,8 +373,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
                     f"robust solve stalled above residual tolerance "
                     f"{config.residual_tol}", residual_norm=best, iterations=it)
             u_t = u + t * du
-            x_t = scenarios.shortfall(u_t)
-            L_t = loss_value(spec, x_t)
+            L_t, lp_t, lpp_t = _terms(spec, scenarios.shortfall(u_t))
             spread_t = float(L_t.max() - L_t.min())
             if spread_t < _COLLAPSE * spread0:
                 raise DegenerateScenariosError(
@@ -384,8 +388,12 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             if phi_t <= phi + 1e-4 * t * slope:
                 break
             t *= 0.5
-        u, x, alpha, beta, p, phi = u_t, x_t, a_t, b_t, p_t, phi_t
-        del x_t, L_t, p_t
+        u, alpha, beta, p, lp, lpp, phi = u_t, a_t, b_t, p_t, lp_t, lpp_t, phi_t
+        # L_t goes when the next trial rebinds it.  Released here, or with
+        # phi formed before Phi in loss._terms, glibc's heap grew by one
+        # N-array in a 2e5-row table (+1.5 MB peak RSS) at 2 to 8 of 12 to 19
+        # seeds; as written, at none of 49.
+        del p_t, lp_t, lpp_t
     raise NonConvergenceError(
         f"robust solve did not reach residual tolerance {config.residual_tol}",
         residual_norm=best, iterations=config.max_iterations,
@@ -420,14 +428,16 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
 
     u = _bordered(2.0 * R.T @ R / N, 2.0 * R.T @ B / N, 1.0,
                   "singular tracking KKT system")
-    x = scenarios.shortfall(u)
-    f0 = loss_value(spec, x).mean()
+    L, lp, lpp = _terms(spec, scenarios.shortfall(u))
+    f0 = L.mean()
+    del L
     for _ in range(100):
-        grad = -(R.T @ loss_deriv1(spec, x)) / N
+        grad = -(R.T @ lp) / N
         reduced = grad - grad.mean()
         if np.max(np.abs(reduced)) <= 1e-11 * max(1.0, np.max(np.abs(grad))):
             break
-        H = (R.T * loss_deriv2(spec, x)) @ R / N
+        H = (R.T * lpp) @ R / N
+        del lp, lpp
         step = _bordered(H + 1e-14 * np.trace(H) * np.eye(d), -grad, 0.0,
                          "singular Newton KKT system")
         # no line search can verify a decrement within a few spacings of f
@@ -435,14 +445,16 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
             break
         t = 1.0
         while t > 1e-14:
-            x_t = scenarios.shortfall(u + t * step)
-            f_new = loss_value(spec, x_t).mean()
+            L, lp, lpp = _terms(spec, scenarios.shortfall(u + t * step))
+            f_new = L.mean()
+            del L
             if f_new < f0:
                 break
+            del lp, lpp
             t *= 0.5
         else:
             break
-        u, x, f0 = u + t * step, x_t, f_new
+        u, f0 = u + t * step, f_new
     return u
 
 
@@ -456,10 +468,10 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     for alpha > 0, so the result should not exceed roundoff times the
     problem scale.
     """
-    x = scenarios.shortfall(solution.u)
+    L, lp, lpp = _terms(spec, scenarios.shortfall(solution.u))
     e = solution.estar
-    s = (loss_value(spec, x) - solution.beta) / solution.alpha
+    s = (L - solution.beta) / solution.alpha
     w = np.power(e, 1.0 - ball.lam, out=np.zeros_like(e), where=e > 0.0)
-    J = _kkt(solution.u, solution.alpha, x, (s, e, w), scenarios, ball, spec)[1]
+    J = _kkt(solution.u, solution.alpha, lp, lpp, (s, e, w), scenarios, ball)[1]
     d = scenarios.d
     return float(np.linalg.eigvalsh(J[:d, :d])[-1])

@@ -565,9 +565,11 @@ class TestDivergenceCommand:
         ("gaussian", {"k_grid": [-2.0]}, "ball.k_grid"),
         ("gaussian", {"lambda": 0.0, "eta_grid": [0.1]}, "ball: k_from_eta requires lam > 0"),
         ("student_t", {"eta_grid": [0.1]}, "ball: eta-only rows require a gaussian"),
+        # a block without rows still has its sign checked
+        ("gaussian", {"sign": "x"}, "ball: sign must be '+' or '-'"),
     ], ids=["negative-eta", "bad-sign", "k-rows", "only-k-rows", "lambda-zero",
-            "student-t"])
-    def test_bad_eta_rows_print_nothing(self, tmp_path, capsys, kind, ball, path):
+            "student-t", "bad-sign-no-rows"])
+    def test_bad_eta_rows_print_nothing(self, tmp_path, capsys, no_draws, kind, ball, path):
         out = tmp_path / "out"
         model = ({"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()}
                  if kind == "gaussian" else

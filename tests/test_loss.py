@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from robusttrack.loss import _phi
+from robusttrack.loss import _phi, _terms
 
 import robusttrack as rt
 
@@ -141,8 +141,9 @@ def _bits(a):
 
 
 class TestInPlaceKernels:
-    """Each kernel's results are the closed forms of tests/eager_reference.py
-    bit for bit, and the caller's x is never written."""
+    """Each kernel's results, and each of the three terms of the solvers'
+    kernel _terms, are the closed forms of tests/eager_reference.py bit for
+    bit, and the caller's x is never written."""
 
     SPECS = [QUAD, L1, L2, rt.LossSpec.smoothed_pos_sq(0.234375),
              rt.LossSpec.smoothed_plus(0.5)]
@@ -153,11 +154,13 @@ class TestInPlaceKernels:
     def points():
         rng = np.random.default_rng(5)
         # the shortfalls of a table row, both tails of the smoothing, and
-        # zeros, subnormals, huge values, infinities and nan
+        # zeros, subnormals, |x|/eps beyond 700 (where exp underflows), the
+        # clamped left tail of smoothed_pos_sq(0.234375) at -9, huge values,
+        # infinities and nan
         return np.concatenate([
             0.05 * rng.standard_normal(4000), EPS * rng.uniform(-60.0, 60.0, 4000),
-            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
-             1.7e308, -1.7e308, np.inf, -np.inf, np.nan]])
+            [0.0, -0.0, 5e-324, -5e-324, 7.5, -7.5, 400.0, -400.0, -9.0, 1e-300,
+             -1e-300, 1e300, -1e300, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan]])
 
     @pytest.mark.parametrize("spec", SPECS, ids=["quad", "l1", "l2", "l1-wide", "l2-wide"])
     @pytest.mark.parametrize("kernel,frozen", KERNELS, ids=["l", "lp", "lpp"])
@@ -183,6 +186,30 @@ class TestInPlaceKernels:
             assert type(got) is float and type(got_float) is float
             assert _bits(got) == _bits(ref) == _bits(got_float)
             assert _bits(zero_d) == _bits(v)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["quad", "l1", "l2", "l1-wide", "l2-wide"])
+    def test_terms_have_the_bits_of_each_closed_form(self, spec):
+        x = self.points()
+        frozen = [ref for _, ref in self.KERNELS]
+        for arg in (x, x[::3]):               # contiguous and strided
+            keep = arg.copy()
+            with np.errstate(all="ignore"):
+                got = _terms(spec, arg)
+                refs = [ref(spec, arg) for ref in frozen]
+                alone = _terms(spec, arg, derivs=False)
+            assert len(got) == 3 and len(alone) == 1
+            for a, b in zip(got + alone, refs + refs[:1]):
+                assert np.array_equal(_bits(a), _bits(b))
+                assert not np.shares_memory(a, x)
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                assert not np.shares_memory(got[i], got[j])
+            assert np.array_equal(_bits(arg), _bits(keep))
+        for v in np.concatenate([x[:8000:400], x[8000:]]):
+            with np.errstate(all="ignore"):
+                got = _terms(spec, np.asarray(v))
+                refs = [ref(spec, v) for ref in frozen]
+            for a, b in zip(got, refs):
+                assert _bits(a) == _bits(b)
 
 
 class TestPayoff:

@@ -28,6 +28,31 @@ def _estar_at(s, lam):
     return float(_estar(np.array([s]), lam, 1.0, 0.0)[1][0])
 
 
+def _calls(monkeypatch, *names):
+    """Call counts, from now on, of the loss kernel solver._terms, of
+    ScenarioSet.shortfall and of the solver functions in names.  The kernel
+    must be asked for all three terms, and a call of the solver's
+    loss_value, loss_deriv1 or loss_deriv2 fails the test."""
+    counts = dict.fromkeys(("_terms", "shortfall", *names), 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    terms = solver._terms
+    monkeypatch.setattr(solver, "_terms", counted("_terms", lambda spec, x: terms(spec, x)))
+    monkeypatch.setattr(rt.ScenarioSet, "shortfall",
+                        counted("shortfall", rt.ScenarioSet.shortfall))
+    for name in names:
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    for name in ("loss_value", "loss_deriv1", "loss_deriv2"):
+        monkeypatch.setattr(solver, name, lambda *args, name=name: pytest.fail(
+            f"solver.{name} called during a solve"))
+    return counts
+
+
 class TestEstarValue:
     def test_unit_at_neutral_payoff(self):
         # a loss equal to beta makes the dual argument s zero
@@ -218,12 +243,12 @@ class TestSolveNonrobust:
         # of f, where a line search only halves on noise (12 steps without
         # the decrement test)
         scen = make_scenarios(n=200_000, seed=3)
-        steps = []
-        lpp = solver.loss_deriv2
-        monkeypatch.setattr(solver, "loss_deriv2",
-                            lambda spec, x: steps.append(1) or lpp(spec, x))
+        counts = _calls(monkeypatch, "_bordered")
         u = rt.solve_nonrobust(scen, L2)
-        assert len(steps) <= 4
+        # the first bordered solve is the start, each later one a Newton step
+        assert counts["_bordered"] - 1 <= 4
+        # one kernel call at the start and one per line-search trial
+        assert counts["_terms"] == counts["shortfall"]
         grad = -(scen.R.T @ rt.loss_deriv1(L2, scen.B - scen.R @ u)) / scen.n
         assert np.max(np.abs(grad - grad.mean())) < 1e-9
 
@@ -232,15 +257,12 @@ class TestSolveNonrobust:
         # steps overshoot, and the line search halves some of them
         spec = rt.LossSpec.smoothed_plus(1e-4)
         scen = make_scenarios(n=200, seed=4)
-        steps, trials = [], []
-        lv, lpp = solver.loss_value, solver.loss_deriv2
-        monkeypatch.setattr(solver, "loss_value",
-                            lambda s, x: trials.append(1) or lv(s, x))
-        monkeypatch.setattr(solver, "loss_deriv2",
-                            lambda s, x: steps.append(1) or lpp(s, x))
+        counts = _calls(monkeypatch, "_bordered")
         u = rt.solve_nonrobust(scen, spec)
-        # the first loss is the start's; each later one is a trial
-        assert len(trials) - 1 > len(steps)
+        # the first kernel call and bordered solve are the start's; each
+        # later kernel call is a trial and each later bordered solve a step
+        assert counts["_terms"] == counts["shortfall"]
+        assert counts["_terms"] - 1 > counts["_bordered"] - 1
         f0 = rt.loss_value(spec, scen.shortfall(u)).mean()
         d = scen.d
         for i in range(d):
@@ -527,11 +549,18 @@ def _bits(a):
 
 class TestTrialPathMemory:
     """solve_robust keeps each array of N points only until its last read:
-    the start point's losses go once their (alpha, beta) are solved, and
-    the accepted point's shortfall and pass once its Newton step is.  At
-    N = 2^16 a solve then peaks at 12 arrays of N floats, in the assembly
-    _kkt, with its line-search passes as closed forms; while those arrays
-    lived on, the peak was 13 to 14."""
+    a point's shortfall goes once its loss kernel returns, the start point's
+    losses once their (alpha, beta) are solved, and the accepted point's
+    l', l'' and pass once its Newton step is; an accepted trial's losses go
+    at the next trial (see solve_robust).  At N = 2^16 a solve then peaks
+    at 11 arrays of N floats, in the assembly _kkt, which writes none of
+    its inputs.  While the shortfall lived on to the assembly, which
+    formed l' and l'' from it, the peak was 12; while the start point's
+    losses and the accepted point's arrays lived on, 13 to 14.
+
+    solve_nonrobust drops l' and l'' once its gradient and Hessian are
+    formed, and a rejected trial's at once; it peaks at 6 arrays (7 for
+    smoothed_pos_sq while each step formed l' and l'' from the shortfall)."""
 
     N = 2 ** 16
 
@@ -543,7 +572,11 @@ class TestTrialPathMemory:
     @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
     def test_solve_peak(self, scenarios, spec, lam):
         ball = rt.DivergenceBall(lam, 0.5)
-        assert peak_arrays(lambda: rt.solve_robust(scenarios, ball, spec), self.N) <= 12.1
+        assert peak_arrays(lambda: rt.solve_robust(scenarios, ball, spec), self.N) <= 11.1
+
+    @pytest.mark.parametrize("spec", [L1, L2], ids=["l1", "l2"])
+    def test_nonrobust_peak(self, scenarios, spec):
+        assert peak_arrays(lambda: rt.solve_nonrobust(scenarios, spec), self.N) <= 6.1
 
 
 class TestInPlacePasses:
@@ -576,11 +609,11 @@ class TestInPlacePasses:
     def test_assembly_leaves_its_inputs(self, scenarios4k, spec):
         ball = rt.DivergenceBall(0.1, 0.5)
         u = np.array([0.4, 0.3, 0.2, 0.1])
-        x = scenarios4k.B - scenarios4k.R @ u
-        alpha, beta, p = _dual(rt.loss_value(spec, x), ball)
-        keep = [a.copy() for a in (x, *p)]
-        solver._kkt(u, alpha, x, p, scenarios4k, ball, spec)
-        for a, b in zip((x, *p), keep):
+        L, lp, lpp = solver._terms(spec, scenarios4k.B - scenarios4k.R @ u)
+        alpha, beta, p = _dual(L, ball)
+        keep = [a.copy() for a in (lp, lpp, *p)]
+        solver._kkt(u, alpha, lp, lpp, p, scenarios4k, ball)
+        for a, b in zip((lp, lpp, *p), keep):
             assert np.array_equal(_bits(a), _bits(b))
 
     @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
@@ -686,19 +719,15 @@ class TestLazyNewton:
                                    eager_solve_robust(scen, REPL_BALL, L1))
 
     def test_work_counts(self, monkeypatch):
-        # line-search trials evaluate l only; l' and l'' run once per
-        # accepted point
+        # the start and each line-search trial form l, l' and l'' in one
+        # kernel call; an accepted point forms none of them again
         scen = make_scenarios(n=2000, seed=151)
-        counts = {"l": 0, "lp": 0, "lpp": 0}
-        for name, key in (("loss_value", "l"), ("loss_deriv1", "lp"),
-                          ("loss_deriv2", "lpp")):
-            def counted(spec, x, fn=getattr(solver, name), key=key):
-                counts[key] += 1
-                return fn(spec, x)
-            monkeypatch.setattr(solver, name, counted)
+        counts = _calls(monkeypatch, "_kkt", "_phi")
         sol = rt.solve_robust(scen, rt.DivergenceBall(0.0, 2.0), L1)
-        assert counts["lpp"] == counts["lp"] == sol.iterations + 1
-        assert counts["l"] >= sol.iterations + 1
+        # _phi runs once at the start and once per trial
+        assert counts["_terms"] == counts["shortfall"] == counts["_phi"]
+        assert counts["_kkt"] == sol.iterations + 1
+        assert counts["_terms"] >= sol.iterations + 1
 
     def test_repeat_solve_is_bit_identical(self, scenarios4k):
         ball = rt.DivergenceBall(0.1, 1.0)
@@ -756,13 +785,12 @@ class TestReplicableWindows:
     def test_alpha_collapse_is_named(self, k, monkeypatch):
         # the optimum is the replicating portfolio, where every loss is l(0)
         # and alpha = 0: no KKT point exists
-        steps = []
-        lpp = solver.loss_deriv2
-        monkeypatch.setattr(solver, "loss_deriv2",
-                            lambda spec, x: steps.append(1) or lpp(spec, x))
+        counts = _calls(monkeypatch, "_kkt", "_phi")
         with pytest.raises(rt.DegenerateScenariosError, match="alpha collapse"):
             rt.solve_robust(replicable_window(k), REPL_BALL, L1)
-        assert len(steps) - 1 <= 30       # Newton steps: one l'' per accepted point
+        assert counts["_kkt"] - 1 <= 30   # Newton steps: one assembly per accepted point
+        # the collapsing trial stops after its kernel call, before its _phi
+        assert counts["_terms"] == counts["shortfall"] == counts["_phi"] + 1
 
     def test_collapse_restarts_the_inner_root_at_the_small_ball_estimate(self, monkeypatch):
         # a trial whose Newton step takes alpha to 0 or below starts its
