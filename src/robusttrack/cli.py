@@ -125,7 +125,13 @@ def _floats(values) -> list:
 _BALL = {"lambda": float, "eta": float, "eta_grid": _floats, "k_grid": _floats, "sign": None}
 
 
-def _ball(**ball) -> DivergenceBall:
+def _ball(sign="-", **ball) -> DivergenceBall:
+    """The one ball of `track solve` and `track backtest`, whose sign is
+    checked as a table row's is; a grid is an error, as they read one eta."""
+    for name in ("eta_grid", "k_grid"):
+        if name in ball:
+            raise ConfigError(f"ball.{name}", "this command reads one eta, not a grid")
+    RowConfig(lam=ball["lambda"], k=1.0, sign=sign)
     return DivergenceBall(lam=ball["lambda"], eta=ball["eta"])
 
 

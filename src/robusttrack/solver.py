@@ -33,12 +33,23 @@ rho's rounding is a stall.  Each point, trial or start, forms l, l' and l''
 in one call of loss._terms, which forms each loss's special functions once,
 and an accepted trial's l' and l'' go to the assembly as they are.
 
-Where the losses can be made all equal (an index the tracked assets
-replicate) the optimum has alpha = 0 and no KKT point exists.  The solve
-raises DegenerateScenariosError as soon as a trial's loss spread falls below
-sqrt(eps) times the start point's, where the (alpha, beta) block of J turns
-singular to working precision.  Repeated solves at a fixed BLAS thread
-count are bitwise identical.
+Where the tracked assets replicate the index, the shortfall is a constant
+c at the replicating portfolio u_rep, and u_rep may be the optimum, with
+alpha = 0 and no KKT point.  Before the first inner root the solve fits B by
+R'u plus a constant on 1'u = 1 in least squares, on a prefix of 2(d + 2)
+rows and then, as a set that replicates does so on every prefix, on all N
+only where the prefix replicates: where the fit's shortfall spreads below
+sqrt(eps) times 1/d's.  By Danskin's and Sion's theorems u_rep is then
+optimal iff l'(c) = 0 (the quadratic loss at c = 0), or some E in the ball
+gives every tracked asset the same tilted mean mean(E R_j), that is iff the
+least divergence D_min of such an E is at most eta (see _dmin); both need
+the shortfalls, not only the losses, equal.  Then the solve raises
+DegenerateScenariosError at once; otherwise Newton runs as without the
+test.  Where the losses approach equality during the Newton iteration, it
+raises the same error as soon as a trial's loss spread falls below sqrt(eps)
+times the start point's, where the (alpha, beta) block of J turns singular
+to working precision.  Repeated solves at a fixed BLAS thread count are
+bitwise identical.
 
 Each N-point array lives only until its last read, except an accepted
 trial's losses (see solve_robust), so a solve peaks in _kkt, which works
@@ -61,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from .divergence import DivergenceBall
-from .loss import LossSpec, _terms, loss_deriv1, loss_deriv2, loss_value
+from .loss import QUADRATIC, LossSpec, _terms, loss_deriv1, loss_deriv2, loss_value
 from .model import ScenarioSet
 
 # bench/tracing.py and tests/test_api.py look up these three names on this
@@ -69,10 +80,12 @@ from .model import ScenarioSet
 # they are kept here only for those lookups.
 loss_value, loss_deriv1, loss_deriv2
 
-# steps allowed to the scalar root of the inner (alpha, beta) solve
+# steps allowed to the scalar root of the inner (alpha, beta) solve and to
+# the Newton iteration for D_min
 _INNER_STEPS = 100
 # a trial whose loss spread falls below this share of the start point's
-# spread is taken as the alpha -> 0 collapse
+# spread is taken as the alpha -> 0 collapse, and so is a least-squares
+# replicating portfolio whose shortfall spreads below this share of 1/d's
 _COLLAPSE = np.sqrt(np.finfo(float).eps)
 _TINY = np.finfo(float).smallest_subnormal
 
@@ -242,6 +255,82 @@ def _phi(alpha, beta, p, ball):
             + alpha * ((ball.lam / (ball.lam + 1.0) * s + 1.0) * e - 1.0).mean())
 
 
+def _dmin(Z, lam, eta):
+    """(D, E): the least divergence D_min = min mean G(E) over E >= 0 with
+    mean E = 1 and mean(E Z) = 0, and its E, by damped Newton on the concave
+    dual  max over theta of theta_0 - mean G*(A theta),  A = [1, Z], from
+    theta = 0.  E = G*'(A theta) and G*'' = E^(1-lam)/(lam+1) are the _estar
+    pass at alpha = 1, beta = 0, and the gradient is (1, 0, ..., 0) -
+    mean(E A).  Each dual value bounds D_min from below, so the iteration
+    ends at the first value above eta, which is then D.  D is NaN where it
+    ends with neither."""
+    N = Z.shape[0]
+    A = np.column_stack([np.ones(N), Z])
+    c = lam / (lam + 1.0)
+    tol = 1e-13 * np.abs(A).max()
+    theta, D = np.zeros(A.shape[1]), 0.0
+    p = _estar(np.zeros(N), lam, 1.0, 0.0)
+    with np.errstate(over="ignore"):   # a trial far out is rejected as -inf
+        for _ in range(_INNER_STEPS):
+            _, e, w = p
+            grad = -(A.T @ e) / N
+            grad[0] += 1.0
+            if np.max(np.abs(grad)) <= tol:
+                return D, e
+            try:
+                step = np.linalg.solve((A.T * w) @ A / (N * (lam + 1.0)), grad)
+            except np.linalg.LinAlgError:
+                break
+            rise = grad @ step         # the Newton decrement
+            t = 1.0
+            while t >= 1e-10:
+                p_t = _estar(A @ (theta + t * step), lam, 1.0, 0.0)
+                D_t = theta[0] + t * step[0] - ((c * p_t[0] + 1.0) * p_t[1] - 1.0).mean()
+                if D_t > eta:
+                    return D_t, p_t[1]
+                # a rise within D's rounding, which no trial can verify, is
+                # taken whole
+                if D_t >= D + 1e-4 * t * rise or rise <= 8.0 * np.spacing(D):
+                    break
+                t *= 0.5
+            else:
+                break
+            theta, D, p = theta + t * step, D_t, p_t
+    return np.nan, p[1]
+
+
+def _certify(scenarios, x0, spec, ball):
+    """Raise DegenerateScenariosError where the tracked assets replicate the
+    index and the replicating portfolio is optimal (see the module
+    docstring); x0 is the shortfall at 1/d.  In the coordinates v of the
+    plane 1'u = 1, u = (1 - 1'v, v), the shortfall is y - Z v with
+    y = B - R_1 and Z_j = R_j - R_1.  The fit solves the normal equations of
+    the centred Zc, Zc'Z v = Zc'y (Zc'Z = Zc'Zc), because the first call of
+    np.linalg.lstsq grows a process's peak RSS by about 1 MB and that of
+    Zc.T @ Zc, which numpy hands to BLAS syrk, by 0.15 MB."""
+    d, n = scenarios.d, scenarios.n
+    for m in sorted({min(2 * (d + 2), n), n}):
+        R = scenarios.R[:m]
+        Z = R[:, 1:] - R[:, :1]
+        y = scenarios.B[:m] - R[:, 0]
+        Zc = Z - Z.mean(axis=0)
+        try:
+            x = y - Z @ np.linalg.solve(Zc.T @ Z, Zc.T @ y)
+        except np.linalg.LinAlgError:  # collinear assets: no decision
+            return
+        if not np.ptp(x) < _COLLAPSE * np.ptp(x0[:m]):
+            return
+    if spec.kind == QUADRATIC and np.abs(x).max() < _COLLAPSE * np.ptp(x0):
+        raise DegenerateScenariosError(
+            "alpha collapse: the index is replicable with zero shortfall, so every loss "
+            "is 0 at the replicating portfolio, the global minimum, and alpha = 0")
+    D = _dmin(Z, ball.lam, ball.eta)[0]
+    if D <= ball.eta:
+        raise DegenerateScenariosError(
+            f"alpha collapse: the index is replicable and D_min = {D:.6g} <= eta = "
+            f"{ball.eta:g}, so the replicating portfolio is optimal with alpha = 0")
+
+
 def _kkt(u, alpha, lp, lpp, p, scenarios, ball):
     """Residual F, at theta = 0, and Jacobian J of the system at (u, alpha,
     beta), for the loss derivatives lp = l' and lpp = l'' at the shortfall
@@ -315,8 +404,9 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
 
     Requires eta > 0 (a zero radius collapses the ball; use solve_nonrobust)
     and at least d + 3 scenarios.  Raises DegenerateScenariosError when the
-    losses are, or approach being, all equal, or when eta reaches the largest
-    divergence of N scenarios (alpha collapses to 0), and
+    losses are, or approach being, all equal, when the tracked assets
+    replicate the index and the replicating portfolio is optimal, or when eta
+    reaches the largest divergence of N scenarios (alpha collapses to 0), and
     NonConvergenceError with the smallest residual reached and the Newton
     steps taken when the residual tolerance is not met.
     """
@@ -334,7 +424,10 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             "scenarios: the worst case is the point mass on the largest loss, alpha = 0")
 
     u = np.full(d, 1.0 / d)
-    L, lp, lpp = _terms(spec, scenarios.shortfall(u))
+    x = scenarios.shortfall(u)
+    _certify(scenarios, x, spec, ball)
+    L, lp, lpp = _terms(spec, x)
+    del x
     spread0 = float(L.max() - L.min())
     if spread0 <= 1e-14 * max(1.0, float(np.abs(L).max())):
         raise DegenerateScenariosError(

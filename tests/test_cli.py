@@ -230,12 +230,15 @@ class TestConfigErrors:
         ("solve", "experiment", {"n": 5}, "experiment.n"),
         ("simulate", "ball", {"eta_grid": []}, "ball"),
         ("simulate", "ball", {"k_grid": []}, "ball"),
+        ("solve", "ball", {"eta_grid": [0.1]}, "ball.eta_grid"),
+        ("backtest", "ball", {"k_grid": [1.0]}, "ball.k_grid"),
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
             "eta-null", "max_iterations-null", "window-list", "loss-kind-list",
             "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
             "out_dir-null", "residual_tol-nan", "window-fraction", "seed-true",
             "n-fraction", "max_iterations-fraction", "k_grid-nan", "n_ratio-one",
-            "simulate-n-below-d3", "solve-n-below-d3", "eta_grid-empty", "k_grid-empty"])
+            "simulate-n-below-d3", "solve-n-below-d3", "eta_grid-empty", "k_grid-empty",
+            "solve-eta_grid", "backtest-k_grid"])
     def test_wrongly_typed_value(self, tmp_path, capsys, no_draws,
                                  command, block, entry, path):
         # a value of the wrong type or outside its domain is a config error
@@ -287,10 +290,13 @@ class TestConfigErrors:
         ("solve", "tracked_assets", [0, True, 2, 3], "expected an integer, got True"),
         ("simulate", "ball", {"lambda": 0.1}, "one of eta, eta_grid or k_grid is required"),
         ("simulate", "model", {"kind": "cauchy"}, "unknown model kind 'cauchy'"),
+        ("solve", "ball", {"lambda": 0.1, "eta": 0.2, "sign": "x"}, "sign must be '+' or '-'"),
+        ("backtest", "ball", {"lambda": 0.1, "eta": 0.2, "sign": "x"},
+         "sign must be '+' or '-'"),
     ], ids=["loss-null", "model-null", "actual-null", "data-null", "io-null",
             "solver-null", "composition-string", "simulate-composition-length",
             "solve-composition-length", "tracked-fraction", "tracked-bool",
-            "ball-without-rows", "model-kind-unknown"])
+            "ball-without-rows", "model-kind-unknown", "solve-bad-sign", "backtest-bad-sign"])
     def test_bad_entry(self, tmp_path, capsys, no_draws, command, key, value, message):
         # a null block is an error, not an absent one, and the composition
         # must fit the model before any scenario is drawn

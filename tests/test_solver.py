@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 import robusttrack as rt
 import robusttrack.solver as solver
@@ -784,22 +784,138 @@ class TestReplicableWindows:
     @pytest.mark.parametrize("k", [1, 3, 4, 5])
     def test_alpha_collapse_is_named(self, k, monkeypatch):
         # the optimum is the replicating portfolio, where every loss is l(0)
-        # and alpha = 0: no KKT point exists
-        counts = _calls(monkeypatch, "_kkt", "_phi")
-        with pytest.raises(rt.DegenerateScenariosError, match="alpha collapse"):
+        # and alpha = 0: no KKT point exists.  The certificate D_min <= eta
+        # decides it before any inner root or Newton step; without it, Newton
+        # took up to 30 steps, 13-61 ms, to reach the collapse rule
+        counts = _calls(monkeypatch, "_kkt", "_phi", "_tilt")
+        with pytest.raises(rt.DegenerateScenariosError,
+                           match=r"alpha collapse: .* D_min = 0\.0\d+ <= eta = 0\.02"):
             rt.solve_robust(replicable_window(k), REPL_BALL, L1)
-        assert counts["_kkt"] - 1 <= 30   # Newton steps: one assembly per accepted point
-        # the collapsing trial stops after its kernel call, before its _phi
-        assert counts["_terms"] == counts["shortfall"] == counts["_phi"] + 1
+        assert counts["_kkt"] == counts["_tilt"] == counts["_phi"] == 0
+        assert counts["_terms"] <= 1
 
     def test_collapse_restarts_the_inner_root_at_the_small_ball_estimate(self, monkeypatch):
         # a trial whose Newton step takes alpha to 0 or below starts its
-        # inner root at the small-ball estimate; started from the current
-        # alpha scaled by the trial's loss spread, window 1 took 523 passes
-        sizes = _passes(monkeypatch, ("_tilt",))
-        with pytest.raises(rt.DegenerateScenariosError, match="alpha collapse"):
-            rt.solve_robust(replicable_window(1), REPL_BALL, L1)
-        assert len(sizes) <= 470
+        # inner root at the small-ball estimate; window 6, which converges,
+        # takes that restart in 4 trials.  (Started from the current alpha
+        # scaled by the trial's loss spread, window 1 took 523 passes.)
+        starts = []
+
+        def dual(L, ball, *start, fn=solver._dual):
+            starts.append(start)
+            return fn(L, ball, *start)
+
+        monkeypatch.setattr(solver, "_dual", dual)
+        sol = rt.solve_robust(replicable_window(6), REPL_BALL, L1)
+        assert sol.residual_norm <= 1e-8
+        # the start point's root, then at least one restart
+        assert starts[0] == () and starts[1:].count(()) >= 1
+
+    def test_collapse_rule_ends_a_near_replicable_newton_run(self, monkeypatch):
+        # smoothed_plus at lam = 1, eta = 0.05 on windows 7 and 8: D_min
+        # (0.059, 0.055) exceeds eta, so the certificate hands the solve to
+        # Newton, whose trials approach u_rep until the loss-spread rule
+        # raises.  With D_min > eta a KKT point should exist (smoothed_pos_sq
+        # converges on both windows); this pins the rule's cost, not the
+        # outcome
+        ball = rt.DivergenceBall(1.0, 0.05)
+        for k in (7, 8):
+            counts = _calls(monkeypatch, "_kkt")
+            with pytest.raises(rt.DegenerateScenariosError,
+                               match="alpha collapse: the losses approach equality"):
+                rt.solve_robust(replicable_window(k), ball, L2)
+            assert counts["_kkt"] <= 60
+
+
+def _plane(R):
+    """R_j - R_1: the certificate's constraints are mean(E (R_j - R_1)) = 0."""
+    return R[:, 1:] - R[:, :1]
+
+
+class TestReplicableCertificate:
+    """D_min, the least divergence of a reweighting E that gives every tracked
+    asset the same tilted mean, decides whether the replicating portfolio is
+    optimal (solver's module docstring)."""
+
+    # lam = 0.1, windows 0-9; the ROADMAP's prototype (BFGS on the same dual)
+    # read 0.0195, 0.0199, 0.0151 and 0.0171 on windows 1, 3, 4 and 5
+    DMIN = [0.02643, 0.01947, 0.03546, 0.01990, 0.01511, 0.01705, 0.02939,
+            0.03462, 0.03258, 0.03131]
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_dmin_of_the_replicable_windows(self, k, monkeypatch):
+        R = replicable_window(k).R
+        D, e = solver._dmin(_plane(R), 0.1, np.inf)
+        assert D == pytest.approx(self.DMIN[k], abs=1e-5)
+        # E is feasible to rounding: mean E = 1, equal tilted means
+        assert abs(e.mean() - 1.0) <= 1e-12
+        assert np.ptp((R * e[:, None]).mean(axis=0)) <= 1e-12
+        # at eta = 0.02 a window with D_min > eta stops at its first dual
+        # value above eta, after one step (the start's pass and one trial's),
+        # with a lower bound on D_min; the others run to D_min
+        sizes = _passes(monkeypatch, ("_estar",))
+        bound, _ = solver._dmin(_plane(R), 0.1, REPL_BALL.eta)
+        if D > REPL_BALL.eta:
+            assert REPL_BALL.eta < bound < D and len(sizes) == 2
+        else:
+            assert bound == D
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("k", range(10))
+    def test_dmin_is_the_primal_minimum(self, k, lam):
+        # the primal problem over the 40 weights E, solved by SLSQP
+        R = replicable_window(k).R
+        N = len(R)
+
+        def G(e):
+            if lam == 0.0:
+                return e * np.log(e) - e + 1.0
+            return (e ** (lam + 1.0) - e) / lam - e + 1.0
+
+        def dG(e):
+            return np.log(e) if lam == 0.0 else ((lam + 1.0) * e ** lam - 1.0) / lam - 1.0
+
+        # the tilted-mean rows are scaled by 1e2 to the size of the budget row
+        tilted = [{"type": "eq", "fun": lambda e, j=j: (e * (R[:, j] - R[:, 0])).mean() * 1e2,
+                   "jac": lambda e, j=j: (R[:, j] - R[:, 0]) / N * 1e2} for j in (1, 2)]
+        cons = [{"type": "eq", "fun": lambda e: e.mean() - 1.0,
+                 "jac": lambda e: np.full(N, 1.0 / N)}] + tilted
+        best = minimize(lambda e: G(e).mean(), np.ones(N), jac=lambda e: dG(e) / N,
+                        method="SLSQP", bounds=[(1e-9, None)] * N, constraints=cons,
+                        options={"ftol": 1e-16, "maxiter": 500})
+        assert best.success
+        D, _ = solver._dmin(_plane(R), lam, np.inf)
+        assert D == pytest.approx(best.fun, abs=1e-8)
+
+    def test_quadratic_loss_at_zero_shortfall_raises_without_the_dual(self, monkeypatch):
+        # every loss is 0 at the replicating portfolio: the global minimum
+        counts = _calls(monkeypatch, "_dmin", "_tilt", "_kkt")
+        for k in (0, 1):
+            with pytest.raises(rt.DegenerateScenariosError, match="zero shortfall"):
+                rt.solve_robust(replicable_window(k), REPL_BALL, QUAD)
+        assert counts["_dmin"] == counts["_tilt"] == counts["_kkt"] == counts["_terms"] == 0
+
+    def test_pre_test_reads_only_a_prefix_of_other_sets(self, scenarios4k, monkeypatch):
+        # a set the tracked assets do not replicate fails the test on its
+        # first 2(d + 2) = 12 rows: the spreads it compares are of those
+        # rows, and the solve makes the kernel calls and shortfalls it makes
+        # without the test
+        spreads = []
+
+        def ptp(a, fn=np.ptp):
+            spreads.append(len(a))
+            return fn(a)
+
+        monkeypatch.setattr(solver.np, "ptp", ptp)
+        runs = []
+        for certify in (solver._certify, lambda *args: None):
+            monkeypatch.setattr(solver, "_certify", certify)
+            counts = _calls(monkeypatch, "_dmin")
+            runs.append((rt.solve_robust(scenarios4k, REPL_BALL, L1), dict(counts)))
+        (sol, counts), (plain, plain_counts) = runs
+        assert spreads == [12, 12]
+        assert counts == plain_counts and counts["_dmin"] == 0
+        assert _same_bytes(sol, plain)
 
 
 class TestLargestDivergence:
