@@ -125,18 +125,9 @@ def _floats(values) -> list:
 _BALL = {"lambda": float, "eta": float, "eta_grid": _floats, "k_grid": _floats, "sign": None}
 
 
-def _ball(sign="-", **ball) -> DivergenceBall:
-    """The one ball of `track solve` and `track backtest`, whose sign is
-    checked as a table row's is; a grid is an error, as they read one eta."""
-    for name in ("eta_grid", "k_grid"):
-        if name in ball:
-            raise ConfigError(f"ball.{name}", "this command reads one eta, not a grid")
-    RowConfig(lam=ball["lambda"], k=1.0, sign=sign)
-    return DivergenceBall(lam=ball["lambda"], eta=ball["eta"])
-
-
 def _grid(sign="-", **ball) -> list:
-    """The table rows of the ball block: eta_grid, else k_grid, else eta."""
+    """The rows of the ball block: eta_grid, else k_grid, else eta.  A block
+    with none has no rows, its lambda and sign checked as a row's are."""
     lam = ball["lambda"]
     if any(name in ball and not ball[name] for name in ("eta_grid", "k_grid")):
         raise ValueError("eta_grid and k_grid must not be empty")
@@ -146,26 +137,31 @@ def _grid(sign="-", **ball) -> list:
         return [RowConfig(lam=lam, k=k, sign=sign) for k in ball["k_grid"]]
     if "eta" in ball:
         return [RowConfig(lam=lam, eta=ball["eta"], sign=sign)]
-    raise ValueError("one of eta, eta_grid or k_grid is required")
+    RowConfig(lam=lam, k=1.0, sign=sign)
+    return []
 
 
-def _divergence_rows(nominal, sign="-", **ball):
+def _ball(**ball) -> DivergenceBall:
+    """The one ball of `track solve` and `track backtest`: the single eta row
+    of ``_grid``; a grid is an error, as they read one eta."""
+    for name in ("eta_grid", "k_grid"):
+        if name in ball:
+            raise ConfigError(f"ball.{name}", "this command reads one eta, not a grid")
+    row, = _grid(**ball)
+    return DivergenceBall(lam=row.lam, eta=row.eta)
+
+
+def _divergence_rows(nominal, **ball):
     """(lam, [(eta, k, round trip, sign)]): the rows of ``_grid``, each eta
-    resolved to its k and that k back to its radius.  A block of only lambda
-    and sign has no rows, but its sign is checked as a row's would be; the
-    Monte-Carlo radius needs a valid lam."""
-    if set(ball) == {"lambda"}:
-        lam = DivergenceBall(lam=ball["lambda"], eta=0.0).lam
-        RowConfig(lam=lam, k=1.0, sign=sign)
-        return lam, []
+    resolved to its k and that k back to its radius."""
     rows = []
-    for rc in _grid(sign, **ball):
+    for rc in _grid(**ball):
         if rc.eta is None:
             raise ConfigError("ball.k_grid", "divergence inverts eta rows, not k rows")
         k = rc.resolve(nominal, None, 0)[1]
         back = RowConfig(lam=rc.lam, k=k).resolve(nominal, None, 0)[0]
         rows.append((rc.eta, k, back, rc.sign))
-    return DivergenceBall(lam=ball["lambda"], eta=0.0).lam, rows
+    return ball["lambda"], rows
 
 
 def _draws(n, n_ratio, seed) -> dict:
@@ -360,6 +356,8 @@ def cmd_simulate(cfg: dict) -> int:
     solver_cfg = _read(cfg, "solver", SolverConfig, _SOLVER, optional=True)
     model, comp, tracked = _market(cfg, exp["n"])
     grid = _read(cfg, "ball", _grid, _BALL, need=("lambda",))
+    if not grid:
+        raise ConfigError("ball", "one of eta, eta_grid or k_grid is required")
     out = _out_dir(cfg)
     rows = run_table(model, comp, tracked, grid, spec, n=exp["n"], seed=exp["seed"],
                      n_ratio=exp["n_ratio"], solver_config=solver_cfg)
@@ -405,13 +403,16 @@ def cmd_backtest(cfg: dict) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"divergence": cmd_divergence, "solve": cmd_solve,
+             "simulate": cmd_simulate, "backtest": cmd_backtest}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="track",
         description="Robust index tracking under divergence-ball ambiguity",
     )
-    parser.add_argument("command",
-                        choices=["divergence", "solve", "simulate", "backtest"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
@@ -427,9 +428,7 @@ def main(argv=None) -> int:
         if declared is not None and declared != args.command:
             raise ConfigError("command",
                               f"config declares {declared!r} but {args.command!r} was invoked")
-        handler = {"divergence": cmd_divergence, "solve": cmd_solve,
-                   "simulate": cmd_simulate, "backtest": cmd_backtest}[args.command]
-        return handler(cfg)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

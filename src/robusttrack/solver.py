@@ -289,8 +289,9 @@ def _dmin(Z, lam, eta):
                 if D_t > eta:
                     return D_t, p_t[1]
                 # a rise within D's rounding, which no trial can verify, is
-                # taken whole
-                if D_t >= D + 1e-4 * t * rise or rise <= 8.0 * np.spacing(D):
+                # taken whole; D is a small difference of terms of size 1, so
+                # it rounds at eps
+                if D_t >= D + 1e-4 * t * rise or rise <= 8.0 * np.spacing(1.0):
                     break
                 t *= 0.5
             else:
@@ -556,15 +557,11 @@ def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,
     """Largest eigenvalue of the outer-Lagrangian Hessian in u.
 
     Hess = mean( -l''(x) R R' E* ) - (1/(alpha (1+lam))) mean( (E*)^(1-lam) g g' ),
-    with (E*)^(1-lam) taken as 0 where E* = 0: the u-block of the system
-    Jacobian at the solution's E*.  Both terms are negative semi-definite
-    for alpha > 0, so the result should not exceed roundoff times the
-    problem scale.
+    with (E*)^(1-lam) taken as 0 where E* = 0: the u-block of system_jacobian
+    at the solution's (u, alpha, beta).  Both terms are negative
+    semi-definite for alpha > 0, so the result should not exceed roundoff
+    times the problem scale.
     """
-    L, lp, lpp = _terms(spec, scenarios.shortfall(solution.u))
-    e = solution.estar
-    s = (L - solution.beta) / solution.alpha
-    w = np.power(e, 1.0 - ball.lam, out=np.zeros_like(e), where=e > 0.0)
-    J = _kkt(solution.u, solution.alpha, lp, lpp, (s, e, w), scenarios, ball)[1]
+    J = system_jacobian(solution.u, solution.alpha, solution.beta, 0.0, scenarios, ball, spec)
     d = scenarios.d
     return float(np.linalg.eigvalsh(J[:d, :d])[-1])

@@ -87,6 +87,7 @@ def test_option_counts():
     actions = [a for a in cli.build_parser()._actions if a.dest != "help"]
     assert [a.option_strings[0] if a.option_strings else a.dest for a in actions] == [
         "command", "--config", "--seed", "--out"]
+    assert actions[0].choices == ["divergence", "solve", "simulate", "backtest"]
 
 
 def test_records_hold_only_what_is_read():

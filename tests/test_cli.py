@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +166,16 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_module_entry_point(self, tmp_path):
+        # python -m robusttrack.cli runs main and exits with its code
+        src = Path(rt.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "robusttrack.cli", "solve", "--config", "missing.json"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert "config error at config: file not found: missing.json" in done.stderr
+
     @pytest.mark.parametrize("text,message", [
         ('{"ball": ', "config error at config: invalid JSON: "),
         ("[1, 2]", "config error at config: expected an object, got [1, 2]"),
@@ -293,10 +306,14 @@ class TestConfigErrors:
         ("solve", "ball", {"lambda": 0.1, "eta": 0.2, "sign": "x"}, "sign must be '+' or '-'"),
         ("backtest", "ball", {"lambda": 0.1, "eta": 0.2, "sign": "x"},
          "sign must be '+' or '-'"),
+        # a zero radius is rejected as a table row's is, before any draw
+        ("solve", "ball", {"lambda": 0.1, "eta": 0.0}, "eta must be finite and > 0"),
+        ("backtest", "ball", {"lambda": 0.1, "eta": 0.0}, "eta must be finite and > 0"),
     ], ids=["loss-null", "model-null", "actual-null", "data-null", "io-null",
             "solver-null", "composition-string", "simulate-composition-length",
             "solve-composition-length", "tracked-fraction", "tracked-bool",
-            "ball-without-rows", "model-kind-unknown", "solve-bad-sign", "backtest-bad-sign"])
+            "ball-without-rows", "model-kind-unknown", "solve-bad-sign", "backtest-bad-sign",
+            "solve-eta-zero", "backtest-eta-zero"])
     def test_bad_entry(self, tmp_path, capsys, no_draws, command, key, value, message):
         # a null block is an error, not an absent one, and the composition
         # must fit the model before any scenario is drawn

@@ -293,6 +293,46 @@ class TestSolveNonrobust:
         with pytest.raises(rt.SingularSystemError):
             rt.solve_nonrobust(scen, QUAD)
 
+    def test_nearly_singular_system_raises(self, scenarios4k):
+        # an asset 1e-13 from another: the bordered solve returns, but its
+        # residual shows the answer is not a solution
+        rng = np.random.default_rng(1)
+        R = scenarios4k.R
+        scen = rt.ScenarioSet(np.column_stack([R[:, 0] + 1e-13 * rng.standard_normal(len(R)), R]),
+                              scenarios4k.B)
+        with pytest.raises(rt.SingularSystemError, match="singular tracking KKT system") as info:
+            rt.solve_nonrobust(scen, L1)
+        assert info.value.__cause__ is None       # not numpy's LinAlgError
+
+    def test_requires_as_many_scenarios_as_assets(self, scenarios4k):
+        scen = rt.ScenarioSet(scenarios4k.R[:3], scenarios4k.B[:3])
+        with pytest.raises(ValueError, match=r"need at least d=4 scenarios, got 3"):
+            rt.solve_nonrobust(scen, L1)
+
+    def test_line_search_that_no_trial_passes_ends_the_fit(self, monkeypatch):
+        # an index 2 % a period above every portfolio puts nearly every
+        # shortfall far in the smooth-plus loss's linear part, where l'' is
+        # almost 0: the Newton step is huge, and every trial down to
+        # t = 2^-46 raises the mean loss, so the fit stops where it is
+        spec = rt.LossSpec.smoothed_plus(1e-4)
+        base = make_scenarios(n=40, seed=1)
+        scen = rt.ScenarioSet(base.R, base.B + 0.02)
+        means = []
+
+        def terms(spec, x, fn=solver._terms):
+            out = fn(spec, x)
+            means.append(out[0].mean())
+            return out
+
+        monkeypatch.setattr(solver, "_terms", terms)
+        u = rt.solve_nonrobust(scen, spec)
+        assert np.all(np.isfinite(u)) and u.sum() == pytest.approx(1.0, abs=1e-12)
+        # the last 47 trials, t = 1 to 2^-46, each fail to lower the mean
+        # loss of the point returned
+        f = rt.loss_value(spec, scen.shortfall(u)).mean()
+        assert len(means) > 47 and min(means[-47:]) >= f
+        assert f <= means[0]
+
     @pytest.mark.parametrize("spec", [L1, L2], ids=["l1", "l2"])
     def test_accepted_trial_reuse_is_bit_identical(self, scenarios4k, spec):
         # each step starts from the shortfall and mean loss its line search
@@ -392,6 +432,31 @@ class TestSolveRobust:
     def test_requires_positive_eta(self, scenarios4k):
         with pytest.raises(ValueError, match="eta > 0"):
             rt.solve_robust(scenarios4k, rt.DivergenceBall(0.1, 0.0), QUAD)
+
+    def test_singular_newton_system_raises(self, scenarios4k):
+        # a repeated asset gives J two equal rows and columns; the
+        # certificate's fit makes no decision on collinear assets
+        R = scenarios4k.R
+        scen = rt.ScenarioSet(np.column_stack([R[:, 0], R]), scenarios4k.B)
+        with pytest.raises(rt.SingularSystemError, match="^singular Newton system$"):
+            rt.solve_robust(scen, rt.DivergenceBall(0.1, 0.5), L1)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_radius_beyond_the_tied_largest_losses(self, lam, monkeypatch):
+        # 201 of 400 scenarios share the largest loss, so no E in the ball
+        # lies beyond ((400/201)^lam - 1)/lam, below the check's bound for
+        # one largest loss: the inner root finds no float with g > 0, and
+        # its one-sided bracket ends it before its step limit
+        base = make_scenarios(n=200, seed=3)
+        top = int(np.argmax(base.shortfall(np.full(4, 0.25)) ** 2))
+        scen = rt.ScenarioSet(np.vstack([base.R, np.repeat(base.R[top:top + 1], 200, axis=0)]),
+                              np.append(base.B, np.repeat(base.B[top], 200)))
+        assert np.expm1(lam * np.log(400 / 201)) / lam < 1.0
+        sizes = _passes(monkeypatch, ("_tilt",))
+        with pytest.raises(rt.NonConvergenceError,
+                           match=r"^inner \(alpha, beta\) root did not converge$"):
+            rt.solve_robust(scen, rt.DivergenceBall(lam, 1.0), QUAD)
+        assert 0 < len(sizes) < solver._INNER_STEPS
 
     def test_requires_enough_scenarios(self):
         scen = make_scenarios(n=5, seed=1)
@@ -668,21 +733,31 @@ class TestHessianDiagnostic:
             assert eigs[0] - 1e-12 <= q <= eigs[-1] + 1e-12
         assert eigs[-1] == pytest.approx(max_eig, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    def test_is_the_u_block_of_the_system_jacobian(self, scenarios4k, lam):
+        ball = rt.DivergenceBall(lam, 1.0)
+        sol = rt.solve_robust(scenarios4k, ball, L1)
+        J = rt.system_jacobian(sol.u, sol.alpha, sol.beta, sol.theta, scenarios4k, ball, L1)
+        d = scenarios4k.d
+        assert (rt.hessian_diagnostic(sol, scenarios4k, ball, L1)
+                == np.linalg.eigvalsh(J[:d, :d])[-1])
+
     def test_univariate_single_scenario_hand_value(self):
         # d=1, one scenario: both Hessian terms are scalars computable by hand
         R = np.array([[1.03]])
         B = np.array([1.01])
         scen = rt.ScenarioSet(R=R, B=B)
-        lam, alpha = 0.2, 0.05
+        lam, alpha, beta = 0.2, 0.05, 0.01
         x = 1.01 - 1.03          # B - R'u at u = 1
-        estar = np.array([1.7])
-        sol = rt.RobustSolution(u=np.array([1.0]), alpha=alpha, beta=0.01,
-                                theta=0.0, estar=estar, residual_norm=0.0,
+        # E* at (alpha, beta): s = (l - beta)/alpha, E* = (1 + c s)^(1/lam)
+        e = (1.0 + lam / (lam + 1.0) * (x ** 2 - beta) / alpha) ** (1.0 / lam)
+        sol = rt.RobustSolution(u=np.array([1.0]), alpha=alpha, beta=beta,
+                                theta=0.0, estar=np.array([e]), residual_norm=0.0,
                                 iterations=0)
         got = rt.hessian_diagnostic(sol, scen, rt.DivergenceBall(lam, 0.5), QUAD)
         grad = 2.0 * x * 1.03    # loss_deriv1(x) * R
-        expected = (-2.0 * 1.03 ** 2 * 1.7
-                    - grad ** 2 * 1.7 ** (1 - lam) / (alpha * (1 + lam)))
+        expected = (-2.0 * 1.03 ** 2 * e
+                    - grad ** 2 * e ** (1 - lam) / (alpha * (1 + lam)))
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -886,6 +961,49 @@ class TestReplicableCertificate:
         assert best.success
         D, _ = solver._dmin(_plane(R), lam, np.inf)
         assert D == pytest.approx(best.fun, abs=1e-8)
+
+    def test_dmin_takes_a_rise_within_rounding_whole(self, monkeypatch):
+        # D is a difference of terms of size 1: a Newton rise of about
+        # 4e-18, which no trial can verify, is taken whole, not halved to
+        # the step floor and reported as no decision (NaN)
+        rng = np.random.default_rng(23)
+        r = 0.02 * rng.standard_normal((20000, 3)) + 0.001
+        w = np.linspace(0.5, 0.1, 3)
+        scen = rt.scenarios_from(r, r @ w / w.sum())
+        D, e = solver._dmin(_plane(scen.R), 0.1, np.inf)
+        assert D == pytest.approx(9.9378e-5, abs=1e-8)
+        assert abs(e.mean() - 1.0) <= 1e-12
+        # so the solve raises the certificate's error before Newton
+        counts = _calls(monkeypatch, "_kkt")
+        for eta in (2e-4, 1e-3):
+            with pytest.raises(rt.DegenerateScenariosError, match=r"D_min = 9\.9378"):
+                rt.solve_robust(scen, rt.DivergenceBall(0.1, eta), L1)
+        assert counts["_kkt"] == 0
+
+    def test_dmin_of_collinear_assets_is_no_decision(self):
+        # a singular Newton system ends the iteration with NaN; the solve's
+        # least-squares fit returns first on such a set, so only a direct
+        # call reaches it
+        z = _plane(replicable_window(0).R)[:, :1]
+        D, e = solver._dmin(np.column_stack([z, z]), 0.1, 0.02)
+        assert np.isnan(D) and np.all(e == 1.0)
+
+    def test_dmin_whose_trials_reach_the_step_floor_is_no_decision(self, monkeypatch):
+        # at lam = 10 on 20 rows, E*^(1-lam) = E*/base is not smooth where
+        # base reaches 0: no trial of a step rises enough down to t = 1e-10,
+        # and the iteration ends with NaN and infeasible weights
+        rng = np.random.default_rng(21)
+        r = 0.02 * rng.standard_normal((20, 3)) + 0.001
+        w = np.linspace(0.5, 0.1, 3)
+        scen = rt.scenarios_from(r, r @ w / w.sum())
+        events = _passes(monkeypatch, ("_estar",))
+        monkeypatch.setattr(solver.np.linalg, "solve",
+                            lambda *args, fn=np.linalg.solve: events.append("step") or fn(*args))
+        D, e = solver._dmin(_plane(scen.R), 10.0, 1.0)
+        assert np.isnan(D) and abs(e.mean() - 1.0) > 1e-6
+        # the last step's trials t = 1 to 2^-33 all fail, before the step limit
+        assert 0 < events.count("step") < solver._INNER_STEPS
+        assert events[::-1].index("step") == 34
 
     def test_quadratic_loss_at_zero_shortfall_raises_without_the_dual(self, monkeypatch):
         # every loss is 0 at the replicating portfolio: the global minimum
