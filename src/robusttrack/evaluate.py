@@ -187,8 +187,8 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
         rows.append(row)
         ball = DivergenceBall(lam=rc.lam, eta=max(eta, ETA_FLOOR))
         fit = draw_scenarios(nominal, composition, tracked, n, seed_fit)
-        u_non = solve_nonrobust(fit, spec)
         try:
+            u_non = solve_nonrobust(fit, spec)
             sol = solve_robust(fit, ball, spec, solver_config)
         except SolverError as exc:
             row.solver_message = str(exc)

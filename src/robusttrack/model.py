@@ -118,7 +118,7 @@ class ScenarioSet:
             raise ValueError("R must be (N, d) and B must be (N,) with matching N")
         if R.shape[0] < 1:
             raise ValueError("scenario set must contain at least one row")
-        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(B))):
+        if not (np.isfinite(R).all() and np.isfinite(B).all()):
             raise DataError("scenario returns contain NaN or infinite entries")
         R, B = R.view(), B.view()      # the caller's arrays stay writeable
         R.setflags(write=False)

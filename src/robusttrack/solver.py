@@ -48,8 +48,9 @@ DegenerateScenariosError at once; otherwise Newton runs as without the
 test.  Where the losses approach equality during the Newton iteration, it
 raises the same error as soon as a trial's loss spread falls below sqrt(eps)
 times the start point's, where the (alpha, beta) block of J turns singular
-to working precision.  Repeated solves at a fixed BLAS thread count are
-bitwise identical.
+to working precision; where the test found a lower bound on D_min above
+eta, the message gives it, as alpha > 0 at the optimum there.  Repeated
+solves at a fixed BLAS thread count are bitwise identical.
 
 Each N-point array lives only until its last read, except an accepted
 trial's losses (see solve_robust), so a solve peaks in _kkt, which works
@@ -160,13 +161,20 @@ def _estar(L, lam, alpha, beta):
     return s, e, e / np.maximum(base, _TINY)
 
 
+def _mean(a):
+    """ndarray.mean of a vector, bit for bit (the same pairwise sum over the
+    same count), without numpy's Python-level wrapper, which costs more than
+    the sum at a backtest window's N."""
+    return np.add.reduce(a) / a.size
+
+
 def _mean_G(p, lam):
     """mean G(E*) = mean(E* s/(lam+1) - E* + 1) of the _estar pass p, summed
     term by term.  The moment form (m1 + c m2)/(lam+1) - mean E* + 1 takes
     the difference of two means of size 1 and rounds several times coarser,
     too coarse for a finite-difference check of J's divergence row."""
     s, e, _ = p
-    return (e * s / (lam + 1.0) - e + 1.0).mean()
+    return _mean(e * s / (lam + 1.0) - e + 1.0)
 
 
 def _tilt(L, top, lam, eta, x):
@@ -186,17 +194,17 @@ def _tilt(L, top, lam, eta, x):
     if lam == 0.0:
         z = L - top
         e = np.exp(z * x)
-        m = e.mean()
-        m1 = (e * z).mean() / m
+        m = _mean(e)
+        m1 = _mean(e * z) / m
         alpha = 1.0 / x
-        return (x * m1 - np.log(m) - eta, x * ((e * z * z).mean() / m - m1 * m1),
+        return (x * m1 - np.log(m) - eta, x * (_mean(e * z * z) / m - m1 * m1),
                 alpha, top + alpha * np.log(m))
     scale = top - x
     y = np.maximum(L - x, 0.0) / scale
     yp = y ** (1.0 / lam)
-    A = yp.mean()
-    B = (yp * y).mean()
-    C = (yp / np.maximum(y, _TINY)).mean()   # y^(p-1) = y^p / y is then 0 at y = 0
+    A = _mean(yp)
+    B = _mean(yp * y)
+    C = _mean(yp / np.maximum(y, _TINY))     # y^(p-1) = y^p / y is then 0 at y = 0
     alpha = lam / (lam + 1.0) * scale * A ** lam
     return (np.log(B) - (lam + 1.0) * np.log(A) - np.log1p(lam * eta),
             (1.0 + 1.0 / lam) / scale * (C / A - A / B),
@@ -214,10 +222,10 @@ def _dual(L, ball, alpha=None, beta=None):
     can step by more than the system's tolerance between floats of t, so a
     bracket that holds no float interpolates (alpha, beta) at its ends."""
     lam, eta = ball.lam, ball.eta
-    top = L.max()
+    top = np.maximum.reduce(L)
     if alpha is None:
         alpha = float(L.std()) / np.sqrt(2.0 * eta * (lam + 1.0))
-        beta = float(L.mean())
+        beta = float(_mean(L))
     if lam == 0.0:
         x, lo, hi = 1.0 / alpha, 0.0, np.inf
     else:
@@ -252,7 +260,7 @@ def _phi(alpha, beta, p, ball):
     G*(s) = E* (1 + c s) - 1."""
     s, e, _ = p
     return (alpha * ball.eta + beta
-            + alpha * ((ball.lam / (ball.lam + 1.0) * s + 1.0) * e - 1.0).mean())
+            + alpha * _mean((ball.lam / (ball.lam + 1.0) * s + 1.0) * e - 1.0))
 
 
 def _dmin(Z, lam, eta):
@@ -267,7 +275,7 @@ def _dmin(Z, lam, eta):
     N = Z.shape[0]
     A = np.column_stack([np.ones(N), Z])
     c = lam / (lam + 1.0)
-    tol = 1e-13 * np.abs(A).max()
+    tol = 1e-13 * np.maximum.reduce(np.abs(A), axis=None)
     theta, D = np.zeros(A.shape[1]), 0.0
     p = _estar(np.zeros(N), lam, 1.0, 0.0)
     with np.errstate(over="ignore"):   # a trial far out is rejected as -inf
@@ -275,7 +283,7 @@ def _dmin(Z, lam, eta):
             _, e, w = p
             grad = -(A.T @ e) / N
             grad[0] += 1.0
-            if np.max(np.abs(grad)) <= tol:
+            if np.maximum.reduce(np.abs(grad)) <= tol:
                 return D, e
             try:
                 step = np.linalg.solve((A.T * w) @ A / (N * (lam + 1.0)), grad)
@@ -285,7 +293,7 @@ def _dmin(Z, lam, eta):
             t = 1.0
             while t >= 1e-10:
                 p_t = _estar(A @ (theta + t * step), lam, 1.0, 0.0)
-                D_t = theta[0] + t * step[0] - ((c * p_t[0] + 1.0) * p_t[1] - 1.0).mean()
+                D_t = theta[0] + t * step[0] - _mean((c * p_t[0] + 1.0) * p_t[1] - 1.0)
                 if D_t > eta:
                     return D_t, p_t[1]
                 # a rise within D's rounding, which no trial can verify, is
@@ -308,7 +316,9 @@ def _certify(scenarios, x0, spec, ball):
     y = B - R_1 and Z_j = R_j - R_1.  The fit solves the normal equations of
     the centred Zc, Zc'Z v = Zc'y (Zc'Z = Zc'Zc), because the first call of
     np.linalg.lstsq grows a process's peak RSS by about 1 MB and that of
-    Zc.T @ Zc, which numpy hands to BLAS syrk, by 0.15 MB."""
+    Zc.T @ Zc, which numpy hands to BLAS syrk, by 0.15 MB.  Where the index
+    is replicated but D_min's dual gives a value above eta, return that
+    value, a lower bound on D_min; otherwise None."""
     d, n = scenarios.d, scenarios.n
     for m in sorted({min(2 * (d + 2), n), n}):
         R = scenarios.R[:m]
@@ -321,7 +331,7 @@ def _certify(scenarios, x0, spec, ball):
             return
         if not np.ptp(x) < _COLLAPSE * np.ptp(x0[:m]):
             return
-    if spec.kind == QUADRATIC and np.abs(x).max() < _COLLAPSE * np.ptp(x0):
+    if spec.kind == QUADRATIC and np.maximum.reduce(np.abs(x)) < _COLLAPSE * np.ptp(x0):
         raise DegenerateScenariosError(
             "alpha collapse: the index is replicable with zero shortfall, so every loss "
             "is 0 at the replicating portfolio, the global minimum, and alpha = 0")
@@ -330,6 +340,7 @@ def _certify(scenarios, x0, spec, ball):
         raise DegenerateScenariosError(
             f"alpha collapse: the index is replicable and D_min = {D:.6g} <= eta = "
             f"{ball.eta:g}, so the replicating portfolio is optimal with alpha = 0")
+    return D if D > ball.eta else None
 
 
 def _kkt(u, alpha, lp, lpp, p, scenarios, ball):
@@ -342,9 +353,9 @@ def _kkt(u, alpha, lp, lpp, p, scenarios, ball):
     lam = ball.lam
     s, e, w = p
     ws = w * s                         # m1, m2: means of E*^(1-lam) s, s^2
-    m1 = ws.mean()
+    m1 = _mean(ws)
     ws *= s
-    m2 = ws.mean()
+    m2 = _mean(ws)
     del ws
     k = (lam + 1.0) * alpha            # psi = E*^(1-lam) / k
     lpe = lp * e
@@ -354,7 +365,7 @@ def _kkt(u, alpha, lp, lpp, p, scenarios, ball):
     F[:d] = RT @ lpe / N
     F[d] = u.sum() - 1.0
     F[d + 1] = _mean_G(p, lam) - ball.eta
-    F[d + 2] = e.mean() - 1.0
+    F[d + 2] = _mean(e) - 1.0
 
     J = np.zeros((d + 3, d + 3))
     np.multiply(g, lp, out=lpe)        # l'^2 psi, over l' E*
@@ -374,7 +385,7 @@ def _kkt(u, alpha, lp, lpp, p, scenarios, ball):
     J[d + 1, d + 1] = -m1 / k
     J[d + 2, :d] = J[:d, d + 1]
     J[d + 2, d] = -m1 / k
-    J[d + 2, d + 1] = -w.mean() / k
+    J[d + 2, d + 1] = -_mean(w) / k
     return F, J
 
 
@@ -426,11 +437,11 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
 
     u = np.full(d, 1.0 / d)
     x = scenarios.shortfall(u)
-    _certify(scenarios, x, spec, ball)
+    bound = _certify(scenarios, x, spec, ball)
     L, lp, lpp = _terms(spec, x)
     del x
-    spread0 = float(L.max() - L.min())
-    if spread0 <= 1e-14 * max(1.0, float(np.abs(L).max())):
+    spread0 = float(np.maximum.reduce(L) - np.minimum.reduce(L))
+    if spread0 <= 1e-14 * max(1.0, float(np.maximum.reduce(np.abs(L)))):
         raise DegenerateScenariosError(
             "all scenarios give the same payoff; the divergence and "
             "normalization equations are underdetermined in (alpha, beta)")
@@ -441,9 +452,9 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
     best = np.inf
     for it in range(config.max_iterations + 1):
         F, J = _kkt(u, alpha, lp, lpp, p, scenarios, ball)
-        theta = float(F[:d].mean())
+        theta = float(_mean(F[:d]))
         F[:d] -= theta
-        res = float(np.max(np.abs(F)))
+        res = float(np.maximum.reduce(np.abs(F)))
         if res <= config.residual_tol:
             return RobustSolution(u=u, alpha=float(alpha), beta=float(beta),
                                   theta=theta, estar=p[1], residual_norm=res,
@@ -468,11 +479,15 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
                     f"{config.residual_tol}", residual_norm=best, iterations=it)
             u_t = u + t * du
             L_t, lp_t, lpp_t = _terms(spec, scenarios.shortfall(u_t))
-            spread_t = float(L_t.max() - L_t.min())
+            spread_t = float(np.maximum.reduce(L_t) - np.minimum.reduce(L_t))
             if spread_t < _COLLAPSE * spread0:
+                cause = ("so the worst case degenerates to alpha = 0" if bound is None else
+                         "where the (alpha, beta) block of J turns singular, although "
+                         f"D_min >= {bound:.6g} > eta = {ball.eta:g}: the replicating "
+                         "portfolio is not optimal, and alpha > 0 at the optimum")
                 raise DegenerateScenariosError(
                     "alpha collapse: the losses approach equality (the index is "
-                    "replicable), so the worst case degenerates to alpha = 0")
+                    f"replicable), {cause}")
             # warm start from the Newton step's multipliers; where that
             # alpha is not positive, from the small-ball estimate
             a_t = alpha + t * da
@@ -501,12 +516,14 @@ def _bordered(M, top, bottom, message):
     A[:d, :d] = M
     A[:d, d] = 1.0
     A[d, :d] = 1.0
-    rhs = np.append(top, bottom)
+    rhs = np.empty(d + 1)
+    rhs[:d] = top
+    rhs[d] = bottom
     try:
         sol = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(message) from exc
-    if not np.all(np.isfinite(sol)) or np.max(np.abs(A @ sol - rhs)) > 1e-6:
+    if not np.isfinite(sol).all() or np.maximum.reduce(np.abs(A @ sol - rhs)) > 1e-6:
         raise SingularSystemError(message)
     return sol[:d]
 
@@ -514,7 +531,9 @@ def _bordered(M, top, bottom, message):
 def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
     """Minimize the empirical mean loss subject to 1'u = 1 by Newton's
     method from the quadratic loss's KKT point, where a quadratic loss stops
-    at the first test; the start and each step are one bordered solve."""
+    at the first test; the start and each step are one bordered solve.
+    Raises NonConvergenceError, with the reduced gradient and the steps
+    taken, where 100 steps do not reach the stop."""
     R, B = scenarios.R, scenarios.B
     N, d = R.shape
     if N < d:
@@ -523,13 +542,17 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
     u = _bordered(2.0 * R.T @ R / N, 2.0 * R.T @ B / N, 1.0,
                   "singular tracking KKT system")
     L, lp, lpp = _terms(spec, scenarios.shortfall(u))
-    f0 = L.mean()
+    f0 = _mean(L)
     del L
-    for _ in range(100):
+    for it in range(101):              # the start and at most 100 steps
         grad = -(R.T @ lp) / N
-        reduced = grad - grad.mean()
-        if np.max(np.abs(reduced)) <= 1e-11 * max(1.0, np.max(np.abs(grad))):
+        reduced = np.maximum.reduce(np.abs(grad - _mean(grad)))
+        if reduced <= 1e-11 * max(1.0, np.maximum.reduce(np.abs(grad))):
             break
+        if it == 100:
+            raise NonConvergenceError(
+                f"non-robust fit did not reach its stop in {it} Newton steps: reduced "
+                f"gradient {reduced:.3g}", residual_norm=float(reduced), iterations=it)
         H = (R.T * lpp) @ R / N
         del lp, lpp
         step = _bordered(H + 1e-14 * np.trace(H) * np.eye(d), -grad, 0.0,
@@ -540,7 +563,7 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
         t = 1.0
         while t > 1e-14:
             L, lp, lpp = _terms(spec, scenarios.shortfall(u + t * step))
-            f_new = L.mean()
+            f_new = _mean(L)
             del L
             if f_new < f0:
                 break

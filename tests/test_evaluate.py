@@ -180,6 +180,14 @@ class TestRunTable:
         assert all(row.converged for row in rows)
         assert peak <= 19.0
 
+    def test_nonrobust_failure_is_recorded_on_the_row(self, gaussian5, composition5):
+        # asset 0 tracked twice: the non-robust fit's KKT system is singular,
+        # and the row records the message as a robust failure's is
+        rows = rt.run_table(gaussian5, composition5, [0, 0, 1, 2, 3], self.grid(),
+                            QUAD, n=2000, seed=5)
+        assert not rows[0].converged
+        assert rows[0].solver_message == "singular tracking KKT system"
+
     def test_row_config_validation(self):
         with pytest.raises(ValueError):
             rt.RowConfig(lam=0.1)

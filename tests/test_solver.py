@@ -333,6 +333,21 @@ class TestSolveNonrobust:
         assert len(means) > 47 and min(means[-47:]) >= f
         assert f <= means[0]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_limit_raises(self, seed, monkeypatch):
+        # asset 0 again, 1e-8 N(0,1) apart: every smooth-plus step passes its
+        # line search, but the reduced gradient stays above the stop, so
+        # after the start and 100 steps the fit raises, not returns
+        base = make_scenarios(n=4000, seed=seed)
+        noise = 1e-8 * np.random.default_rng(seed).standard_normal(base.n)
+        scen = rt.ScenarioSet(np.column_stack([base.R[:, 0] + noise, base.R]), base.B)
+        counts = _calls(monkeypatch, "_bordered")
+        with pytest.raises(rt.NonConvergenceError, match="stop in 100 Newton steps") as info:
+            rt.solve_nonrobust(scen, L2)
+        assert counts["_bordered"] == 101
+        assert info.value.iterations == 100
+        assert 1e-11 < info.value.residual_norm < 1e-8
+
     @pytest.mark.parametrize("spec", [L1, L2], ids=["l1", "l2"])
     def test_accepted_trial_reuse_is_bit_identical(self, scenarios4k, spec):
         # each step starts from the shortfall and mean loss its line search
@@ -695,6 +710,20 @@ class TestInPlacePasses:
             assert u.tobytes() == nonrobust[0].tobytes()
 
 
+class TestSmallNReductions:
+    """The solver's vector means skip numpy's Python-level wrapper and keep
+    its bits."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 4097, 200_000])
+    def test_mean_has_the_bits_of_ndarray_mean(self, n):
+        # numpy sums pairwise in blocks of 8 and 128; values over 24 orders
+        # of magnitude make any other order of the sum show in the bits
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        got, ref = solver._mean(a), a.mean()
+        assert type(got) is type(ref) and _bits(got) == _bits(ref)
+
+
 class TestHessianDiagnostic:
     def test_nonpositive_at_solutions(self, scenarios4k):
         for spec in (QUAD, L1):
@@ -890,16 +919,48 @@ class TestReplicableWindows:
         # smoothed_plus at lam = 1, eta = 0.05 on windows 7 and 8: D_min
         # (0.059, 0.055) exceeds eta, so the certificate hands the solve to
         # Newton, whose trials approach u_rep until the loss-spread rule
-        # raises.  With D_min > eta a KKT point should exist (smoothed_pos_sq
-        # converges on both windows); this pins the rule's cost, not the
-        # outcome
+        # raises, naming the certificate's bound.  With D_min > eta a KKT
+        # point should exist (smoothed_pos_sq converges on both windows);
+        # this pins the rule's cost, not the outcome
         ball = rt.DivergenceBall(1.0, 0.05)
         for k in (7, 8):
             counts = _calls(monkeypatch, "_kkt")
             with pytest.raises(rt.DegenerateScenariosError,
-                               match="alpha collapse: the losses approach equality"):
+                               match=r"alpha collapse: the losses approach equality .* "
+                                     r"D_min >= 0\.05\d+ > eta = 0\.05:"):
                 rt.solve_robust(replicable_window(k), ball, L2)
             assert counts["_kkt"] <= 60
+
+
+    def test_collapse_above_the_certificate_bound_gives_the_bound(self, monkeypatch):
+        # three assets that replicate the index on 40 rows, lam = 0, eta =
+        # 0.95 D_min, smoothed_plus: the certificate's dual passes eta, so
+        # alpha > 0 at the optimum, yet Newton's trials reach the spread
+        # rule.  The message gives that bound, not alpha = 0, and the run is
+        # the one a solve without the bound makes
+        rng = np.random.default_rng(8)
+        r = 0.02 * rng.standard_normal((40, 3)) + 0.001
+        w = np.linspace(0.5, 0.1, 3)
+        scen = rt.scenarios_from(r, r @ w / w.sum())
+        D, _ = solver._dmin(_plane(scen.R), 0.0, np.inf)
+        ball = rt.DivergenceBall(0.0, 0.95 * D)
+
+        def unbounded(*args, fn=solver._certify):
+            fn(*args)
+
+        runs = []
+        for certify in (solver._certify, unbounded):
+            monkeypatch.setattr(solver, "_certify", certify)
+            counts = _calls(monkeypatch, "_kkt", "_dual")
+            with pytest.raises(rt.DegenerateScenariosError) as info:
+                rt.solve_robust(scen, ball, L2)
+            runs.append((str(info.value), dict(counts)))
+        (msg, counts), (plain_msg, plain_counts) = runs
+        assert counts == plain_counts
+        assert plain_msg.endswith("so the worst case degenerates to alpha = 0")
+        assert msg.startswith("alpha collapse: the losses approach equality")
+        bound = re.search(r"D_min >= (\S+) > eta = (\S+):", msg)
+        assert ball.eta < float(bound[1]) <= D and "degenerates" not in msg
 
 
 def _plane(R):
