@@ -158,9 +158,17 @@ class TableRow:
 
 def draw_scenarios(model: NominalModel, composition: IndexComposition,
                    tracked: Sequence[int], n: int, seed: int) -> ScenarioSet:
-    """n scenarios from the model: the tracked assets against the composition's index."""
+    """n scenarios from the model: the tracked assets against the composition's
+    index, with the bits of scenarios_from(draws[:, tracked], index) but no
+    gathered copy of the tracked columns, and the draws released first."""
     draws = sample_model(model, n, seed)
-    return scenarios_from(draws[:, tracked], synthesize_index(draws, composition))
+    B = synthesize_index(draws, composition)
+    B += 1.0
+    R = np.empty((n, len(tracked)), order="F")
+    for j, col in enumerate(tracked):
+        np.add(1.0, draws[:, col], out=R[:, j])
+    del draws
+    return ScenarioSet(R=R, B=B)
 
 
 def run_table(nominal: NominalModel, composition: IndexComposition,
@@ -170,10 +178,11 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
     """Fit robust and non-robust portfolios per row and compare on actual draws.
 
     Per row: resolve (eta, k); draw n fit scenarios from the nominal model;
-    solve both portfolios and release the fit set; draw n scenarios from the
-    mean-scaled actual model, alive only for their ComparisonReport.  Both
-    portfolios are always evaluated on the identical draw set (common random
-    numbers).  Solver failures are annotated on the row, not raised.
+    solve both portfolios and release the fit set and the robust solution's
+    E*; draw n scenarios from the mean-scaled actual model, alive only for
+    their ComparisonReport.  Both portfolios are always evaluated on the
+    identical draw set (common random numbers).  Solver failures are
+    annotated on the row, not raised.
     """
     tracked = list(tracked_assets)
     n_ratio = n_ratio or n
@@ -195,9 +204,10 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
             continue
         finally:
             del fit
-        row.report = compare(sol.u, u_non, draw_scenarios(
+        u_rob, row.residual_norm, row.iterations = sol.u, sol.residual_norm, sol.iterations
+        del sol                        # its N-point E* is not read again
+        row.report = compare(u_rob, u_non, draw_scenarios(
             nominal.with_mean_scaled(k), composition, tracked, n, seed_eval), spec)
-        row.residual_norm, row.iterations = sol.residual_norm, sol.iterations
     return rows
 
 

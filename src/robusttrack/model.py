@@ -207,14 +207,18 @@ def load_prices_csv(path) -> LoadedPrices:
     header_width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for line_no, rec in enumerate(csv.reader(fh), start=1):
-            if not rec or all(cell.strip() == "" for cell in rec):
+            if not rec:
                 continue
-            values = [_number(cell) for cell in rec]
-            if None not in values:
-                rows.append(values)
+            try:                       # a row of numbers, converted whole
+                rows.append(list(map(float, rec)))
+                continue
+            except ValueError:         # a blank row, a header or a bad cell
+                pass
+            if all(cell.strip() == "" for cell in rec):
+                continue
             # only a fully non-numeric first row counts as a header
-            elif header_width is None and not rows and all(v is None for v in values):
-                header_width = len(values)
+            if header_width is None and not rows and all(_number(c) is None for c in rec):
+                header_width = len(rec)
             else:
                 raise DataError(f"{path}: non-numeric cell on line {line_no}")
     if len(rows) < 2:

@@ -153,23 +153,29 @@ class TestSystemResidual:
             scale = np.maximum(np.abs(J[:, j]), 1e-4)
             assert np.all(np.abs(J[:, j] - num) / scale < 1e-5)
 
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        # a set of several _gram blocks and a partial last one
+        return make_scenarios(n=2 ** 15 + 5, seed=12)
+
     @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
-    def test_matches_elementwise_assembly(self, scenarios4k, lam, spec):
+    def test_matches_elementwise_assembly(self, scenarios4k, blocks, lam, spec):
         # the BLAS-form sums against the frozen per-scenario gradient sums,
         # off the solution: perturbed weights, (alpha, beta) moved off the
-        # inner minimum and a nonzero theta
+        # inner minimum and a nonzero theta; on one block and on several
         ball = rt.DivergenceBall(lam, 0.5)
-        d = scenarios4k.d
-        u = np.full(d, 1.0 / d) + 0.05 * np.array([1.0, -2.0, 0.5, 0.5])
-        L = rt.loss_value(spec, scenarios4k.B - scenarios4k.R @ u)
-        alpha, beta, _ = _dual(L, ball)
-        z = np.concatenate([u, [1.1 * alpha, beta - 0.05 * alpha, 1e-3]])
-        F_ref, J_ref = eager_assemble(z, scenarios4k, ball, spec)
-        F = rt.system_residual(z[:d], *z[d:], scenarios4k, ball, spec)
-        J = rt.system_jacobian(z[:d], *z[d:], scenarios4k, ball, spec)
-        assert np.all(np.abs(F - F_ref) <= 1e-12 * np.abs(F_ref))
-        assert np.all(np.abs(J - J_ref) <= 1e-12 * np.abs(J_ref))
+        for scen in (scenarios4k, blocks):
+            d = scen.d
+            u = np.full(d, 1.0 / d) + 0.05 * np.array([1.0, -2.0, 0.5, 0.5])
+            L = rt.loss_value(spec, scen.B - scen.R @ u)
+            alpha, beta, _ = _dual(L, ball)
+            z = np.concatenate([u, [1.1 * alpha, beta - 0.05 * alpha, 1e-3]])
+            F_ref, J_ref = eager_assemble(z, scen, ball, spec)
+            F = rt.system_residual(z[:d], *z[d:], scen, ball, spec)
+            J = rt.system_jacobian(z[:d], *z[d:], scen, ball, spec)
+            assert np.all(np.abs(F - F_ref) <= 1e-12 * np.abs(F_ref))
+            assert np.all(np.abs(J - J_ref) <= 1e-12 * np.abs(J_ref))
 
     def test_converged_solution_has_small_residual(self, scenarios4k):
         ball = rt.DivergenceBall(0.1, 0.5)
@@ -630,17 +636,21 @@ def _bits(a):
 class TestTrialPathMemory:
     """solve_robust keeps each array of N points only until its last read:
     a point's shortfall goes once its loss kernel returns, the start point's
-    losses once their (alpha, beta) are solved, and the accepted point's
-    l', l'' and pass once its Newton step is; an accepted trial's losses go
-    at the next trial (see solve_robust).  At N = 2^16 a solve then peaks
-    at 11 arrays of N floats, in the assembly _kkt, which writes none of
-    its inputs.  While the shortfall lived on to the assembly, which
-    formed l' and l'' from it, the peak was 12; while the start point's
-    losses and the accepted point's arrays lived on, 13 to 14.
+    losses once their (alpha, beta) are solved, the accepted point's l', l''
+    and pass once its Newton step is, and an accepted trial's losses once it
+    is accepted.  J's u-block is summed over blocks of rows (_gram), so no
+    d x N product is formed.  At N = 2^16 a solve then peaks at 8 arrays of
+    N floats (7 at lam = 0), both in the assembly _kkt, which writes none
+    of its inputs, and in a trial's inner root.  While _kkt formed the
+    d x N product and a trial's losses lived to the next trial, the peak was
+    11; while the shortfall lived on to the assembly, 12; while the start
+    point's losses and the accepted point's arrays lived on, 13 to 14.
 
     solve_nonrobust drops l' and l'' once its gradient and Hessian are
-    formed, and a rejected trial's at once; it peaks at 6 arrays (7 for
-    smoothed_pos_sq while each step formed l' and l'' from the shortfall)."""
+    formed, and a rejected trial's at once, and sums its Hessian by _gram;
+    it peaks at 5 arrays, in the loss kernel (6 while its Hessian formed the
+    d x N product, 7 for smoothed_pos_sq while each step formed l' and l''
+    from the shortfall)."""
 
     N = 2 ** 16
 
@@ -652,11 +662,11 @@ class TestTrialPathMemory:
     @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
     def test_solve_peak(self, scenarios, spec, lam):
         ball = rt.DivergenceBall(lam, 0.5)
-        assert peak_arrays(lambda: rt.solve_robust(scenarios, ball, spec), self.N) <= 11.1
+        assert peak_arrays(lambda: rt.solve_robust(scenarios, ball, spec), self.N) <= 8.1
 
     @pytest.mark.parametrize("spec", [L1, L2], ids=["l1", "l2"])
     def test_nonrobust_peak(self, scenarios, spec):
-        assert peak_arrays(lambda: rt.solve_nonrobust(scenarios, spec), self.N) <= 6.1
+        assert peak_arrays(lambda: rt.solve_nonrobust(scenarios, spec), self.N) <= 5.2
 
 
 class TestInPlacePasses:
@@ -722,6 +732,33 @@ class TestSmallNReductions:
         a = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
         got, ref = solver._mean(a), a.mean()
         assert type(got) is type(ref) and _bits(got) == _bits(ref)
+
+
+class TestGram:
+    """_gram sums the weighted Gram matrix over blocks of rows: on one block
+    it is (R.T * w) @ R bit for bit, and on several it agrees to rounding."""
+
+    @staticmethod
+    def _set(n):
+        rng = np.random.default_rng(n)
+        R = np.asfortranarray(1.0 + 0.05 * rng.standard_normal((n, 4)))
+        return R, rng.exponential(size=n)
+
+    # 7 = d + 3 rows, the fewest a robust solve takes
+    @pytest.mark.parametrize("n", [1, 7, solver._BLOCK])
+    def test_one_block_has_the_bits_of_the_product(self, n):
+        R, w = self._set(n)
+        assert np.array_equal(_bits(solver._gram(R, w)), _bits((R.T * w) @ R))
+
+    @pytest.mark.parametrize("n", [solver._BLOCK + 1, 2 * solver._BLOCK, 2 ** 16 + 3])
+    def test_blocks_agree_with_the_product(self, n):
+        R, w = self._set(n)
+        G, ref = solver._gram(R, w), (R.T * w) @ R
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_no_d_by_n_product(self):
+        R, w = self._set(2 ** 16)
+        assert peak_arrays(lambda: solver._gram(R, w), 2 ** 16) <= 0.6
 
 
 class TestHessianDiagnostic:
