@@ -115,7 +115,7 @@ def _int(value) -> int:
 
 
 _LOSS = {"kind": None, "epsilon": float}
-_SOLVER = {"max_iterations": _int, "residual_tol": float}
+_SOLVER = {"residual_tol": float}
 
 
 def _floats(values) -> list:

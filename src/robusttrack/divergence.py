@@ -2,13 +2,14 @@
 
 The divergence between a nominal density f and a perturbation g is the
 expectation, under f, of the scalar convex function G applied to the
-likelihood ratio E = g/f:
+likelihood ratio E = g/f, written once for every lam >= 0:
 
-    lam > 0:  G(E) = (1/lam) E^(lam+1) - ((lam+1)/lam) E + 1
-    lam = 0:  G(E) = E log E - E + 1        (Kullback-Leibler limit)
+    G(E) = E log(E) exprel(lam log E) - E + 1,   exprel(x) = (e^x - 1)/x,
 
-lam = 0 is admitted as a first-class KL mode everywhere rather than asking
-callers to take numerical limits.
+which for lam > 0 is (1/lam) E^(lam+1) - ((lam+1)/lam) E + 1, and at lam = 0,
+where exprel(0) = 1 exactly, the Kullback-Leibler integrand E log E - E + 1.
+exprel keeps every digit as lam log E approaches 0, subnormal lam included,
+so no caller takes a numerical limit.
 
 The generator's density weighting (each point re-scaled by f(x)^{-lam}) is
 folded into G; no separate weight-function evaluation exists anywhere in
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import exprel, gammaln
 
 from .model import NominalModel, sample_model
 
@@ -55,9 +56,7 @@ class MCEstimate:
 
 def _G(e, loge, lam: float):
     # the integrand from the ratio and its log, which callers already hold
-    if lam == 0.0:
-        return e * loge - e + 1.0
-    return e * np.expm1(lam * loge) / lam - e + 1.0
+    return e * loge * exprel(lam * loge) - e + 1.0
 
 
 def scalar_G(e, lam: float):
@@ -137,16 +136,14 @@ def divergence_gaussian(mu1, Sigma1, mu2, Sigma2, lam: float) -> float:
 
 
 def divergence_gaussian_equal_cov(mu1, mu2, Sigma, lam: float) -> float:
-    """Equal-covariance special case.
-
-    lam > 0: (1/lam) * (exp(lam(lam+1)/2 * maha2) - 1) with
-    maha2 = (mu2-mu1)' Sigma^{-1} (mu2-mu1); the lam = 0 KL mode returns the
-    limit maha2 / 2 (half the squared Mahalanobis distance).
+    """Equal-covariance special case: h exprel(lam h) with
+    h = (lam+1)/2 * maha2 and maha2 = (mu2-mu1)' Sigma^{-1} (mu2-mu1), which
+    is (1/lam) (exp(lam h) - 1) for lam > 0 and the KL value maha2 / 2 (half
+    the squared Mahalanobis distance) at lam = 0.
     """
     maha2 = _maha2(Sigma, np.asarray(mu2, dtype=float) - np.asarray(mu1, dtype=float))
-    if lam == 0.0:
-        return 0.5 * maha2
-    return np.expm1(lam * (lam + 1.0) / 2.0 * maha2) / lam
+    h = (lam + 1.0) / 2.0 * maha2
+    return h * exprel(lam * h)
 
 
 def k_from_eta(eta: float, lam: float, mu1, Sigma1, sign: str = "-") -> float:
@@ -199,8 +196,7 @@ def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,
         raise ValueError("n must be >= 2")
     draws = sample_model(nominal, n, seed)
     logratio = log_density(actual, draws) - log_density(nominal, draws)
-    scale = lam + 1.0 if lam > 0 else 1.0
-    if np.max(scale * logratio) > 350.0:
+    if np.max((lam + 1.0) * logratio) > 350.0:
         raise ValueError(
             "density ratio overflows the divergence integrand; "
             "a smaller lam keeps the estimate finite"

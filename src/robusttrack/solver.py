@@ -52,8 +52,8 @@ to working precision; where the test found a lower bound on D_min above
 eta, the message gives it, as alpha > 0 at the optimum there.  Repeated
 solves at a fixed BLAS thread count are bitwise identical.
 
-Each N-point array lives only until its last read, and the weighted Gram
-matrices of both solves are summed over blocks of rows (_gram), so no d x N
+Each N-point array lives only until its last read, and every Newton solve's
+weighted Gram matrix is summed over blocks of rows (_gram), so no d x N
 product is formed.  A robust solve then peaks at 8 arrays of N floats (7
 for lam = 0, whose pass holds E* = E*^(1-lam) once), reached both in _kkt,
 which works in place, and in a trial's inner root; the line-search passes
@@ -87,6 +87,8 @@ loss_value, loss_deriv1, loss_deriv2
 # steps allowed to the scalar root of the inner (alpha, beta) solve and to
 # the Newton iteration for D_min
 _INNER_STEPS = 100
+# Newton steps allowed to solve_robust and to solve_nonrobust
+_NEWTON_STEPS = 100
 # a trial whose loss spread falls below this share of the start point's
 # spread is taken as the alpha -> 0 collapse, and so is a least-squares
 # replicating portfolio whose shortfall spreads below this share of 1/d's
@@ -122,18 +124,15 @@ class NonConvergenceError(SolverError):
 
 @dataclass
 class SolverConfig:
-    """Newton solver settings: the step limit and the tolerance on the
-    largest KKT residual.  Every solve starts at u = 1/d, where (alpha, beta)
-    are solved exactly for its losses."""
+    """Newton solver settings: the tolerance on the largest KKT residual.
+    Every solve starts at u = 1/d, where (alpha, beta) are solved exactly for
+    its losses, and takes at most _NEWTON_STEPS steps."""
 
-    max_iterations: int = 200
     residual_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.residual_tol > 0:
             raise ValueError("residual_tol must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
 
 
 @dataclass
@@ -304,7 +303,7 @@ def _dmin(Z, lam, eta):
             if np.maximum.reduce(np.abs(grad)) <= tol:
                 return D, e
             try:
-                step = np.linalg.solve((A.T * w) @ A / (N * (lam + 1.0)), grad)
+                step = np.linalg.solve(_gram(A, w) / (N * (lam + 1.0)), grad)
             except np.linalg.LinAlgError:
                 break
             rise = grad @ step         # the Newton decrement
@@ -468,7 +467,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
     phi = _phi(alpha, beta, p, ball)
 
     best = np.inf
-    for it in range(config.max_iterations + 1):
+    for it in range(_NEWTON_STEPS + 1):
         F, J = _kkt(u, alpha, lp, lpp, p, scenarios, ball)
         theta = float(_mean(F[:d]))
         F[:d] -= theta
@@ -478,7 +477,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
                                   theta=theta, estar=p[1], residual_norm=res,
                                   iterations=it)
         best = min(best, res)
-        if it == config.max_iterations:
+        if it == _NEWTON_STEPS:
             break
         try:
             dz = np.linalg.solve(J, -F)
@@ -519,7 +518,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
         del L_t, p_t, lp_t, lpp_t
     raise NonConvergenceError(
         f"robust solve did not reach residual tolerance {config.residual_tol}",
-        residual_norm=best, iterations=config.max_iterations,
+        residual_norm=best, iterations=_NEWTON_STEPS,
     )
 
 
@@ -547,7 +546,7 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
     method from the quadratic loss's KKT point, where a quadratic loss stops
     at the first test; the start and each step are one bordered solve.
     Raises NonConvergenceError, with the reduced gradient and the steps
-    taken, where 100 steps do not reach the stop."""
+    taken, where _NEWTON_STEPS steps do not reach the stop."""
     R, B = scenarios.R, scenarios.B
     N, d = R.shape
     if N < d:
@@ -558,12 +557,12 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
     L, lp, lpp = _terms(spec, scenarios.shortfall(u))
     f0 = _mean(L)
     del L
-    for it in range(101):              # the start and at most 100 steps
+    for it in range(_NEWTON_STEPS + 1):    # the start and each step
         grad = -(R.T @ lp) / N
         reduced = np.maximum.reduce(np.abs(grad - _mean(grad)))
         if reduced <= 1e-11 * max(1.0, np.maximum.reduce(np.abs(grad))):
             break
-        if it == 100:
+        if it == _NEWTON_STEPS:
             raise NonConvergenceError(
                 f"non-robust fit did not reach its stop in {it} Newton steps: reduced "
                 f"gradient {reduced:.3g}", residual_norm=float(reduced), iterations=it)

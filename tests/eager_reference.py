@@ -180,7 +180,7 @@ def eager_newton(z0, scenarios, ball, spec, config):
     z = z0.copy()
     F, J = out
     merit = 0.5 * float(F @ F)
-    for it in range(config.max_iterations):
+    for it in range(200):              # the frozen solver's step limit
         if np.max(np.abs(F)) <= config.residual_tol:
             return z, F, it
         directions = []
@@ -218,7 +218,7 @@ def eager_newton(z0, scenarios, ball, spec, config):
         if not moved:
             return None
     if np.max(np.abs(F)) <= config.residual_tol:
-        return z, F, config.max_iterations
+        return z, F, 200
     return None
 
 

@@ -72,8 +72,7 @@ def test_deleted_names_absent():
 
 
 def test_option_counts():
-    assert [f.name for f in dataclasses.fields(rt.SolverConfig)] == [
-        "max_iterations", "residual_tol"]
+    assert [f.name for f in dataclasses.fields(rt.SolverConfig)] == ["residual_tol"]
     assert [f.name for f in dataclasses.fields(rt.BacktestConfig)] == [
         "ball", "loss", "window", "out_of_sample", "solver"]
     for fn in (rt.compare, rt.run_table):

@@ -209,14 +209,6 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg]) == 2
         assert "model" in capsys.readouterr().err
 
-    def test_negative_max_iterations(self, tmp_path, capsys):
-        # a step limit below 0 is a config error, not a failed solve
-        cfg = small_market_config(tmp_path, tmp_path / "out",
-                                  ball={"lambda": 0.1, "eta": 0.2},
-                                  solver={"max_iterations": -1})
-        assert main(["solve", "--config", cfg]) == 2
-        assert "config error at solver: max_iterations" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command,block,entry,path", [
         ("simulate", "experiment", {"n": None}, "experiment"),
         ("simulate", "experiment", {"seed": [1]}, "experiment"),
@@ -224,7 +216,6 @@ class TestConfigErrors:
         ("simulate", "ball", {"lambda": "x"}, "ball"),
         ("simulate", "ball", {"k_grid": [None]}, "ball"),
         ("solve", "ball", {"eta": None}, "ball"),
-        ("solve", "solver", {"max_iterations": None}, "solver"),
         ("backtest", "backtest", {"window": [40]}, "backtest"),
         ("simulate", "loss", {"kind": ["l1"]}, "loss.kind"),
         ("simulate", "ball", {"lambda": float("nan")}, "ball"),
@@ -236,7 +227,6 @@ class TestConfigErrors:
         ("backtest", "backtest", {"window": 40.9}, "backtest"),
         ("simulate", "experiment", {"seed": True}, "experiment"),
         ("simulate", "experiment", {"n": 2000.7}, "experiment"),
-        ("solve", "solver", {"max_iterations": 2.5}, "solver"),
         ("simulate", "ball", {"k_grid": [float("nan")]}, "ball"),
         ("simulate", "experiment", {"n_ratio": 1}, "experiment"),
         ("simulate", "experiment", {"n": 5}, "experiment.n"),
@@ -246,10 +236,10 @@ class TestConfigErrors:
         ("solve", "ball", {"eta_grid": [0.1]}, "ball.eta_grid"),
         ("backtest", "ball", {"k_grid": [1.0]}, "ball.k_grid"),
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
-            "eta-null", "max_iterations-null", "window-list", "loss-kind-list",
+            "eta-null", "window-list", "loss-kind-list",
             "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
             "out_dir-null", "residual_tol-nan", "window-fraction", "seed-true",
-            "n-fraction", "max_iterations-fraction", "k_grid-nan", "n_ratio-one",
+            "n-fraction", "k_grid-nan", "n_ratio-one",
             "simulate-n-below-d3", "solve-n-below-d3", "eta_grid-empty", "k_grid-empty",
             "solve-eta_grid", "backtest-k_grid"])
     def test_wrongly_typed_value(self, tmp_path, capsys, no_draws,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
@@ -35,8 +35,15 @@ class TestScalarG:
         assert rt.scalar_G(2.0, 0.1) == pytest.approx(float(ref), rel=1e-14)
 
     @given(st.floats(1e-6, 1e3), st.floats(0.0, 4.0))
+    @example(1.5, 5e-324)
     def test_nonnegative_property(self, e, lam):
         assert rt.scalar_G(e, lam) >= -1e-12
+
+    @pytest.mark.parametrize("lam", [5e-324, 1e-310])
+    def test_subnormal_lam_is_the_kl_integrand(self, lam):
+        # lam log e underflows here, where expm1(lam log e)/lam has no digit left
+        e = np.array([1e-6, 0.5, 1.5, 2.0, 1e3])
+        assert np.all(np.abs(rt.scalar_G(e, lam) - rt.scalar_G(e, 0.0)) <= 1e-15)
 
     def test_small_lam_limit(self):
         # G -> e log e - e + 1 (the KL integrand) as lam -> 0
@@ -92,6 +99,10 @@ class TestDivergenceMC:
         with pytest.raises(ValueError, match="positive"):
             rt.divergence_mc(np.zeros((5, 1)), lambda x: np.array([1, 1, 0, 1, 1.0]), 0.1)
 
+    def test_rejects_ratio_of_wrong_length(self):
+        with pytest.raises(ValueError, match="one value per draw"):
+            rt.divergence_mc(np.zeros((5, 1)), lambda x: np.ones(4), 0.1)
+
 
 class TestGaussianClosedForms:
     def test_identical_distributions(self):
@@ -122,6 +133,11 @@ class TestGaussianClosedForms:
         draws = rng.multivariate_normal(mu1, s1, size=1_000_000)
         out = rt.divergence_mc(draws, lambda x: g.pdf(x) / f.pdf(x), lam)
         assert abs(out.estimate - closed) < 3 * out.std_error
+
+    @pytest.mark.parametrize("lam", [0.0, -0.1])
+    def test_requires_positive_lam(self, lam):
+        with pytest.raises(ValueError, match="requires lam > 0"):
+            rt.divergence_gaussian(np.zeros(2), np.eye(2), np.ones(2), np.eye(2), lam)
 
     def test_outside_validity_region(self):
         # (lam+1) S2^-1 - lam S1^-1 indefinite when S2 is much wider than S1
@@ -177,8 +193,15 @@ class TestGaussianClosedForms:
         maha2 = delta @ np.linalg.solve(SIGMA5, delta)
         tiny = rt.divergence_gaussian_equal_cov(MU5, 1.5 * MU5, SIGMA5, 1e-6)
         assert tiny == pytest.approx(0.5 * maha2, rel=1e-4)
-        exact = rt.divergence_gaussian_equal_cov(MU5, 1.5 * MU5, SIGMA5, 0.0)
-        assert exact == pytest.approx(0.5 * maha2, rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-300, 5e-324])
+    def test_equal_cov_tiny_lam_is_half_mahalanobis(self, lam):
+        # one formula for every lam >= 0; at a subnormal lam, lam (lam + 1)/2
+        # maha2 underflows, and expm1 of it over lam has no digit left
+        delta = MU5 * 0.5
+        maha2 = delta @ np.linalg.solve(SIGMA5, delta)
+        value = rt.divergence_gaussian_equal_cov(MU5, 1.5 * MU5, SIGMA5, lam)
+        assert value == pytest.approx(0.5 * maha2, rel=1e-14)
 
     def test_benchmark_radius(self):
         # the mean factor -2.2158 puts the shifted model at radius 0.1
@@ -207,6 +230,15 @@ class TestKFromEta:
     def test_requires_nonzero_mean(self):
         with pytest.raises(ValueError):
             rt.k_from_eta(0.1, 0.1, np.zeros(3), np.eye(3), "-")
+
+    @pytest.mark.parametrize("eta,lam,sign,match", [
+        (-0.1, 0.1, "-", "eta must be >= 0"),
+        (0.1, 0.0, "-", "requires lam > 0"),
+        (0.1, 0.1, "x", "sign must be"),
+    ], ids=["eta-negative", "lam-zero", "sign"])
+    def test_rejects_bad_input(self, eta, lam, sign, match):
+        with pytest.raises(ValueError, match=match):
+            rt.k_from_eta(eta, lam, MU5, SIGMA5, sign)
 
     @pytest.mark.parametrize("lam", [0.05, 0.1])
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -253,6 +285,11 @@ class TestEtaFromRatioMC:
         actual = rt.NominalModel.gaussian(MU5, 10.0 * SIGMA5)
         with pytest.raises(ValueError, match="a smaller lam"):
             rt.eta_from_ratio_mc(gaussian5, actual, 100.0, n=20_000, seed=seed)
+
+    def test_needs_two_draws(self, gaussian5):
+        # the standard error needs at least two draws
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            rt.eta_from_ratio_mc(gaussian5, gaussian5, 0.1, n=1, seed=0)
 
     def test_kl_mode(self, gaussian5):
         actual = gaussian5.with_mean_scaled(2.0)

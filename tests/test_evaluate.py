@@ -316,6 +316,16 @@ class TestBacktest:
         with pytest.raises(ValueError, match="window"):
             rt.backtest_sliding(r, b, self._config())
 
+    def test_return_lengths_must_match(self):
+        r, b = self.synthetic()
+        with pytest.raises(ValueError, match="lengths differ"):
+            rt.backtest_sliding(r, b[:-1], self._config())
+
+    @pytest.mark.parametrize("window,oos", [(0, 8), (40, 0)])
+    def test_config_needs_a_window_and_a_step(self, window, oos):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            self._config(window=window, oos=oos)
+
 
 class TestWriters:
     def test_csv_has_unit_note(self, gaussian5, composition5, tmp_path):

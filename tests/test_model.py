@@ -35,6 +35,10 @@ class TestGaussianSampling:
         b = rt.sample_model(gaussian5, n, seed=9)
         assert np.array_equal(a, b)
 
+    def test_rejects_empty_draw(self, gaussian5):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            rt.sample_model(gaussian5, 0, seed=1)
+
     def test_non_pd_covariance_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])   # indefinite
         with pytest.raises(ValueError, match="positive definite"):
@@ -221,6 +225,9 @@ class TestLoadPricesCsv:
         ("100\n", "at least 2"),
         ("100,2\n101\n", "ragged"),
         ("100\n-5\n", "strictly positive"),
+        # float() reads both cells, so only the finiteness check rejects them
+        ("100\nnan\n", "NaN or infinite"),
+        ("100,1\n101,inf\n", "NaN or infinite"),
         # the one rule: a row of numbers is data, and only a first row
         # without any number is a header
         ("idx,a\nx,y\n100,50\n110,55\n", "non-numeric cell on line 2"),
@@ -246,6 +253,21 @@ class TestTypes:
             rt.IndexComposition(np.array([0.5, 0.6]))
         with pytest.raises(ValueError, match="non-negative"):
             rt.IndexComposition(np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="non-empty vector"):
+            rt.IndexComposition(np.array([]))
+
+    @pytest.mark.parametrize("kind,mean,scale,dof,match", [
+        ("laplace", MU5, SIGMA5, None, "unknown model kind"),
+        ("gaussian", np.eye(5), SIGMA5, None, "mean must be a vector"),
+        ("gaussian", MU5, SIGMA5[:4, :4], None, "must be square"),
+        ("gaussian", MU5, SIGMA5 + np.triu(np.full((5, 5), 1e-4), 1), None, "symmetric"),
+        ("student_t", MU5, SIGMA5, 0.0, "dof > 0"),
+        ("student_t", MU5, SIGMA5, None, "dof > 0"),
+    ], ids=["kind", "mean-matrix", "scale-shape", "scale-asymmetric", "dof-zero",
+            "dof-missing"])
+    def test_rejects_bad_model(self, kind, mean, scale, dof, match):
+        with pytest.raises(ValueError, match=match):
+            rt.NominalModel(kind, mean, scale, dof)
 
     def test_perturbation_scales_mean(self, gaussian5):
         scaled = gaussian5.with_mean_scaled(-2.0)
@@ -258,3 +280,5 @@ class TestTypes:
     def test_scenario_shape_validation(self):
         with pytest.raises(ValueError):
             rt.ScenarioSet(R=np.ones((3, 2)), B=np.ones(4))
+        with pytest.raises(ValueError, match="at least one row"):
+            rt.ScenarioSet(R=np.ones((0, 2)), B=np.ones(0))

@@ -1156,12 +1156,13 @@ class TestLargestDivergence:
 
 
 class TestNonConvergenceReport:
-    def test_reports_best_iterate_and_steps_taken(self, scenarios4k):
+    def test_reports_best_iterate_and_steps_taken(self, scenarios4k, monkeypatch):
         ball = rt.DivergenceBall(0.1, 2.0)
         errs = []
         for steps in (1, 2):
+            monkeypatch.setattr(solver, "_NEWTON_STEPS", steps)
             with pytest.raises(rt.NonConvergenceError) as info:
-                rt.solve_robust(scenarios4k, ball, L1, rt.SolverConfig(max_iterations=steps))
+                rt.solve_robust(scenarios4k, ball, L1)
             errs.append(info.value)
             assert str(info.value) == "robust solve did not reach residual tolerance 1e-08"
             assert info.value.iterations == steps
@@ -1171,7 +1172,7 @@ class TestNonConvergenceReport:
     def test_stalls_once_no_trial_can_verify_a_decrease(self, scenarios4k):
         # lam = 10, eta = 2: a scenario at the support's edge keeps the
         # normalization residual near 1e-6 while rho reaches its rounding,
-        # where Armijo's test would accept steps on noise for all 200 steps
+        # where Armijo's test would accept steps on noise for all 100 steps
         with pytest.raises(rt.NonConvergenceError, match="stalled") as info:
             rt.solve_robust(scenarios4k, rt.DivergenceBall(10.0, 2.0), QUAD)
         assert info.value.iterations <= 10
