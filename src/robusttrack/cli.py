@@ -75,13 +75,14 @@ def _read(cfg: dict, key: str, make, types=None, need=(), optional=False, **fixe
 
 
 def load_config(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError("config", f"file not found: {path}")
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}")
+    except OSError as exc:
+        raise ConfigError("config", str(exc))
     if not isinstance(cfg, dict):
         raise ConfigError("config", f"expected an object, got {cfg!r}")
     return cfg
@@ -187,7 +188,10 @@ def apply_overrides(cfg: dict, args) -> dict:
 
 def _out_dir(cfg: dict) -> Path:
     out = _read(cfg, "io", dict, {"out_dir": Path}, optional=True, out_dir=Path("."))["out_dir"]
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("io", str(exc))
     return out
 
 
@@ -422,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args)
+        cfg = apply_overrides(load_config(args.config), args)
         declared = cfg.get("command")
         if declared is not None and declared != args.command:
             raise ConfigError("command",
@@ -435,7 +438,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

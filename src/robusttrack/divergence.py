@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import exprel, gammaln
+from scipy.special import exprel
 
-from .model import NominalModel, sample_model
+from .model import NominalModel, log_density, sample_model
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def divergence_gaussian(mu1, Sigma1, mu2, Sigma2, lam: float) -> float:
     on near-equal and far-apart pairs alike.
     """
     if lam <= 0:
-        raise ValueError("divergence_gaussian requires lam > 0 (use the KL mode helpers for lam=0)")
+        raise ValueError("divergence_gaussian requires lam > 0; at lam = 0 use "
+                         "divergence_gaussian_equal_cov or eta_from_ratio_mc")
     L = np.linalg.cholesky(np.asarray(Sigma2, dtype=float))
     diff = np.asarray(Sigma1, dtype=float) - np.asarray(Sigma2, dtype=float)
     b, V = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, diff).T))
@@ -162,23 +163,6 @@ def k_from_eta(eta: float, lam: float, mu1, Sigma1, sign: str = "-") -> float:
         raise ValueError("mu1' Sigma1^{-1} mu1 must be positive")
     root = np.sqrt(np.log1p(eta * lam) / (lam * (lam + 1.0) / 2.0 * quad))
     return 1.0 + root if sign == "+" else 1.0 - root
-
-
-def log_density(model: NominalModel, x: np.ndarray) -> np.ndarray:
-    """Pointwise log density of a gaussian or student_t model."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    dev = x - model.mean
-    chol = model._chol
-    half = np.linalg.solve(chol, dev.T).T
-    quad = np.einsum("ij,ij->i", half, half)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    d = model.dim
-    if model.kind == "gaussian":
-        return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
-    nu = model.dof
-    const = (gammaln((d + nu) / 2.0) - gammaln(nu / 2.0)
-             - 0.5 * d * np.log(np.pi * nu) - 0.5 * logdet)
-    return const - 0.5 * (d + nu) * np.log1p(quad / nu)
 
 
 def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,

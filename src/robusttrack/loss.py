@@ -37,8 +37,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind != QUADRATIC and not (self.epsilon > 0):
-            raise ValueError("smoothed losses require epsilon > 0")
+        if self.kind != QUADRATIC and not 0 < self.epsilon < np.inf:
+            raise ValueError("smoothed losses require a finite epsilon > 0")
 
     @classmethod
     def quadratic(cls) -> "LossSpec":

@@ -1,4 +1,5 @@
-"""Return models, scenario generation and price-data ingestion.
+"""Return models with each kind's sampler and log density (the only readers
+of a model's Cholesky factor), scenario generation and price-data ingestion.
 
 Scenario sets hold gross asset returns R = 1 + r and gross index returns
 B = 1 + b over N sampled (or historical) periods; they are the empirical
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import gammaln
 
 # Rows are sampled in fixed-size chunks, each from its own stream seeded
 # from (seed, chunk index); these per-chunk streams fix the draws for each
@@ -39,8 +41,8 @@ class IndexComposition:
             raise ValueError("weights must be a non-empty vector")
         if np.any(w < 0):
             raise ValueError("index weights must be non-negative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"index weights must sum to 1, got {w.sum()!r}")
+        if not abs(w.sum() - 1.0) <= 1e-12:     # a NaN weight fails here too
+            raise ValueError(f"index weights must sum to 1, got {float(w.sum())!r}")
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,17 @@ class NominalModel:
             raise ValueError("mean must be a vector")
         if scale.shape != (mean.size, mean.size):
             raise ValueError("scale must be square and match the mean dimension")
+        if not (np.isfinite(mean).all() and np.isfinite(scale).all()):
+            raise ValueError("mean and scale must be finite")
         if not np.allclose(scale, scale.T, atol=1e-12):
             raise ValueError("scale matrix must be symmetric")
-        # PD check once, factor reused by the sampler.
+        # PD check once, factor reused by the sampler and the density.
         try:
             chol = np.linalg.cholesky(scale)
         except np.linalg.LinAlgError as exc:
             raise ValueError("scale matrix is not positive definite") from exc
-        if self.kind == "student_t":
-            if self.dof is None or self.dof <= 0:
-                raise ValueError("student_t model requires dof > 0")
+        if self.kind == "student_t" and not 0 < (self.dof or 0) < np.inf:
+            raise ValueError("student_t model requires a finite dof > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_chol", chol)
@@ -104,8 +107,8 @@ class ScenarioSet:
 
     R is stored column-major, one contiguous column per asset, so the
     solvers' products R @ u, R.T @ v and R.T (w R) stream whole columns.
-    The set's arrays are read-only views, so a scenario set can be shared
-    across threads; the caller's own arrays stay writeable.
+    The set's arrays are read-only views, so no solve or metric can write
+    the caller's scenarios; the caller's own arrays stay writeable.
     """
 
     R: np.ndarray
@@ -162,6 +165,23 @@ def sample_model(model: NominalModel, n: int, seed: int) -> np.ndarray:
             z *= np.sqrt(model.dof / rng.chisquare(model.dof, m))[:, None]
         z += model.mean
     return out
+
+
+def log_density(model: NominalModel, x: np.ndarray) -> np.ndarray:
+    """Pointwise log density of a gaussian or student_t model."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    dev = x - model.mean
+    chol = model._chol
+    half = np.linalg.solve(chol, dev.T).T
+    quad = np.einsum("ij,ij->i", half, half)
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    d = model.dim
+    if model.kind == "gaussian":
+        return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+    nu = model.dof
+    const = (gammaln((d + nu) / 2.0) - gammaln(nu / 2.0)
+             - 0.5 * d * np.log(np.pi * nu) - 0.5 * logdet)
+    return const - 0.5 * (d + nu) * np.log1p(quad / nu)
 
 
 def synthesize_index(asset_returns: np.ndarray, comp: IndexComposition) -> np.ndarray:

@@ -131,8 +131,8 @@ class SolverConfig:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.residual_tol > 0:
-            raise ValueError("residual_tol must be positive")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be finite and positive")
 
 
 @dataclass
@@ -183,15 +183,6 @@ def _gram(R, w):
         block = R[i:i + _BLOCK]
         G += (block.T * w[i:i + _BLOCK]) @ block
     return G
-
-
-def _mean_G(p, lam):
-    """mean G(E*) = mean(E* s/(lam+1) - E* + 1) of the _estar pass p, summed
-    term by term.  The moment form (m1 + c m2)/(lam+1) - mean E* + 1 takes
-    the difference of two means of size 1 and rounds several times coarser,
-    too coarse for a finite-difference check of J's divergence row."""
-    s, e, _ = p
-    return _mean(e * s / (lam + 1.0) - e + 1.0)
 
 
 def _tilt(L, top, lam, eta, x):
@@ -381,7 +372,9 @@ def _kkt(u, alpha, lp, lpp, p, scenarios, ball):
     F = np.empty(d + 3)
     F[:d] = RT @ lpe / N
     F[d] = u.sum() - 1.0
-    F[d + 1] = _mean_G(p, lam) - ball.eta
+    # mean G(E*) term by term: the moment form rounds several times coarser,
+    # too coarse for a finite-difference check of J's divergence row
+    F[d + 1] = _mean(e * s / (lam + 1.0) - e + 1.0) - ball.eta
     F[d + 2] = _mean(e) - 1.0
 
     J = np.zeros((d + 3, d + 3))

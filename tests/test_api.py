@@ -2,8 +2,9 @@
 
 Every exported name resolves; the names the acceptance gate and the
 benchmark's tracer look up are present; names deleted as unused stay gone,
-the option counts of the config types do not grow back, and no module holds
-an unused import or an unread private name.
+the option counts of the config types do not grow back, no module but
+model.py reads a model's factor, and no module holds an unused import or an
+unread private name.
 """
 
 import ast
@@ -69,6 +70,10 @@ def test_deleted_names_absent():
     for name in ("k_from_eta", "divergence_gaussian_equal_cov"):
         assert not hasattr(cli, name), name
     assert not hasattr(rt.solver, "_moments")
+    # a model's density is defined beside its sampler, and _kkt forms its
+    # divergence row itself
+    assert rt.divergence.log_density.__module__ == "robusttrack.model"
+    assert not hasattr(rt.solver, "_mean_G")
 
 
 def test_option_counts():
@@ -112,6 +117,12 @@ def _loaded(tree):
     """The names a module reads: bare names and attributes."""
     return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def test_only_model_reads_the_factor():
+    # the model's Cholesky factor serves its sampler and density alone
+    assert [name for name, tree in _trees().items() if "_chol" in _loaded(tree)] == [
+        "model.py"]
 
 
 def test_every_import_is_used():

@@ -224,6 +224,8 @@ class TestConfigErrors:
         ("backtest", "data", {"csv": None}, "data"),
         ("solve", "io", {"out_dir": None}, "io"),
         ("solve", "solver", {"residual_tol": float("nan")}, "solver"),
+        ("solve", "solver", {"residual_tol": float("inf")}, "solver"),
+        ("simulate", "loss", {"kind": "l2", "epsilon": float("inf")}, "loss"),
         ("backtest", "backtest", {"window": 40.9}, "backtest"),
         ("simulate", "experiment", {"seed": True}, "experiment"),
         ("simulate", "experiment", {"n": 2000.7}, "experiment"),
@@ -238,7 +240,8 @@ class TestConfigErrors:
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
             "eta-null", "window-list", "loss-kind-list",
             "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
-            "out_dir-null", "residual_tol-nan", "window-fraction", "seed-true",
+            "out_dir-null", "residual_tol-nan", "residual_tol-inf", "epsilon-inf",
+            "window-fraction", "seed-true",
             "n-fraction", "k_grid-nan", "n_ratio-one",
             "simulate-n-below-d3", "solve-n-below-d3", "eta_grid-empty", "k_grid-empty",
             "solve-eta_grid", "backtest-k_grid"])
@@ -294,6 +297,10 @@ class TestConfigErrors:
         ("simulate", "ball", {"lambda": 0.1}, "one of eta, eta_grid or k_grid is required"),
         ("simulate", "model", {"kind": "cauchy"}, "unknown model kind 'cauchy'"),
         ("solve", "ball", {"lambda": 0.1, "eta": 0.2, "sign": "x"}, "sign must be '+' or '-'"),
+        ("simulate", "composition", [float("nan"), 0.2, 0.2, 0.15, 0.3],
+         "index weights must sum to 1, got nan"),
+        ("solve", "model", {"kind": "gaussian", "mean": [float("nan")] * 5,
+                            "cov": SIGMA5.tolist()}, "mean and scale must be finite"),
         ("backtest", "ball", {"lambda": 0.1, "eta": 0.2, "sign": "x"},
          "sign must be '+' or '-'"),
         # a zero radius is rejected as a table row's is, before any draw
@@ -302,7 +309,8 @@ class TestConfigErrors:
     ], ids=["loss-null", "model-null", "actual-null", "data-null", "io-null",
             "solver-null", "composition-string", "simulate-composition-length",
             "solve-composition-length", "tracked-fraction", "tracked-bool",
-            "ball-without-rows", "model-kind-unknown", "solve-bad-sign", "backtest-bad-sign",
+            "ball-without-rows", "model-kind-unknown", "solve-bad-sign",
+            "composition-nan", "model-mean-nan", "backtest-bad-sign",
             "solve-eta-zero", "backtest-eta-zero"])
     def test_bad_entry(self, tmp_path, capsys, no_draws, command, key, value, message):
         # a null block is an error, not an absent one, and the composition
@@ -316,6 +324,23 @@ class TestConfigErrors:
         cfg = small_market_config(tmp_path, tmp_path / "out", **extra)
         assert main([command, "--config", cfg]) == 2
         assert f"config error at {key}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,code,message", [
+        ("config", 2, "config error at config: "),
+        ("csv", 4, "data error: "),
+        ("out_dir", 2, "config error at io: "),
+    ], ids=["config-dir", "csv-dir", "out_dir-file"])
+    def test_os_error(self, tmp_path, capsys, case, code, message):
+        # a directory where a file belongs, or a file where a directory
+        # belongs, exits with its code and a message, not a traceback
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        csv = str(tmp_path) if case == "csv" else write_price_csv(tmp_path, independent_prices())
+        cfg = small_market_config(tmp_path, taken if case == "out_dir" else tmp_path / "out",
+                                  data={"csv": csv}, ball={"lambda": 0.1, "eta": 0.2},
+                                  backtest={"window": 40, "out_of_sample": 2})
+        assert main(["backtest", "--config", str(tmp_path) if case == "config" else cfg]) == code
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,data,path", [
         ("backtest", {"index_col": 4}, "data.index_col"),

@@ -267,6 +267,8 @@ class TestSpecValidation:
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
             rt.LossSpec(kind="smoothed_pos_sq", epsilon=0.0)
+        with pytest.raises(ValueError):
+            rt.LossSpec(kind="smoothed_plus", epsilon=np.inf)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -255,6 +255,8 @@ class TestTypes:
             rt.IndexComposition(np.array([1.5, -0.5]))
         with pytest.raises(ValueError, match="non-empty vector"):
             rt.IndexComposition(np.array([]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            rt.IndexComposition(np.array([np.nan, 1.0]))
 
     @pytest.mark.parametrize("kind,mean,scale,dof,match", [
         ("laplace", MU5, SIGMA5, None, "unknown model kind"),
@@ -263,8 +265,13 @@ class TestTypes:
         ("gaussian", MU5, SIGMA5 + np.triu(np.full((5, 5), 1e-4), 1), None, "symmetric"),
         ("student_t", MU5, SIGMA5, 0.0, "dof > 0"),
         ("student_t", MU5, SIGMA5, None, "dof > 0"),
+        ("gaussian", np.full(5, np.nan), SIGMA5, None, "must be finite"),
+        ("gaussian", np.full(5, np.inf), SIGMA5, None, "must be finite"),
+        ("gaussian", MU5, np.full((5, 5), np.inf), None, "must be finite"),
+        ("student_t", MU5, SIGMA5, np.nan, "dof > 0"),
+        ("student_t", MU5, SIGMA5, np.inf, "dof > 0"),
     ], ids=["kind", "mean-matrix", "scale-shape", "scale-asymmetric", "dof-zero",
-            "dof-missing"])
+            "dof-missing", "mean-nan", "mean-inf", "scale-inf", "dof-nan", "dof-inf"])
     def test_rejects_bad_model(self, kind, mean, scale, dof, match):
         with pytest.raises(ValueError, match=match):
             rt.NominalModel(kind, mean, scale, dof)
