@@ -79,7 +79,7 @@ def load_config(path) -> dict:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError("config", f"invalid JSON: {exc}")
     except OSError as exc:
         raise ConfigError("config", str(exc))

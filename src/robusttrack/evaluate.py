@@ -69,14 +69,19 @@ def compare(u_robust, u_nonrobust, actual_scenarios: ScenarioSet,
     BT counts scenarios where the robust raw loss is not worse; the exclude
     variant drops scenarios where both raw losses are <= TIE_TOL from
     numerator and denominator, and is NaN when no scenario survives.
+    Every figure reads only the two shortfalls, so the set is released once
+    they exist (freed where the caller holds no other reference, as in
+    run_table), and the raw losses before the spec losses are formed.
     """
     x_r = actual_scenarios.shortfall(u_robust)
     x_n = actual_scenarios.shortfall(u_nonrobust)
+    n = actual_scenarios.n
+    del actual_scenarios
     raw_r = raw_loss_value(spec, x_r)
     raw_n = raw_loss_value(spec, x_n)
     wins = raw_r <= raw_n
     ties = (raw_r <= TIE_TOL) & (raw_n <= TIE_TOL)
-    n = actual_scenarios.n
+    del raw_r, raw_n
     tie_count = int(ties.sum())
     n_excl = n - tie_count
     bt_excl = 100.0 * float((wins & ~ties).sum()) / n_excl if n_excl else float("nan")
@@ -179,10 +184,10 @@ def run_table(nominal: NominalModel, composition: IndexComposition,
 
     Per row: resolve (eta, k); draw n fit scenarios from the nominal model;
     solve both portfolios and release the fit set and the robust solution's
-    E*; draw n scenarios from the mean-scaled actual model, alive only for
-    their ComparisonReport.  Both portfolios are always evaluated on the
-    identical draw set (common random numbers).  Solver failures are
-    annotated on the row, not raised.
+    E*; draw n scenarios from the mean-scaled actual model and pass them
+    straight to compare, which releases them once it has their shortfalls.
+    Both portfolios are always evaluated on the identical draw set (common
+    random numbers).  Solver failures are annotated on the row, not raised.
     """
     tracked = list(tracked_assets)
     n_ratio = n_ratio or n

@@ -52,12 +52,13 @@ to working precision; where the test found a lower bound on D_min above
 eta, the message gives it, as alpha > 0 at the optimum there.  Repeated
 solves at a fixed BLAS thread count are bitwise identical.
 
-Each N-point array lives only until its last read, and every Newton solve's
-weighted Gram matrix is summed over blocks of rows (_gram), so no d x N
-product is formed.  A robust solve then peaks at 8 arrays of N floats (7
-for lam = 0, whose pass holds E* = E*^(1-lam) once), reached both in _kkt,
-which works in place, and in a trial's inner root; the line-search passes
-are closed forms.
+Each N-point array lives only until its last read, the passes over the
+losses work in place, and every Newton solve's weighted Gram matrix is
+summed over blocks of rows (_gram), so no d x N product is formed, and
+_kkt forms its Gram weights one block at a time.  A robust solve then
+peaks at 6 arrays of N floats, reached in _kkt (one scratch array beside
+its five inputs), in a trial's inner root and in its worst-case pass; the
+line-search passes are closed forms.
 R is stored column-major (see ScenarioSet), and the scalar entries of J
 read one set of moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k)
 for k = 0, 1, 2.
@@ -161,10 +162,13 @@ def _estar(L, lam, alpha, beta):
     if lam == 0.0:
         e = np.exp(s)
         return s, e, e
-    base = np.maximum(1.0 + lam / (lam + 1.0) * s, 0.0)
+    base = lam / (lam + 1.0) * s
+    base += 1.0
+    np.maximum(base, 0.0, out=base)
     e = base ** (1.0 / lam)
-    # where base is 0, E* is 0 too, and the quotient by the tiny floor is 0
-    return s, e, e / np.maximum(base, _TINY)
+    # where base is 0, E* is 0 too, and so is the quotient, in base's buffer
+    np.maximum(base, _TINY, out=base)
+    return s, e, np.divide(e, base, out=base)
 
 
 def _mean(a):
@@ -174,14 +178,17 @@ def _mean(a):
     return np.add.reduce(a) / a.size
 
 
-def _gram(R, w):
+def _gram(R, weights):
     """The weighted Gram matrix (R.T * w) @ R = sum of w_n R_n R_n' over the
     rows of R, summed over blocks of _BLOCK rows, so that its d x N product
-    is never formed; at N <= _BLOCK it is that expression, bit for bit."""
-    G = (R[:_BLOCK].T * w[:_BLOCK]) @ R[:_BLOCK]
+    is never formed, nor w: weights(rows) gives it on the slice rows (for
+    an array w, w.__getitem__).  At N <= _BLOCK it is that expression, bit
+    for bit."""
+    G = (R[:_BLOCK].T * weights(slice(0, _BLOCK))) @ R[:_BLOCK]
     for i in range(_BLOCK, R.shape[0], _BLOCK):
-        block = R[i:i + _BLOCK]
-        G += (block.T * w[i:i + _BLOCK]) @ block
+        rows = slice(i, i + _BLOCK)
+        block = R[rows]
+        G += (block.T * weights(rows)) @ block
     return G
 
 
@@ -208,11 +215,15 @@ def _tilt(L, top, lam, eta, x):
         return (x * m1 - np.log(m) - eta, x * (_mean(e * z * z) / m - m1 * m1),
                 alpha, top + alpha * np.log(m))
     scale = top - x
-    y = np.maximum(L - x, 0.0) / scale
+    y = L - x
+    np.maximum(y, 0.0, out=y)
+    y /= scale
     yp = y ** (1.0 / lam)
     A = _mean(yp)
     B = _mean(yp * y)
-    C = _mean(yp / np.maximum(y, _TINY))     # y^(p-1) = y^p / y is then 0 at y = 0
+    # y^(p-1) = y^p / y is then 0 at y = 0; the quotient takes yp's buffer
+    np.maximum(y, _TINY, out=y)
+    C = _mean(np.divide(yp, y, out=yp))
     alpha = lam / (lam + 1.0) * scale * A ** lam
     return (np.log(B) - (lam + 1.0) * np.log(A) - np.log1p(lam * eta),
             (1.0 + 1.0 / lam) / scale * (C / A - A / B),
@@ -294,7 +305,7 @@ def _dmin(Z, lam, eta):
             if np.maximum.reduce(np.abs(grad)) <= tol:
                 return D, e
             try:
-                step = np.linalg.solve(_gram(A, w) / (N * (lam + 1.0)), grad)
+                step = np.linalg.solve(_gram(A, w.__getitem__) / (N * (lam + 1.0)), grad)
             except np.linalg.LinAlgError:
                 break
             rise = grad @ step         # the Newton decrement
@@ -360,34 +371,36 @@ def _kkt(u, alpha, lp, lpp, p, scenarios, ball):
     d, N = RT.shape
     lam = ball.lam
     s, e, w = p
-    ws = w * s                         # m1, m2: means of E*^(1-lam) s, s^2
-    m1 = _mean(ws)
-    ws *= s
-    m2 = _mean(ws)
-    del ws
     k = (lam + 1.0) * alpha            # psi = E*^(1-lam) / k
-    lpe = lp * e
-    g = lp * w                         # l' psi k
 
     F = np.empty(d + 3)
-    F[:d] = RT @ lpe / N
     F[d] = u.sum() - 1.0
-    # mean G(E*) term by term: the moment form rounds several times coarser,
-    # too coarse for a finite-difference check of J's divergence row
+    # mean G(E*) term by term, before the scratch array: the moment form
+    # rounds too coarsely for a finite-difference check of J's divergence row
     F[d + 1] = _mean(e * s / (lam + 1.0) - e + 1.0) - ball.eta
     F[d + 2] = _mean(e) - 1.0
+    # one scratch array for every N-point product that J and F read
+    a = w * s                          # m1, m2: means of E*^(1-lam) s, s^2
+    m1 = _mean(a)
+    a *= s
+    m2 = _mean(a)
+    F[:d] = RT @ np.multiply(lp, e, out=a) / N
 
     J = np.zeros((d + 3, d + 3))
-    np.multiply(g, lp, out=lpe)        # l'^2 psi, over l' E*
-    lpe /= k
-    J[:d, d + 1] = -(RT @ g) / (N * k)
-    g *= s
-    J[:d, d] = -(RT @ g) / (N * k)
-    # the weights l'' E* + l'^2 psi of the u-block, over l' psi k s
-    np.multiply(lpp, e, out=g)
-    g += lpe
-    del lpe
-    J[:d, :d] = -_gram(scenarios.R, g) / N
+    np.multiply(lp, w, out=a)          # l' psi k
+    J[:d, d + 1] = -(RT @ a) / (N * k)
+    a *= s
+    J[:d, d] = -(RT @ a) / (N * k)
+    del a                              # _gram's blocks beside it would lift the peak
+
+    def weights(rows):                 # the u-block's l'' E* + l'^2 psi
+        lp_rows = lp[rows]
+        q = lp_rows * w[rows]
+        q *= lp_rows
+        q /= k
+        return np.add(lpp[rows] * e[rows], q, out=q)
+
+    J[:d, :d] = -_gram(scenarios.R, weights) / N
     J[:d, d + 2] = -1.0
     J[d, :d] = 1.0
     J[d + 1, :d] = J[:d, d]            # symmetry of the mixed partials
@@ -503,12 +516,14 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             a_t = alpha + t * da
             start = (a_t, beta + t * db) if a_t > 0 else ()
             a_t, b_t, p_t = _dual(L_t, ball, *start)
+            del L_t
             phi_t = _phi(a_t, b_t, p_t, ball)
             if phi_t <= phi + 1e-4 * t * slope:
                 break
+            del p_t, lp_t, lpp_t       # a rejected trial is not read again
             t *= 0.5
         u, alpha, beta, p, lp, lpp, phi = u_t, a_t, b_t, p_t, lp_t, lpp_t, phi_t
-        del L_t, p_t, lp_t, lpp_t
+        del p_t, lp_t, lpp_t
     raise NonConvergenceError(
         f"robust solve did not reach residual tolerance {config.residual_tol}",
         residual_norm=best, iterations=_NEWTON_STEPS,
@@ -559,7 +574,7 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
             raise NonConvergenceError(
                 f"non-robust fit did not reach its stop in {it} Newton steps: reduced "
                 f"gradient {reduced:.3g}", residual_norm=float(reduced), iterations=it)
-        H = _gram(R, lpp) / N
+        H = _gram(R, lpp.__getitem__) / N
         del lp, lpp
         step = _bordered(H + 1e-14 * np.trace(H) * np.eye(d), -grad, 0.0,
                          "singular Newton KKT system")

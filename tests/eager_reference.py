@@ -20,7 +20,10 @@ the mean loss again at the top of every step.
 frozen_loss_value, frozen_loss_deriv1, frozen_loss_deriv2 and frozen_estar
 are the loss kernels and the worst-case pass as closed-form expressions, one
 temporary array per operation, as they were before they worked in place;
-the in-place forms must give their results bit for bit.
+the in-place forms must give their results bit for bit.  frozen_tilt and
+frozen_kkt are the inner root's pass and the assembly as they were while
+every product was its own array of N floats and the u-block's Gram weights
+one array; the solver's forms must give their results bit for bit too.
 """
 
 from types import SimpleNamespace
@@ -340,3 +343,82 @@ def frozen_estar(L, lam, alpha, beta):
     base = np.maximum(1.0 + lam / (lam + 1.0) * s, 0.0)
     e = base ** (1.0 / lam)
     return s, e, e / np.maximum(base, np.finfo(float).smallest_subnormal)
+
+
+_TINY = np.finfo(float).smallest_subnormal
+_BLOCK = 8192
+
+
+def _frozen_mean(a):
+    return np.add.reduce(a) / a.size
+
+
+def _frozen_gram(R, w):
+    G = (R[:_BLOCK].T * w[:_BLOCK]) @ R[:_BLOCK]
+    for i in range(_BLOCK, R.shape[0], _BLOCK):
+        block = R[i:i + _BLOCK]
+        G += (block.T * w[i:i + _BLOCK]) @ block
+    return G
+
+
+def frozen_tilt(L, top, lam, eta, x):
+    if lam == 0.0:
+        z = L - top
+        e = np.exp(z * x)
+        m = _frozen_mean(e)
+        m1 = _frozen_mean(e * z) / m
+        alpha = 1.0 / x
+        return (x * m1 - np.log(m) - eta,
+                x * (_frozen_mean(e * z * z) / m - m1 * m1),
+                alpha, top + alpha * np.log(m))
+    scale = top - x
+    y = np.maximum(L - x, 0.0) / scale
+    yp = y ** (1.0 / lam)
+    A = _frozen_mean(yp)
+    B = _frozen_mean(yp * y)
+    C = _frozen_mean(yp / np.maximum(y, _TINY))
+    alpha = lam / (lam + 1.0) * scale * A ** lam
+    return (np.log(B) - (lam + 1.0) * np.log(A) - np.log1p(lam * eta),
+            (1.0 + 1.0 / lam) / scale * (C / A - A / B),
+            alpha, x + alpha * (lam + 1.0) / lam)
+
+
+def frozen_kkt(u, alpha, lp, lpp, p, scenarios, ball):
+    RT = scenarios.R.T
+    d, N = RT.shape
+    lam = ball.lam
+    s, e, w = p
+    ws = w * s
+    m1 = _frozen_mean(ws)
+    ws *= s
+    m2 = _frozen_mean(ws)
+    del ws
+    k = (lam + 1.0) * alpha
+    lpe = lp * e
+    g = lp * w
+
+    F = np.empty(d + 3)
+    F[:d] = RT @ lpe / N
+    F[d] = u.sum() - 1.0
+    F[d + 1] = _frozen_mean(e * s / (lam + 1.0) - e + 1.0) - ball.eta
+    F[d + 2] = _frozen_mean(e) - 1.0
+
+    J = np.zeros((d + 3, d + 3))
+    np.multiply(g, lp, out=lpe)
+    lpe /= k
+    J[:d, d + 1] = -(RT @ g) / (N * k)
+    g *= s
+    J[:d, d] = -(RT @ g) / (N * k)
+    np.multiply(lpp, e, out=g)
+    g += lpe
+    del lpe
+    J[:d, :d] = -_frozen_gram(scenarios.R, g) / N
+    J[:d, d + 2] = -1.0
+    J[d, :d] = 1.0
+    J[d + 1, :d] = J[:d, d]
+    J[d + 1, d] = -m2 / k
+    J[d + 1, d + 1] = -m1 / k
+    J[d + 2, :d] = J[:d, d + 1]
+    J[d + 2, d] = -m1 / k
+    J[d + 2, d + 1] = -_frozen_mean(w) / k
+    return F, J

@@ -177,12 +177,14 @@ class TestConfigErrors:
         assert "config error at config: file not found: missing.json" in done.stderr
 
     @pytest.mark.parametrize("text,message", [
-        ('{"ball": ', "config error at config: invalid JSON: "),
-        ("[1, 2]", "config error at config: expected an object, got [1, 2]"),
-    ], ids=["invalid-json", "list"])
+        (b'{"ball": ', "config error at config: invalid JSON: "),
+        (b"[1, 2]", "config error at config: expected an object, got [1, 2]"),
+        (b"\xff\xfe{}", "config error at config: invalid JSON: 'utf-8' codec can't decode "
+                        "byte 0xff in position 0"),
+    ], ids=["invalid-json", "list", "not-utf8"])
     def test_config_file_not_an_object(self, tmp_path, capsys, text, message):
         path = tmp_path / "cfg.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text)
         assert main(["simulate", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import robusttrack as rt
+import robusttrack.evaluate as evaluate
 from robusttrack.evaluate import draw_scenarios, write_table_csv, write_table_json
 
 from conftest import MU5, SIGMA5, make_scenarios, peak_arrays, replicable_panel
@@ -192,17 +193,47 @@ class TestRunTable:
 
     def test_one_scenario_set_alive(self, gaussian5, composition5):
         # a row's solves run with only its fit set alive, its evaluation set
-        # lives only for its comparison, and the robust solution's E* goes
-        # before that set is drawn: at N = 2^16 the three rows peak at 13.3
-        # arrays of N floats (17.0 while E* lived to the next row's solves
-        # and each draw gathered the tracked columns)
+        # lives only until compare has its two shortfalls, and the robust
+        # solution's E* goes before that set is drawn: at N = 2^16 the three
+        # rows peak at 11.0 arrays of N floats, in a robust solve (13.3 while
+        # a solve peaked at 8 and compare kept the set and the raw losses
+        # alive; 17.0 while E* lived to the next row's solves and each draw
+        # gathered the tracked columns)
         n = 2 ** 16
         grid = [rt.RowConfig(lam=0.1, eta=eta) for eta in (0.1, 0.5, 1.0)]
         rows = []
         peak = peak_arrays(lambda: rows.extend(rt.run_table(
             gaussian5, composition5, [0, 1, 2, 3], grid, L1, n=n, seed=7)), n)
         assert all(row.converged for row in rows)
-        assert peak <= 13.4
+        assert peak <= 11.1
+
+    @pytest.mark.parametrize("tracked,calls", [([0, 1, 2, 3], 2), ([0, 0, 1, 2, 3], 0)],
+                             ids=["converged", "failed"])
+    def test_compare_gets_the_rows_evaluation_set(self, gaussian5, composition5,
+                                                  monkeypatch, tracked, calls):
+        # the benchmark's table check hooks evaluate.compare on the module and
+        # recomputes BT and ETE from its third argument, so each converged row
+        # calls it once, with that row's evaluation set, and a failed row not
+        seen = []
+        compare = evaluate.compare
+
+        def recording(*args, **kwargs):
+            seen.append((args, kwargs))
+            return compare(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "compare", recording)
+        grid = [rt.RowConfig(lam=0.1, eta=0.3), rt.RowConfig(lam=0.1, k=-2.0)]
+        rows = rt.run_table(gaussian5, composition5, tracked, grid, L1, n=2000, seed=5)
+        assert len(seen) == calls == sum(row.converged for row in rows)
+        for row, (args, kwargs) in zip(rows, seen):
+            assert len(args) == 4 and not kwargs
+            scen = args[2]
+            ref = draw_scenarios(gaussian5.with_mean_scaled(row.k), composition5,
+                                 tracked, 2000, row.seed_eval)
+            assert isinstance(scen, rt.ScenarioSet)
+            assert scen.R.tobytes(order="F") == ref.R.tobytes(order="F")
+            assert scen.B.tobytes() == ref.B.tobytes()
+            assert compare(*args) == row.report
 
     def test_nonrobust_failure_is_recorded_on_the_row(self, gaussian5, composition5):
         # asset 0 tracked twice: the non-robust fit's KKT system is singular,

@@ -13,8 +13,8 @@ import robusttrack.solver as solver
 from robusttrack.solver import _dual, _estar
 
 from conftest import MU5, SIGMA5, make_scenarios, peak_arrays, replicable_window
-from eager_reference import (eager_assemble, eager_solve_robust, frozen_estar,
-                             recomputing_solve_nonrobust)
+from eager_reference import (eager_assemble, eager_solve_robust, frozen_estar, frozen_kkt,
+                             frozen_tilt, recomputing_solve_nonrobust)
 
 QUAD = rt.LossSpec.quadratic()
 L1 = rt.LossSpec.smoothed_pos_sq(0.01)
@@ -637,14 +637,19 @@ class TestTrialPathMemory:
     """solve_robust keeps each array of N points only until its last read:
     a point's shortfall goes once its loss kernel returns, the start point's
     losses once their (alpha, beta) are solved, the accepted point's l', l''
-    and pass once its Newton step is, and an accepted trial's losses once it
-    is accepted.  J's u-block is summed over blocks of rows (_gram), so no
-    d x N product is formed.  At N = 2^16 a solve then peaks at 8 arrays of
-    N floats (7 at lam = 0), both in the assembly _kkt, which writes none
-    of its inputs, and in a trial's inner root.  While _kkt formed the
-    d x N product and a trial's losses lived to the next trial, the peak was
-    11; while the shortfall lived on to the assembly, 12; while the start
-    point's losses and the accepted point's arrays lived on, 13 to 14.
+    and pass once its Newton step is, a trial's losses once its (alpha,
+    beta) are, and a rejected trial's l', l'' and pass at once.  J's u-block
+    is summed over blocks of rows (_gram), with its weights formed one block
+    at a time, so neither the weights nor a d x N product is an array of N.
+    The worst-case pass and the inner root's pass work in one buffer per
+    product, and _kkt, which writes none of its inputs, in one scratch
+    array.  At N = 2^16 a solve then peaks at 6 arrays of N floats for
+    every loss at lam 0, 0.1 and 1: 8 (7 at lam = 0) while each pass and
+    product of _kkt had its own array and a trial's losses lived to its
+    acceptance; 11 while _kkt formed the d x N product and a trial's losses
+    lived to the next trial; 12 while the shortfall lived on to the
+    assembly; 13 to 14 while the start point's losses and the accepted
+    point's arrays lived on.
 
     solve_nonrobust drops l' and l'' once its gradient and Hessian are
     formed, and a rejected trial's at once, and sums its Hessian by _gram;
@@ -662,7 +667,7 @@ class TestTrialPathMemory:
     @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
     def test_solve_peak(self, scenarios, spec, lam):
         ball = rt.DivergenceBall(lam, 0.5)
-        assert peak_arrays(lambda: rt.solve_robust(scenarios, ball, spec), self.N) <= 8.1
+        assert peak_arrays(lambda: rt.solve_robust(scenarios, ball, spec), self.N) <= 6.1
 
     @pytest.mark.parametrize("spec", [L1, L2], ids=["l1", "l2"])
     def test_nonrobust_peak(self, scenarios, spec):
@@ -670,9 +675,53 @@ class TestTrialPathMemory:
 
 
 class TestInPlacePasses:
-    """The worst-case pass has the bits of its closed form in
-    tests/eager_reference.py, and no pass, nor the in-place assembly _kkt,
+    """The worst-case pass, the inner root's pass and the assembly have the
+    bits of their forms in tests/eager_reference.py, which give every
+    product its own array, and no pass, nor the in-place assembly _kkt,
     writes the caller's losses, shortfalls or an earlier pass."""
+
+    LAMS = [0.0, 0.1, 0.5, 1.0, 2.5]
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        # _gram's blocks of rows, with the u-block's weights formed per
+        # block: three whole blocks and a partial fourth
+        return make_scenarios(n=3 * solver._BLOCK + 5, seed=27)
+
+    @staticmethod
+    def _point(scen, spec, lam):
+        u = np.full(scen.d, 1.0 / scen.d) + 0.05 * np.array([1.0, -2.0, 0.5, 0.5])
+        L, lp, lpp = solver._terms(spec, scen.shortfall(u))
+        alpha, beta, p = _dual(L, rt.DivergenceBall(lam, 0.5))
+        return u, L, lp, lpp, alpha, beta, p
+
+    @pytest.mark.parametrize("lam", LAMS)
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_tilt_has_the_bits_of_the_frozen_pass(self, blocks, spec, lam):
+        _, L, _, _, alpha, beta, _ = self._point(blocks, spec, lam)
+        top = np.maximum.reduce(L)
+        # the root's own x and, for lam > 0, a threshold with y = 0 on the
+        # smallest 30 % of the losses
+        xs = ([1.0 / alpha] if lam == 0.0 else
+              [beta - alpha * (lam + 1.0) / lam, float(np.quantile(L, 0.3))])
+        keep = L.copy()
+        for x in xs:
+            got, ref = solver._tilt(L, top, lam, 0.5, x), frozen_tilt(L, top, lam, 0.5, x)
+            assert np.array_equal(_bits(got), _bits(ref))
+        assert np.array_equal(_bits(L), _bits(keep))
+
+    @pytest.mark.parametrize("lam", LAMS)
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_kkt_has_the_bits_of_the_frozen_assembly(self, blocks, spec, lam):
+        ball = rt.DivergenceBall(lam, 0.5)
+        u, _, lp, lpp, alpha, _, p = self._point(blocks, spec, lam)
+        keep = [a.copy() for a in (lp, lpp, *p)]
+        got = solver._kkt(u, alpha, lp, lpp, p, blocks, ball)
+        ref = frozen_kkt(u, alpha, lp, lpp, p, blocks, ball)
+        for a, b in zip(got, ref):
+            assert np.array_equal(_bits(a), _bits(b))
+        for a, b in zip((lp, lpp, *p), keep):
+            assert np.array_equal(_bits(a), _bits(b))
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.0, 2.0, 2.5])
     def test_estar_has_the_bits_of_the_closed_form(self, lam):
@@ -748,17 +797,17 @@ class TestGram:
     @pytest.mark.parametrize("n", [1, 7, solver._BLOCK])
     def test_one_block_has_the_bits_of_the_product(self, n):
         R, w = self._set(n)
-        assert np.array_equal(_bits(solver._gram(R, w)), _bits((R.T * w) @ R))
+        assert np.array_equal(_bits(solver._gram(R, w.__getitem__)), _bits((R.T * w) @ R))
 
     @pytest.mark.parametrize("n", [solver._BLOCK + 1, 2 * solver._BLOCK, 2 ** 16 + 3])
     def test_blocks_agree_with_the_product(self, n):
         R, w = self._set(n)
-        G, ref = solver._gram(R, w), (R.T * w) @ R
+        G, ref = solver._gram(R, w.__getitem__), (R.T * w) @ R
         assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_no_d_by_n_product(self):
         R, w = self._set(2 ** 16)
-        assert peak_arrays(lambda: solver._gram(R, w), 2 ** 16) <= 0.6
+        assert peak_arrays(lambda: solver._gram(R, w.__getitem__), 2 ** 16) <= 0.6
 
 
 class TestHessianDiagnostic:
