@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import exprel
 
-from .model import NominalModel, log_density, sample_model
+from .model import NominalModel, _sample_blocks, log_density
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,15 @@ def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,
     check, so heavy-tailed ratios fail with a ValueError naming the remedy
     (a smaller lam), not an inf.  The check bounds (lam+1) log(g/f) by 350,
     so that the square of G, which the standard error sums, stays finite too.
-    Identical models give a zero log ratio and so exactly zero.
+    Identical models give a zero log ratio and so exactly zero.  The draws
+    are those of sample_model(nominal, n, seed), read one block at a time
+    into the n log ratios, so no n x d array of draws is formed.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    draws = sample_model(nominal, n, seed)
-    logratio = log_density(actual, draws) - log_density(nominal, draws)
+    logratio = np.empty(n)
+    for rows, x in _sample_blocks(nominal, n, seed):
+        np.subtract(log_density(actual, x), log_density(nominal, x), out=logratio[rows])
     if np.max((lam + 1.0) * logratio) > 350.0:
         raise ValueError(
             "density ratio overflows the divergence integrand; "

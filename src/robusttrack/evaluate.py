@@ -28,9 +28,14 @@ import numpy as np
 from .divergence import (DivergenceBall, divergence_gaussian_equal_cov,
                          eta_from_ratio_mc, k_from_eta)
 from .loss import LossSpec, loss_value, raw_loss_value
-from .model import (IndexComposition, NominalModel, ScenarioSet, sample_model,
-                    scenarios_from, synthesize_index)
+from .model import (IndexComposition, NominalModel, ScenarioSet, _sample_blocks,
+                    sample_model, scenarios_from, synthesize_index)
 from .solver import SolverConfig, SolverError, solve_nonrobust, solve_robust
+
+# bench/tracing.py and tests/test_api.py look up sample_model on this
+# module.  No draw here calls it (draw_scenarios reads _sample_blocks), so it
+# is kept here only for those lookups.
+sample_model
 
 # eta at or below this is treated as a collapsed ball: the robust problem is
 # solved at the floor radius, so the weights coincide with the non-robust
@@ -164,15 +169,16 @@ class TableRow:
 def draw_scenarios(model: NominalModel, composition: IndexComposition,
                    tracked: Sequence[int], n: int, seed: int) -> ScenarioSet:
     """n scenarios from the model: the tracked assets against the composition's
-    index, with the bits of scenarios_from(draws[:, tracked], index) but no
-    gathered copy of the tracked columns, and the draws released first."""
-    draws = sample_model(model, n, seed)
-    B = synthesize_index(draws, composition)
-    B += 1.0
+    index, with the bits of scenarios_from(draws[:, tracked], index) for
+    draws = sample_model(model, n, seed), but filled one block of draws at
+    a time, so no n x d array of draws is formed."""
     R = np.empty((n, len(tracked)), order="F")
-    for j, col in enumerate(tracked):
-        np.add(1.0, draws[:, col], out=R[:, j])
-    del draws
+    B = np.empty(n)
+    for rows, x in _sample_blocks(model, n, seed):
+        B[rows] = synthesize_index(x, composition)
+        for j, col in enumerate(tracked):
+            np.add(1.0, x[:, col], out=R[rows, j])
+    B += 1.0
     return ScenarioSet(R=R, B=B)
 
 

@@ -54,8 +54,9 @@ solves at a fixed BLAS thread count are bitwise identical.
 
 Each N-point array lives only until its last read, the passes over the
 losses work in place, and every Newton solve's weighted Gram matrix is
-summed over blocks of rows (_gram), so no d x N product is formed, and
-_kkt forms its Gram weights one block at a time.  A robust solve then
+summed over blocks of rows (_gram), so no d x N product is formed (only
+solve_nonrobust's start scales one copy of R.T, see there), and _kkt
+forms its Gram weights one block at a time.  A robust solve then
 peaks at 6 arrays of N floats, reached in _kkt (one scratch array beside
 its five inputs), in a trial's inner root and in its worst-case pass; the
 line-search passes are closed forms.
@@ -78,7 +79,7 @@ import numpy as np
 
 from .divergence import DivergenceBall
 from .loss import QUADRATIC, LossSpec, _terms, loss_deriv1, loss_deriv2, loss_value
-from .model import ScenarioSet
+from .model import _BLOCK, ScenarioSet
 
 # bench/tracing.py and tests/test_api.py look up these three names on this
 # module.  No solve calls them (each forms l, l' and l'' through _terms), so
@@ -95,10 +96,6 @@ _NEWTON_STEPS = 100
 # replicating portfolio whose shortfall spreads below this share of 1/d's
 _COLLAPSE = np.sqrt(np.finfo(float).eps)
 _TINY = np.finfo(float).smallest_subnormal
-# rows per block of _gram's sum.  Its d x _BLOCK product stays in cache: at
-# N = 2e5 and d = 4 (2 vCPUs, 1 BLAS thread) blocks of 8,192 rows took
-# 0.82 ms, 4,096 or 16,384 rows 0.96 ms and the whole d x N product 2.30 ms.
-_BLOCK = 8192
 
 
 class SolverError(RuntimeError):
@@ -560,7 +557,9 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
     if N < d:
         raise ValueError(f"need at least d={d} scenarios, got {N}")
 
-    u = _bordered(2.0 * R.T @ R / N, 2.0 * R.T @ B / N, 1.0,
+    # R.T @ R alone would be numpy's syrk, whose sums differ in the last
+    # bits from the gemm of the scaled copy 2 R.T, so that copy is formed
+    u = _bordered(2.0 * R.T @ R / N, 2.0 * (R.T @ B) / N, 1.0,
                   "singular tracking KKT system")
     L, lp, lpp = _terms(spec, scenarios.shortfall(u))
     f0 = _mean(L)

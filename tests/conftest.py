@@ -17,6 +17,18 @@ settings.load_profile("suite")
 MU5 = np.array([0.0025, 0.0035, 0.0010, 0.0005, 0.0045])
 SIGMA5 = np.diag([0.0020, 0.0025, 0.0012, 0.0001, 0.0033])
 WEIGHTS5 = np.array([0.15, 0.20, 0.20, 0.15, 0.30])
+# The same market with every covariance entry non-zero.
+FULL5 = SIGMA5 + 0.0004 * np.outer(np.linspace(1.0, 2.0, 5), np.linspace(1.0, 2.0, 5))
+# Draw sizes at the edges of the sampler's 8,192-row blocks and of its
+# 2^18-row chunks (2^18 + 1 ends in a chunk of one row).
+DRAW_SIZES = [1, 3, 8191, 8192, 8193, (1 << 18) + 1, (1 << 18) + 3, 300_001]
+
+
+def market_model(kind, cov=SIGMA5):
+    """The five-asset market as a Gaussian or a t(10) model."""
+    if kind == "gaussian":
+        return rt.NominalModel.gaussian(MU5, cov)
+    return rt.NominalModel.student_t(MU5, cov, dof=10.0)
 
 
 @pytest.fixture(scope="session")

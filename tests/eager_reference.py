@@ -24,15 +24,23 @@ the in-place forms must give their results bit for bit.  frozen_tilt and
 frozen_kkt are the inner root's pass and the assembly as they were while
 every product was its own array of N floats and the u-block's Gram weights
 one array; the solver's forms must give their results bit for bit too.
+
+frozen_sample_model, frozen_draw_scenarios and frozen_eta_from_ratio_mc
+are the sampler, the scenario builder and the Monte-Carlo radius as they
+were while every draw formed its whole chunk of normals and an n x d array
+of draws; the row-block forms must give their draws, sets and radii bit
+for bit.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp, ndtr
+from scipy.special import exprel, logsumexp, ndtr
 
+from robusttrack.divergence import MCEstimate
 from robusttrack.loss import LossSpec, loss_deriv1, loss_deriv2, loss_value
+from robusttrack.model import ScenarioSet, log_density
 from robusttrack.solver import (DegenerateScenariosError, NonConvergenceError,
                                 RobustSolution, SolverConfig, SolverError,
                                 solve_nonrobust)
@@ -422,3 +430,44 @@ def frozen_kkt(u, alpha, lp, lpp, p, scenarios, ball):
     J[d + 2, d] = -m1 / k
     J[d + 2, d + 1] = -_frozen_mean(w) / k
     return F, J
+
+
+# rows per sampling chunk, each drawn from its own stream
+_CHUNK = 1 << 18
+
+
+def frozen_sample_model(model, n, seed):
+    """The sampler with each chunk's normals one m x d array, multiplied into
+    the output and scaled and shifted there."""
+    out = np.empty((n, model.dim))
+    chol = np.linalg.cholesky(model.scale)
+    for ci, start in enumerate(range(0, n, _CHUNK)):
+        m = min(_CHUNK, n - start)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
+        z = np.matmul(rng.standard_normal((m, model.dim)), chol.T,
+                      out=out[start:start + m])
+        if model.kind == "student_t":
+            z *= np.sqrt(model.dof / rng.chisquare(model.dof, m))[:, None]
+        z += model.mean
+    return out
+
+
+def frozen_draw_scenarios(model, composition, tracked, n, seed):
+    """The scenario builder reading its columns from the n x d draws."""
+    draws = frozen_sample_model(model, n, seed)
+    B = draws @ composition.weights
+    B += 1.0
+    R = np.empty((n, len(tracked)), order="F")
+    for j, col in enumerate(tracked):
+        np.add(1.0, draws[:, col], out=R[:, j])
+    return ScenarioSet(R=R, B=B)
+
+
+def frozen_eta_from_ratio_mc(nominal, actual, lam, n, seed):
+    """The Monte-Carlo radius over the n x d draws, without its overflow check."""
+    draws = frozen_sample_model(nominal, n, seed)
+    logratio = log_density(actual, draws) - log_density(nominal, draws)
+    e = np.exp(logratio)
+    g = e * logratio * exprel(lam * logratio) - e + 1.0
+    return MCEstimate(estimate=float(g.mean()),
+                      std_error=float(g.std(ddof=1) / np.sqrt(n)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import robusttrack as rt
-from robusttrack import cli, divergence, evaluate
+from robusttrack import cli, divergence, evaluate, model
 from robusttrack.cli import main
 
 from conftest import MU5, SIGMA5, WEIGHTS5
@@ -143,11 +143,12 @@ class TestSimulateHeavyTail:
 @pytest.fixture
 def no_draws(monkeypatch):
     """Fails a test that draws scenarios: a config error is found first.
-    The CLI draws only through these two modules."""
-    def sample_model(*args):
-        raise AssertionError("sample_model called before the config was read")
-    for module in (divergence, evaluate):
-        monkeypatch.setattr(module, "sample_model", sample_model)
+    The CLI draws only through divergence and evaluate, and every draw reads
+    the row-block sampler, so it raises wherever it is looked up."""
+    def sample_blocks(*args, **kwargs):
+        raise AssertionError("scenarios drawn before the config was read")
+    for module in (model, divergence, evaluate):
+        monkeypatch.setattr(module, "_sample_blocks", sample_blocks)
 
 
 class TestConfigErrors:

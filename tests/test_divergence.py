@@ -6,7 +6,8 @@ from scipy.stats import multivariate_normal
 
 import robusttrack as rt
 
-from conftest import MU5, SIGMA5
+from conftest import DRAW_SIZES, FULL5, MU5, SIGMA5, market_model, peak_arrays
+from eager_reference import frozen_eta_from_ratio_mc
 
 ETAS = [0.1, 0.2, 0.5, 0.8, 1.0, 2.0, 5.0]
 
@@ -296,6 +297,25 @@ class TestEtaFromRatioMC:
         out = rt.eta_from_ratio_mc(gaussian5, actual, 0.0, n=200_000, seed=7)
         closed = rt.divergence_gaussian_equal_cov(MU5, 2.0 * MU5, SIGMA5, 0.0)
         assert abs(out.estimate - closed) < 3 * out.std_error
+
+    @pytest.mark.parametrize("n", [n for n in DRAW_SIZES if n >= 2])
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_bits_of_the_frozen_radius(self, kind, n):
+        model = market_model(kind, FULL5)
+        for seed, k, lam in ((4, -3.0, 0.1), (151, 0.5, 0.0)):
+            actual = model.with_mean_scaled(k)
+            assert (rt.eta_from_ratio_mc(model, actual, lam, n, seed)
+                    == frozen_eta_from_ratio_mc(model, actual, lam, n, seed)), (seed, k)
+
+    def test_no_array_of_draws(self):
+        # 5.04 arrays of n floats, in G's pass over the n log ratios; while
+        # the draws stream, the log ratios, a t(10) chunk's normals and
+        # scales (2^18 rows) and one block's temporaries take 2.9.  19.0
+        # while the n x d draws and three n x d arrays of each log density
+        # were alive.
+        model, n = market_model("student_t"), 1_000_000
+        assert peak_arrays(lambda: rt.eta_from_ratio_mc(
+            model, model.with_mean_scaled(-3.0), 0.1, n, 7), n) <= 5.1
 
 
 class TestKLLimitInvariant:

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import robusttrack as rt
-from robusttrack.model import _CHUNK
+from robusttrack.model import _BLOCK, _CHUNK, _sample_blocks
 
-from conftest import MU5, SIGMA5, WEIGHTS5
+from conftest import DRAW_SIZES, FULL5, MU5, SIGMA5, WEIGHTS5, market_model, peak_arrays
+from eager_reference import frozen_sample_model
 
 
 class TestGaussianSampling:
@@ -104,6 +105,44 @@ class TestSampleStream:
         got = rt.sample_model(model, n, seed=22)
         ref = self.reference(model, n, seed=22, chunk=_CHUNK)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+class TestSampleBlocks:
+    """sample_model fills its output a block of rows at a time, with the
+    bits of the frozen whole-chunk sampler, and holds one block beside it."""
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_bits_of_the_frozen_sampler(self, kind, n):
+        for cov, seed in ((SIGMA5, 4), (FULL5, 151)):
+            model = market_model(kind, cov)
+            assert (rt.sample_model(model, n, seed).tobytes()
+                    == frozen_sample_model(model, n, seed).tobytes()), seed
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_blocks_of_more_than_one_row(self, kind, n):
+        # numpy multiplies a single row by another BLAS routine, so only a
+        # one-row draw has a one-row block; every block starts where a
+        # whole-draw product's row groups start
+        starts, sizes = [], []
+        for rows, x in _sample_blocks(market_model(kind), n, 5):
+            assert x.shape == (rows.stop - rows.start, 5)
+            starts.append(rows.start)
+            sizes.append(rows.stop - rows.start)
+        assert sum(sizes) == n and starts == [sum(sizes[:k]) for k in range(len(sizes))]
+        assert all(start % _BLOCK == 0 for start in starts)
+        assert n == 1 or min(sizes) > 1
+
+    @pytest.mark.parametrize("kind,chunk_scales", [("gaussian", 0.0), ("student_t", 1.0)])
+    def test_peak_is_the_output_and_one_block(self, kind, chunk_scales):
+        # the output's 5 columns, one block of normals (a one-row tail joins
+        # the last block, so 8,193 rows) and, for t(10), the chunk's 2^18
+        # scales, plus 0.05 for numpy's buffers; the frozen sampler read
+        # 9.37, with the chunk's normals beside the output
+        n = 300_001
+        bound = 5 + (5 * (_BLOCK + 1) + chunk_scales * _CHUNK) / n + 0.05
+        assert peak_arrays(lambda: rt.sample_model(market_model(kind), n, 1), n) <= bound
 
 
 class TestSynthesizeIndex:

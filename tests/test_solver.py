@@ -294,6 +294,26 @@ class TestSolveNonrobust:
         kkt = np.linalg.solve(A, np.concatenate([2.0 * R.T @ B / N, [1.0]]))
         assert rt.solve_nonrobust(scen, QUAD).tobytes() == kkt[:d].tobytes()
 
+    @pytest.mark.parametrize("n", [4000, 2 ** 16 + 3])
+    @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
+    def test_start_has_the_bits_of_the_scaled_copy(self, spec, n, monkeypatch):
+        # the start scales R.T @ B after the product, where it once scaled a
+        # d x N copy of R.T: scaling by 2 is exact, so the bits are the same
+        # (R.T @ R keeps the copy: numpy's syrk would sum it in another
+        # order, and at n = 4000 the bits would differ)
+        scen = make_scenarios(n=n, seed=2)
+        starts = []
+        bordered = solver._bordered
+
+        def first(M, top, bottom, message):
+            starts.append((M.copy(), top.copy()))
+            return bordered(M, top, bottom, message)
+        monkeypatch.setattr(solver, "_bordered", first)
+        rt.solve_nonrobust(scen, spec)
+        R, B, N = scen.R, scen.B, scen.n
+        assert starts[0][0].tobytes() == (2.0 * R.T @ R / N).tobytes()
+        assert starts[0][1].tobytes() == (2.0 * R.T @ B / N).tobytes()
+
     def test_singular_system_raises(self):
         scen = rt.ScenarioSet(R=np.ones((10, 2)), B=np.ones(10))
         with pytest.raises(rt.SingularSystemError):
