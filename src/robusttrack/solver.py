@@ -27,11 +27,10 @@ exactly over (alpha, beta) for the current losses.  G is lam + 1 times the
 Cressie-Read divergence of that order, so the minimizer is a closed form in
 one scalar (Duchi and Namkoong, Annals of Statistics 49(3), 2021), the root
 of an increasing function (see _tilt and _dual).  The bordered solve
-J dz = -F gives the equality-constrained Newton step in u, which an Armijo
-search on rho accepts; a step whose decrease no trial can resolve from
-rho's rounding is a stall.  Each point, trial or start, forms l, l' and l''
-in one call of loss._terms, which forms each loss's special functions once,
-and an accepted trial's l' and l'' go to the assembly as they are.
+J dz = -F gives the equality-constrained Newton step in u, and rho is the
+value its line search lowers.  Each point, trial or start, forms l, l' and
+l'' in one call of loss._terms, which forms each loss's special functions
+once, and an accepted trial's l' and l'' go to the assembly as they are.
 
 Where the tracked assets replicate the index, the shortfall is a constant
 c at the replicating portfolio u_rep, and u_rep may be the optimum, with
@@ -55,19 +54,23 @@ solves at a fixed BLAS thread count are bitwise identical.
 Each N-point array lives only until its last read, the passes over the
 losses work in place, and every Newton solve's weighted Gram matrix is
 summed over blocks of rows (_gram), so no d x N product is formed (only
-solve_nonrobust's start scales one copy of R.T, see there), and _kkt
-forms its Gram weights one block at a time.  A robust solve then
-peaks at 6 arrays of N floats, reached in _kkt (one scratch array beside
-its five inputs), in a trial's inner root and in its worst-case pass; the
-line-search passes are closed forms.
-R is stored column-major (see ScenarioSet), and the scalar entries of J
-read one set of moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k)
-for k = 0, 1, 2.
+solve_nonrobust's start scales one copy of R.T, see there), and _kkt forms
+its Gram weights one block at a time.  A robust solve then peaks at 6
+arrays of N floats, reached in _kkt (one scratch array beside its five
+inputs), in a trial's inner root and in its worst-case pass.  R is stored
+column-major (see ScenarioSet), and the scalar entries of J read one set of
+moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2.
 
 solve_nonrobust is equality-constrained Newton on mean(l) from the quadratic
 loss's KKT point, where a quadratic loss stops; that point and each step are
 one bordered solve [[M, 1], [1', 0]] [x; nu] = [top; bottom] (Boyd and
-Vandenberghe, Convex Optimization, 10.2).
+Vandenberghe, Convex Optimization, 9.5 and 10.2).  It, solve_robust and _dmin
+step through one driver, _newton: from t = 1 it halves the step until the
+trial passes Armijo's test with 1e-4, and raises NonConvergenceError, with
+the smallest residual reached, as a stall below t = 1e-10 and after
+_NEWTON_STEPS steps.  No trial can verify a decrease within 8 spacings of the
+value (Armijo's test would pass on rounding); there solve_robust stalls,
+solve_nonrobust stops and _dmin takes the whole step.
 """
 
 from __future__ import annotations
@@ -86,11 +89,8 @@ from .model import _BLOCK, ScenarioSet
 # they are kept here only for those lookups.
 loss_value, loss_deriv1, loss_deriv2
 
-# steps allowed to the scalar root of the inner (alpha, beta) solve and to
-# the Newton iteration for D_min
-_INNER_STEPS = 100
-# Newton steps allowed to solve_robust and to solve_nonrobust
-_NEWTON_STEPS = 100
+_INNER_STEPS = 100      # steps allowed to the scalar root of the inner solve
+_NEWTON_STEPS = 100     # steps allowed to each iteration of _newton
 # a trial whose loss spread falls below this share of the start point's
 # spread is taken as the alpha -> 0 collapse, and so is a least-squares
 # replicating portfolio whose shortfall spreads below this share of 1/d's
@@ -112,7 +112,7 @@ class SingularSystemError(SolverError):
 
 
 class NonConvergenceError(SolverError):
-    """The Newton iteration did not reach the residual tolerance."""
+    """A Newton iteration stalled or did not reach its tolerance."""
 
     def __init__(self, message, residual_norm=None, iterations=None):
         super().__init__(message)
@@ -253,7 +253,8 @@ def _dual(L, ball, alpha=None, beta=None):
             hi, above = x, (g, alpha, beta)
         else:
             lo, below = x, (g, alpha, beta)
-        new = x - g / slope if slope > 0.0 else np.nan
+        # Python floats overflow to inf silently, into the fallback below
+        new = x - float(g) / float(slope) if slope > 0.0 else np.nan
         if abs(g) <= 1e-15 or abs(g) <= 1e-10 and \
                 abs(new - x) <= 1e-12 * (x if lam == 0.0 else top - x):
             return alpha, beta, _estar(L, lam, alpha, beta)
@@ -279,49 +280,82 @@ def _phi(alpha, beta, p, ball):
             + alpha * _mean((ball.lam / (ball.lam + 1.0) * s + 1.0) * e - 1.0))
 
 
+def _newton(point, start, flat, what, stop, size=None):
+    """(answer, steps taken) of the module's damped Newton iteration from the
+    point x of value f that the list start holds as (x, f), taken out so that
+    only the driver holds a point's arrays.  point(x) gives (res, tol,
+    answer, newton); newton() gives the slope and trial, and trial(t) the
+    point t along the direction and its value.  flat, "stall", "stop" or
+    "whole", answers a decrease within 8 spacings of size (default f)."""
+    x, f = start.pop()
+    best = np.inf
+    for it in range(_NEWTON_STEPS + 1):
+        res, tol, answer, newton = point(x)
+        del x                          # no trial reads the point's arrays
+        if res <= tol:
+            return answer, it
+        best = min(best, res)
+        if it == _NEWTON_STEPS:
+            break
+        slope, trial = newton()
+        unverifiable = -slope <= 8.0 * np.spacing(f if size is None else size)
+        if unverifiable and flat == "stop":
+            return answer, it
+        del answer, newton
+        t = 1.0
+        while True:
+            if t < 1e-10 or unverifiable and flat == "stall":
+                raise NonConvergenceError(f"{what} stalled above {stop}",
+                                          residual_norm=best, iterations=it)
+            x, f_t = trial(t)
+            if unverifiable or f_t <= f + 1e-4 * t * slope:
+                break
+            del x                      # a rejected trial is not read again
+            t *= 0.5
+        f = f_t
+    raise NonConvergenceError(f"{what} did not reach {stop}", residual_norm=best,
+                              iterations=_NEWTON_STEPS)
+
+
 def _dmin(Z, lam, eta):
     """(D, E): the least divergence D_min = min mean G(E) over E >= 0 with
-    mean E = 1 and mean(E Z) = 0, and its E, by damped Newton on the concave
-    dual  max over theta of theta_0 - mean G*(A theta),  A = [1, Z], from
+    mean E = 1 and mean(E Z) = 0, and its E, by _newton on the concave dual
+    max over theta of theta_0 - mean G*(A theta),  A = [1, Z], from
     theta = 0.  E = G*'(A theta) and G*'' = E^(1-lam)/(lam+1) are the _estar
     pass at alpha = 1, beta = 0, and the gradient is (1, 0, ..., 0) -
     mean(E A).  Each dual value bounds D_min from below, so the iteration
-    ends at the first value above eta, which is then D.  D is NaN where it
-    ends with neither."""
+    ends at the first value above eta, which is then D; D, a difference of
+    terms of size 1, rounds at eps.  D is NaN where it ends with neither."""
     N = Z.shape[0]
     A = np.column_stack([np.ones(N), Z])
     c = lam / (lam + 1.0)
     tol = 1e-13 * np.maximum.reduce(np.abs(A), axis=None)
-    theta, D = np.zeros(A.shape[1]), 0.0
-    p = _estar(np.zeros(N), lam, 1.0, 0.0)
-    with np.errstate(over="ignore"):   # a trial far out is rejected as -inf
-        for _ in range(_INNER_STEPS):
-            _, e, w = p
-            grad = -(A.T @ e) / N
-            grad[0] += 1.0
-            if np.maximum.reduce(np.abs(grad)) <= tol:
-                return D, e
-            try:
-                step = np.linalg.solve(_gram(A, w.__getitem__) / (N * (lam + 1.0)), grad)
-            except np.linalg.LinAlgError:
-                break
-            rise = grad @ step         # the Newton decrement
-            t = 1.0
-            while t >= 1e-10:
-                p_t = _estar(A @ (theta + t * step), lam, 1.0, 0.0)
-                D_t = theta[0] + t * step[0] - _mean((c * p_t[0] + 1.0) * p_t[1] - 1.0)
-                if D_t > eta:
-                    return D_t, p_t[1]
-                # a rise within D's rounding, which no trial can verify, is
-                # taken whole; D is a small difference of terms of size 1, so
-                # it rounds at eps
-                if D_t >= D + 1e-4 * t * rise or rise <= 8.0 * np.spacing(1.0):
-                    break
-                t *= 0.5
-            else:
-                break
-            theta, D, p = theta + t * step, D_t, p_t
-    return np.nan, p[1]
+    e = None                           # E at the point the iteration is at
+
+    def point(x):
+        nonlocal e
+        theta, D, (_, e, w) = x
+        grad = -(A.T @ e) / N
+        grad[0] += 1.0
+
+        def newton():
+            step = np.linalg.solve(_gram(A, w.__getitem__) / (N * (lam + 1.0)), grad)
+
+            def trial(t):
+                theta_t = theta + t * step
+                p = _estar(A @ theta_t, lam, 1.0, 0.0)
+                D_t = theta_t[0] - _mean((c * p[0] + 1.0) * p[1] - 1.0)
+                # the value is -D; one above eta passes whatever its rise
+                return (theta_t, D_t, p), -np.inf if D_t > eta else -D_t
+            return -(grad @ step), trial
+        return np.maximum.reduce(np.abs(grad)), np.inf if D > eta else tol, (D, e), newton
+
+    with np.errstate(over="ignore"):   # a trial far out is rejected as +inf
+        try:
+            start = [((np.zeros(A.shape[1]), 0.0, _estar(np.zeros(N), lam, 1.0, 0.0)), 0.0)]
+            return _newton(point, start, "whole", "D_min's dual", "its tolerance", size=1.0)[0]
+        except (np.linalg.LinAlgError, NonConvergenceError):
+            return np.nan, e
 
 
 def _certify(scenarios, x0, spec, ball):
@@ -467,64 +501,45 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
             "normalization equations are underdetermined in (alpha, beta)")
     alpha, beta, p = _dual(L, ball)
     del L
-    phi = _phi(alpha, beta, p, ball)
 
-    best = np.inf
-    for it in range(_NEWTON_STEPS + 1):
+    def point(x):
+        u, alpha, beta, lp, lpp, p = x
         F, J = _kkt(u, alpha, lp, lpp, p, scenarios, ball)
         theta = float(_mean(F[:d]))
         F[:d] -= theta
         res = float(np.maximum.reduce(np.abs(F)))
-        if res <= config.residual_tol:
-            return RobustSolution(u=u, alpha=float(alpha), beta=float(beta),
-                                  theta=theta, estar=p[1], residual_norm=res,
-                                  iterations=it)
-        best = min(best, res)
-        if it == _NEWTON_STEPS:
-            break
-        try:
-            dz = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("singular Newton system") from exc
-        del lp, lpp, p                 # no trial reads the accepted point's arrays
-        du, da, db = dz[:d], dz[d], dz[d + 1]
-        slope = -float(F[:d] @ du)     # directional derivative of rho
-        t = 1.0
-        while True:
-            # a decrease below a few spacings of rho, which no trial can
-            # verify (Armijo's test would accept rounding), is a stall too
-            if t < 1e-10 or -slope <= 8.0 * np.spacing(phi):
-                raise NonConvergenceError(
-                    f"robust solve stalled above residual tolerance "
-                    f"{config.residual_tol}", residual_norm=best, iterations=it)
-            u_t = u + t * du
-            L_t, lp_t, lpp_t = _terms(spec, scenarios.shortfall(u_t))
-            spread_t = float(np.maximum.reduce(L_t) - np.minimum.reduce(L_t))
-            if spread_t < _COLLAPSE * spread0:
-                cause = ("so the worst case degenerates to alpha = 0" if bound is None else
-                         "where the (alpha, beta) block of J turns singular, although "
-                         f"D_min >= {bound:.6g} > eta = {ball.eta:g}: the replicating "
-                         "portfolio is not optimal, and alpha > 0 at the optimum")
-                raise DegenerateScenariosError(
-                    "alpha collapse: the losses approach equality (the index is "
-                    f"replicable), {cause}")
-            # warm start from the Newton step's multipliers; where that
-            # alpha is not positive, from the small-ball estimate
-            a_t = alpha + t * da
-            start = (a_t, beta + t * db) if a_t > 0 else ()
-            a_t, b_t, p_t = _dual(L_t, ball, *start)
-            del L_t
-            phi_t = _phi(a_t, b_t, p_t, ball)
-            if phi_t <= phi + 1e-4 * t * slope:
-                break
-            del p_t, lp_t, lpp_t       # a rejected trial is not read again
-            t *= 0.5
-        u, alpha, beta, p, lp, lpp, phi = u_t, a_t, b_t, p_t, lp_t, lpp_t, phi_t
-        del p_t, lp_t, lpp_t
-    raise NonConvergenceError(
-        f"robust solve did not reach residual tolerance {config.residual_tol}",
-        residual_norm=best, iterations=_NEWTON_STEPS,
-    )
+
+        def newton():
+            try:
+                dz = np.linalg.solve(J, -F)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError("singular Newton system") from exc
+            du, da, db = dz[:d], dz[d], dz[d + 1]
+
+            def trial(t):
+                u_t = u + t * du
+                L, lp_t, lpp_t = _terms(spec, scenarios.shortfall(u_t))
+                if float(np.maximum.reduce(L) - np.minimum.reduce(L)) < _COLLAPSE * spread0:
+                    raise DegenerateScenariosError(
+                        "alpha collapse: the losses approach equality (the index is replicable), "
+                        + ("so the worst case degenerates to alpha = 0" if bound is None else
+                           "where the (alpha, beta) block of J turns singular, although D_min >= "
+                           f"{bound:.6g} > eta = {ball.eta:g}: the replicating portfolio is not "
+                           "optimal, and alpha > 0 at the optimum"))
+                # warm start from the Newton step's multipliers; where that
+                # alpha is not positive, from the small-ball estimate
+                a_t = alpha + t * da
+                a_t, b_t, p_t = _dual(L, ball, *((a_t, beta + t * db) if a_t > 0 else ()))
+                del L
+                return (u_t, a_t, b_t, lp_t, lpp_t, p_t), _phi(a_t, b_t, p_t, ball)
+            return -float(F[:d] @ du), trial   # the directional derivative of rho
+        return res, config.residual_tol, (u, float(alpha), float(beta), theta, p[1], res), newton
+
+    start = [((u, alpha, beta, lp, lpp, p), _phi(alpha, beta, p, ball))]
+    del lp, lpp, p                     # the driver holds the start point alone
+    answer, it = _newton(point, start, "stall", "robust solve",
+                         f"residual tolerance {config.residual_tol}")
+    return RobustSolution(*answer, iterations=it)
 
 
 def _bordered(M, top, bottom, message):
@@ -547,11 +562,10 @@ def _bordered(M, top, bottom, message):
 
 
 def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
-    """Minimize the empirical mean loss subject to 1'u = 1 by Newton's
-    method from the quadratic loss's KKT point, where a quadratic loss stops
-    at the first test; the start and each step are one bordered solve.
-    Raises NonConvergenceError, with the reduced gradient and the steps
-    taken, where _NEWTON_STEPS steps do not reach the stop."""
+    """Minimize the empirical mean loss subject to 1'u = 1 (see the module
+    docstring).  Raises NonConvergenceError, with the smallest reduced
+    gradient and the steps taken, where its line search stalls or
+    _NEWTON_STEPS steps do not reach the stop."""
     R, B = scenarios.R, scenarios.B
     N, d = R.shape
     if N < d:
@@ -561,38 +575,24 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
     # bits from the gemm of the scaled copy 2 R.T, so that copy is formed
     u = _bordered(2.0 * R.T @ R / N, 2.0 * (R.T @ B) / N, 1.0,
                   "singular tracking KKT system")
-    L, lp, lpp = _terms(spec, scenarios.shortfall(u))
-    f0 = _mean(L)
-    del L
-    for it in range(_NEWTON_STEPS + 1):    # the start and each step
+
+    def at(u):                         # the point u, with l' and l'', and its mean loss
+        L, lp, lpp = _terms(spec, scenarios.shortfall(u))
+        return (u, lp, lpp), _mean(L)
+
+    def point(x):
+        u, lp, lpp = x
         grad = -(R.T @ lp) / N
-        reduced = np.maximum.reduce(np.abs(grad - _mean(grad)))
-        if reduced <= 1e-11 * max(1.0, np.maximum.reduce(np.abs(grad))):
-            break
-        if it == _NEWTON_STEPS:
-            raise NonConvergenceError(
-                f"non-robust fit did not reach its stop in {it} Newton steps: reduced "
-                f"gradient {reduced:.3g}", residual_norm=float(reduced), iterations=it)
-        H = _gram(R, lpp.__getitem__) / N
-        del lp, lpp
-        step = _bordered(H + 1e-14 * np.trace(H) * np.eye(d), -grad, 0.0,
-                         "singular Newton KKT system")
-        # no line search can verify a decrement within a few spacings of f
-        if -(grad @ step) <= 8.0 * np.spacing(f0):
-            break
-        t = 1.0
-        while t > 1e-14:
-            L, lp, lpp = _terms(spec, scenarios.shortfall(u + t * step))
-            f_new = _mean(L)
-            del L
-            if f_new < f0:
-                break
-            del lp, lpp
-            t *= 0.5
-        else:
-            break
-        u, f0 = u + t * step, f_new
-    return u
+
+        def newton():
+            H = _gram(R, lpp.__getitem__) / N
+            step = _bordered(H + 1e-14 * np.trace(H) * np.eye(d), -grad, 0.0,
+                             "singular Newton KKT system")
+            return grad @ step, lambda t: at(u + t * step)
+        return (float(np.maximum.reduce(np.abs(grad - _mean(grad)))),
+                1e-11 * max(1.0, np.maximum.reduce(np.abs(grad))), u, newton)
+
+    return _newton(point, [at(u)], "stop", "non-robust fit", "its reduced-gradient stop")[0]
 
 
 def hessian_diagnostic(solution: RobustSolution, scenarios: ScenarioSet,

@@ -125,6 +125,21 @@ def test_only_model_reads_the_factor():
         "model.py"]
 
 
+def _halves(node):
+    """A step length halved in place: t *= 0.5 or t /= 2."""
+    return isinstance(node, ast.AugAssign) and isinstance(node.value, ast.Constant) and (
+        isinstance(node.op, ast.Mult) and node.value.value == 0.5
+        or isinstance(node.op, ast.Div) and node.value.value == 2)
+
+
+def test_one_step_loop():
+    # solve_robust, solve_nonrobust and _dmin step through one damped-Newton
+    # driver, the only function of solver.py that halves a step
+    tree = _trees()["solver.py"]
+    assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if _halves(node)] == ["_newton"]
+
+
 def test_every_import_is_used():
     # __init__.py imports only to re-export
     for name, tree in _trees().items():

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -335,11 +336,12 @@ class TestSolveNonrobust:
         with pytest.raises(ValueError, match=r"need at least d=4 scenarios, got 3"):
             rt.solve_nonrobust(scen, L1)
 
-    def test_line_search_that_no_trial_passes_ends_the_fit(self, monkeypatch):
+    def test_line_search_that_no_trial_passes_stalls(self, monkeypatch):
         # an index 2 % a period above every portfolio puts nearly every
         # shortfall far in the smooth-plus loss's linear part, where l'' is
-        # almost 0: the Newton step is huge, and every trial down to
-        # t = 2^-46 raises the mean loss, so the fit stops where it is
+        # almost 0: the Newton step is huge, and no trial down to the step
+        # floor lowers the mean loss, so the fit raises, with its reduced
+        # gradient, instead of returning a point it could not improve
         spec = rt.LossSpec.smoothed_plus(1e-4)
         base = make_scenarios(n=40, seed=1)
         scen = rt.ScenarioSet(base.R, base.B + 0.02)
@@ -351,13 +353,14 @@ class TestSolveNonrobust:
             return out
 
         monkeypatch.setattr(solver, "_terms", terms)
-        u = rt.solve_nonrobust(scen, spec)
-        assert np.all(np.isfinite(u)) and u.sum() == pytest.approx(1.0, abs=1e-12)
-        # the last 47 trials, t = 1 to 2^-46, each fail to lower the mean
-        # loss of the point returned
-        f = rt.loss_value(spec, scen.shortfall(u)).mean()
-        assert len(means) > 47 and min(means[-47:]) >= f
-        assert f <= means[0]
+        stall = "^non-robust fit stalled above its reduced-gradient stop$"
+        with pytest.raises(rt.NonConvergenceError, match=stall) as info:
+            rt.solve_nonrobust(scen, spec)
+        assert info.value.iterations == 0
+        assert info.value.residual_norm == pytest.approx(0.0042, abs=1e-4)
+        # the start's mean loss, then the 34 trials t = 1 to 2^-33, each of
+        # which fails to lower it
+        assert len(means) == 35 and min(means[1:]) >= means[0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_step_limit_raises(self, seed, monkeypatch):
@@ -368,7 +371,8 @@ class TestSolveNonrobust:
         noise = 1e-8 * np.random.default_rng(seed).standard_normal(base.n)
         scen = rt.ScenarioSet(np.column_stack([base.R[:, 0] + noise, base.R]), base.B)
         counts = _calls(monkeypatch, "_bordered")
-        with pytest.raises(rt.NonConvergenceError, match="stop in 100 Newton steps") as info:
+        limit = "^non-robust fit did not reach its reduced-gradient stop$"
+        with pytest.raises(rt.NonConvergenceError, match=limit) as info:
             rt.solve_nonrobust(scen, L2)
         assert counts["_bordered"] == 101
         assert info.value.iterations == 100
@@ -1245,6 +1249,18 @@ class TestNonConvergenceReport:
         with pytest.raises(rt.NonConvergenceError, match="stalled") as info:
             rt.solve_robust(scenarios4k, rt.DivergenceBall(10.0, 2.0), QUAD)
         assert info.value.iterations <= 10
+
+    @pytest.mark.parametrize("spec, steps", [(QUAD, 29), (L2, 19)], ids=["quad", "l2"])
+    def test_subnormal_inner_slope_stalls_without_a_warning(self, spec, steps):
+        # near the KL bound on 40 rows, the inner root's slope g' turns
+        # subnormal and its Newton step g / g' overflows: the root falls back
+        # to the bracket, silently, and the solve raises only its stall
+        ball = rt.DivergenceBall(0.0, 0.9 * np.log(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rt.NonConvergenceError, match="stalled") as info:
+                rt.solve_robust(make_scenarios(40, seed=3), ball, spec)
+        assert info.value.iterations == steps
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     def test_inner_root_that_runs_out_of_steps(self, scenarios4k, lam, monkeypatch):
