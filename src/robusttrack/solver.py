@@ -64,13 +64,13 @@ moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2.
 solve_nonrobust is equality-constrained Newton on mean(l) from the quadratic
 loss's KKT point, where a quadratic loss stops; that point and each step are
 one bordered solve [[M, 1], [1', 0]] [x; nu] = [top; bottom] (Boyd and
-Vandenberghe, Convex Optimization, 9.5 and 10.2).  It, solve_robust and _dmin
-step through one driver, _newton: from t = 1 it halves the step until the
-trial passes Armijo's test with 1e-4, and raises NonConvergenceError, with
-the smallest residual reached, as a stall below t = 1e-10 and after
-_NEWTON_STEPS steps.  No trial can verify a decrease within 8 spacings of the
-value (Armijo's test would pass on rounding); there solve_robust stalls,
-solve_nonrobust stops and _dmin takes the whole step.
+Vandenberghe, Convex Optimization, 9.5 and 10.2).  It, solve_robust and
+_dmin step through one loop, _newton: from t = 1 it halves the step until
+the trial passes Armijo's test with 1e-4, and raises NonConvergenceError,
+with the smallest residual reached, as a stall below t = 1e-10 and after
+_NEWTON_STEPS steps.  No trial can verify a decrease within 8 spacings of
+the value (Armijo's test would pass on rounding); there solve_robust
+stalls, solve_nonrobust stops and _dmin takes the whole step.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def _phi(alpha, beta, p, ball):
 def _newton(point, start, flat, what, stop, size=None):
     """(answer, steps taken) of the module's damped Newton iteration from the
     point x of value f that the list start holds as (x, f), taken out so that
-    only the driver holds a point's arrays.  point(x) gives (res, tol,
+    only _newton holds a point's arrays.  point(x) gives (res, tol,
     answer, newton); newton() gives the slope and trial, and trial(t) the
     point t along the direction and its value.  flat, "stall", "stop" or
     "whole", answers a decrease within 8 spacings of size (default f)."""
@@ -536,7 +536,7 @@ def solve_robust(scenarios: ScenarioSet, ball: DivergenceBall, spec: LossSpec,
         return res, config.residual_tol, (u, float(alpha), float(beta), theta, p[1], res), newton
 
     start = [((u, alpha, beta, lp, lpp, p), _phi(alpha, beta, p, ball))]
-    del lp, lpp, p                     # the driver holds the start point alone
+    del lp, lpp, p                     # _newton holds the start point alone
     answer, it = _newton(point, start, "stall", "robust solve",
                          f"residual tolerance {config.residual_tol}")
     return RobustSolution(*answer, iterations=it)

@@ -134,7 +134,7 @@ def _halves(node):
 
 def test_one_step_loop():
     # solve_robust, solve_nonrobust and _dmin step through one damped-Newton
-    # driver, the only function of solver.py that halves a step
+    # loop, _newton, the only function of solver.py that halves a step
     tree = _trees()["solver.py"]
     assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
             for node in ast.walk(fn) if _halves(node)] == ["_newton"]
