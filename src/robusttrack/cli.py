@@ -76,7 +76,7 @@ def _read(cfg: dict, key: str, make, types=None, need=(), optional=False, **fixe
 
 def load_config(path) -> dict:
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
@@ -388,7 +388,12 @@ def cmd_backtest(cfg: dict) -> int:
                  solver=_read(cfg, "solver", SolverConfig, _SOLVER, optional=True))
     asset_returns, index_returns = _csv_returns(cfg)
     out = _out_dir(cfg)
-    result = backtest_sliding(asset_returns, index_returns, bcfg)
+    try:
+        result = backtest_sliding(asset_returns, index_returns, bcfg)
+    except DataError:
+        raise
+    except ValueError as exc:   # the window or step count does not fit the CSV
+        raise ConfigError("backtest", str(exc))
 
     print(f"out-of-sample BT: {result.bt_wins}/{result.bt_steps} "
           f"({result.bt_percent:.2f}%)")

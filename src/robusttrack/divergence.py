@@ -27,6 +27,12 @@ from scipy.special import exprel
 from .model import NominalModel, _sample_blocks, log_density
 
 
+def _check_lam(lam: float) -> None:
+    """Reject a ball exponent that is not finite and >= 0 (NaN included)."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class DivergenceBall:
     """Ambiguity ball configuration: exponent lam >= 0 and radius eta >= 0.
@@ -40,8 +46,7 @@ class DivergenceBall:
     eta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and >= 0")
+        _check_lam(self.lam)
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ValueError("eta must be finite and >= 0")
 
@@ -64,8 +69,9 @@ def scalar_G(e, lam: float):
 
     lam = 0 gives the KL integrand e log e - e + 1.
     """
+    _check_lam(lam)
     e = np.asarray(e, dtype=float)
-    if np.any(e <= 0):
+    if not np.all(e > 0):                   # a NaN e fails here too
         raise ValueError("scalar_G requires e > 0")
     out = _G(e, np.log(e), lam)
     return float(out) if out.ndim == 0 else out
@@ -84,6 +90,7 @@ def divergence_mc(draws: np.ndarray, ratio: Callable[[np.ndarray], np.ndarray],
     ``ratio`` evaluates the likelihood ratio g/f per draw; all values must be
     positive and finite.
     """
+    _check_lam(lam)
     values = np.asarray(ratio(np.asarray(draws, dtype=float)), dtype=float)
     if values.ndim != 1 or values.shape[0] != np.shape(draws)[0]:
         raise ValueError("ratio must return one value per draw")
@@ -122,6 +129,7 @@ def divergence_gaussian(mu1, Sigma1, mu2, Sigma2, lam: float) -> float:
     if lam <= 0:
         raise ValueError("divergence_gaussian requires lam > 0; at lam = 0 use "
                          "divergence_gaussian_equal_cov or eta_from_ratio_mc")
+    _check_lam(lam)
     L = np.linalg.cholesky(np.asarray(Sigma2, dtype=float))
     diff = np.asarray(Sigma1, dtype=float) - np.asarray(Sigma2, dtype=float)
     b, V = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, diff).T))
@@ -142,6 +150,7 @@ def divergence_gaussian_equal_cov(mu1, mu2, Sigma, lam: float) -> float:
     is (1/lam) (exp(lam h) - 1) for lam > 0 and the KL value maha2 / 2 (half
     the squared Mahalanobis distance) at lam = 0.
     """
+    _check_lam(lam)
     maha2 = _maha2(Sigma, np.asarray(mu2, dtype=float) - np.asarray(mu1, dtype=float))
     h = (lam + 1.0) / 2.0 * maha2
     return h * exprel(lam * h)
@@ -152,10 +161,11 @@ def k_from_eta(eta: float, lam: float, mu1, Sigma1, sign: str = "-") -> float:
 
     k = 1 +/- sqrt( log(eta*lam + 1) / (lam(lam+1)/2 * mu1' Sigma1^{-1} mu1) ).
     """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    if not 0 <= eta < np.inf:               # a NaN eta fails here too
+        raise ValueError("eta must be >= 0 and finite")
     if lam <= 0:
         raise ValueError("k_from_eta requires lam > 0")
+    _check_lam(lam)
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     quad = _maha2(Sigma1, np.asarray(mu1, dtype=float))
@@ -180,6 +190,7 @@ def eta_from_ratio_mc(nominal: NominalModel, actual: NominalModel, lam: float,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_lam(lam)
     logratio = np.empty(n)
     for rows, x in _sample_blocks(nominal, n, seed):
         np.subtract(log_density(actual, x), log_density(nominal, x), out=logratio[rows])

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergence import (DivergenceBall, divergence_gaussian_equal_cov,
+from .divergence import (DivergenceBall, _check_lam, divergence_gaussian_equal_cov,
                          eta_from_ratio_mc, k_from_eta)
 from .loss import LossSpec, loss_value, raw_loss_value
 from .model import (IndexComposition, NominalModel, ScenarioSet, _sample_blocks,
@@ -121,8 +121,7 @@ class RowConfig:
             raise ValueError("exactly one of eta / k must be given")
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be finite and >= 0")
+        _check_lam(self.lam)
         if self.eta is not None and not (np.isfinite(self.eta) and self.eta > 0):
             raise ValueError("eta must be finite and > 0")
         if self.k is not None and not np.isfinite(self.k):

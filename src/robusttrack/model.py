@@ -2,10 +2,10 @@
 of a model's Cholesky factor), scenario generation and price-data ingestion.
 
 Every sampled row comes from one row-block sampler, _sample_blocks, which
-yields a draw's rows a block of about _BLOCK at a time: sample_model
-fills its output from it, and evaluate.draw_scenarios and
-divergence.eta_from_ratio_mc read each block as it comes, so neither holds
-an n x d array of draws (a Student-t draw holds its current chunk's
+yields a draw's rows _BLOCK at a time (the last block takes a lone last
+row): sample_model fills its output from it, and evaluate.draw_scenarios
+and divergence.eta_from_ratio_mc read each block as it comes, so neither
+holds an n x d array of draws (a Student-t draw holds its current chunk's
 normals, at most _CHUNK rows).
 
 Scenario sets hold gross asset returns R = 1 + r and gross index returns
@@ -160,48 +160,41 @@ class ScenarioSet:
 
 def _sample_blocks(model: NominalModel, n: int, seed: int, out=None):
     """Yield (rows, x): the rows ``rows`` (a slice) of the n draws of
-    sample_model(model, n, seed), one block of _BLOCK rows at a time (a
-    chunk's last block takes the rest, up to _BLOCK + 1 rows), written into
-    out[rows] where out is given and otherwise into one buffer that the
-    next block overwrites.
+    sample_model(model, n, seed), written into out[rows] where out is given
+    and otherwise into one buffer that the next block overwrites.
 
-    A Gaussian block draws its own normals.  A Student-t chunk draws all its
-    normals (into out, where given), then its chi-squares, so it holds its
-    m x d normals while its blocks are formed.  Each row's operations are
-    those of a whole-chunk draw, so the rows have its bits.  No block but
-    that of a one-row draw has one row, as numpy multiplies a single row by
-    another BLAS routine than the whole draw's: a chunk's one-row tail joins
-    the block before it, and so does a last chunk of one row.
+    Blocks start at every multiple of _BLOCK, which divides _CHUNK, and the
+    last block takes a lone last row: numpy multiplies a single row by
+    another BLAS routine than the whole draw's, so only a one-row draw has a
+    one-row block.  A block is multiplied in parts split where a chunk
+    starts (only at a lone last row), so each row's operations are those of
+    a whole-chunk draw and the rows have its bits.  A Gaussian part draws
+    its normals into its own rows and multiplies them in place; a Student-t
+    chunk draws all its normals (into out, where given), then its
+    chi-squares, so it holds its m x d normals while its blocks are formed.
     """
     d, chol_t, heavy = model.dim, model._chol.T, model.kind == "student_t"
-    # buffers: a Gaussian block's normals, or a Student-t chunk's normals
-    # unless out holds them; and each block's draws unless out takes them
-    normals = (None if heavy and out is not None
-               else np.empty((min(n, _CHUNK if heavy else _BLOCK + 1), d)))
     block = np.empty((min(n, _BLOCK + 1), d)) if out is None else None
-    held = 0                    # rows of a block that waits for a last lone row
-    for ci, start in enumerate(range(0, n, _CHUNK)):
-        m = min(_CHUNK, n - start)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
-        if heavy:
-            z = rng.standard_normal(out=normals[:m] if out is None else out[start:start + m])
-            w = rng.chisquare(model.dof, m)
-            np.sqrt(np.divide(model.dof, w, out=w), out=w)
-        i = 0
-        while i < m:
-            b = m - i if m - i <= _BLOCK + 1 else _BLOCK
-            rows = slice(start + i - held, start + i + b)
-            x = np.matmul(z[i:i + b] if heavy else rng.standard_normal(out=normals[:b]), chol_t,
-                          out=block[held:held + b] if out is None else out[start + i:rows.stop])
+    normals = np.empty((min(n, _CHUNK), d)) if heavy and out is None else None
+    for start in range(0, n - (n > 1), _BLOCK):
+        stop = start + _BLOCK if start + _BLOCK < n - 1 else n
+        x = block[:stop - start] if out is None else out[start:stop]
+        cuts = sorted({start, max(start, (stop - 1) // _CHUNK * _CHUNK), stop})
+        for lo, hi in zip(cuts, cuts[1:]):
+            ci, i = divmod(lo, _CHUNK)          # lo's chunk and its row there
+            if i == 0:
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
+                if heavy:
+                    m = min(_CHUNK, n - lo)
+                    z = rng.standard_normal(out=normals[:m] if out is None else out[lo:lo + m])
+                    w = rng.chisquare(model.dof, m)
+                    np.sqrt(np.divide(model.dof, w, out=w), out=w)
+            y = x[lo - start:hi - start]
+            np.matmul(z[i:i + hi - lo] if heavy else rng.standard_normal(out=y), chol_t, out=y)
             if heavy:
-                x *= w[i:i + b, None]
-            x += model.mean
-            i += b
-            if rows.stop == n - 1:
-                held = b
-            else:
-                yield rows, (block[:held + b] if out is None else out[rows])
-                held = 0
+                y *= w[i:i + hi - lo, None]
+        x += model.mean
+        yield slice(start, stop), x
 
 
 def sample_model(model: NominalModel, n: int, seed: int) -> np.ndarray:
@@ -211,8 +204,8 @@ def sample_model(model: NominalModel, n: int, seed: int) -> np.ndarray:
     Deterministic for a fixed (model, n, seed) triple; rows are produced in
     fixed chunks whose streams depend only on (seed, chunk index), and
     written into the output a block at a time (_sample_blocks), so a
-    Gaussian draw holds one block of normals beside its output, and a
-    Student-t draw its chunk's scales.
+    Gaussian draw holds one block (numpy's copy for the in-place product)
+    beside its output, and a Student-t draw its chunk's scales too.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -275,12 +268,12 @@ def load_prices_csv(path) -> LoadedPrices:
     """Load a CSV of strictly positive prices and convert to simple returns.
 
     One column per instrument, one row per period, optional single header
-    row.  Rows must be rectangular; missing or non-numeric cells are
-    rejected rather than imputed.
+    row, after an optional UTF-8 byte-order mark.  Rows must be rectangular;
+    missing or non-numeric cells are rejected rather than imputed.
     """
     rows = []
     header_width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for line_no, rec in enumerate(csv.reader(fh), start=1):
             if not rec:
                 continue

@@ -20,8 +20,9 @@ WEIGHTS5 = np.array([0.15, 0.20, 0.20, 0.15, 0.30])
 # The same market with every covariance entry non-zero.
 FULL5 = SIGMA5 + 0.0004 * np.outer(np.linspace(1.0, 2.0, 5), np.linspace(1.0, 2.0, 5))
 # Draw sizes at the edges of the sampler's 8,192-row blocks and of its
-# 2^18-row chunks (2^18 + 1 ends in a chunk of one row).
-DRAW_SIZES = [1, 3, 8191, 8192, 8193, (1 << 18) + 1, (1 << 18) + 3, 300_001]
+# 2^18-row chunks (8,193 and 2^18 + 1 end in a lone row, which the last
+# block takes; 8,194 ends in a last block of two rows).
+DRAW_SIZES = [1, 2, 3, 8191, 8192, 8193, 8194, (1 << 18) + 1, (1 << 18) + 3, 300_001]
 
 
 def market_model(kind, cov=SIGMA5):

@@ -189,6 +189,18 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # JSON text may start with a UTF-8 byte-order mark (some editors write one)
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({
+            "model": {"kind": "gaussian", "mean": MU5.tolist(), "cov": SIGMA5.tolist()},
+            "ball": {"lambda": 0.1, "eta_grid": [0.1], "sign": "-"},
+            "io": {"out_dir": str(out)},
+        }).encode())
+        assert main(["divergence", "--config", str(path)]) == 0
+        assert (out / "divergence_report.json").exists()
+
     @pytest.mark.parametrize("command", ["divergence", "solve", "simulate"])
     def test_ball_without_lambda(self, tmp_path, capsys, no_draws, command):
         cfg = small_market_config(tmp_path, tmp_path / "out", ball={"eta": 0.2})
@@ -664,6 +676,24 @@ class TestBacktestCommand:
         payload = json.loads((out / "backtest.json").read_text())
         assert payload["bt_steps"] == 10
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("cols,backtest,message", [
+        (4, {"window": 50, "out_of_sample": 20},
+         "config error at backtest: need window+out_of_sample=70 periods, got 59"),
+        (5, {"window": 5, "out_of_sample": 2},
+         "config error at backtest: window must be at least d+3=7 for the robust solve"),
+    ], ids=["too-few-periods", "window-below-d+3"])
+    def test_window_that_does_not_fit_the_csv(self, tmp_path, capsys, cols, backtest, message):
+        # found only once the CSV is read, and still named at its block
+        cfg = write_config(tmp_path, {
+            "data": {"csv": write_price_csv(tmp_path, independent_prices(60, cols)),
+                     "index": "column", "index_col": 0},
+            "ball": {"lambda": 0.1, "eta": 0.05},
+            "backtest": backtest,
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main(["backtest", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
     def test_non_numeric_csv_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -51,8 +51,8 @@ class TestScalarG:
         assert rt.scalar_G(2.0, 1e-6) == pytest.approx(2 * np.log(2) - 1, abs=1e-5)
 
     def test_rejects_nonpositive(self):
-        for e in (-1.0, 0.0):
-            with pytest.raises(ValueError):
+        for e in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValueError, match="requires e > 0"):
                 rt.scalar_G(e, 0.5)
 
 
@@ -234,9 +234,11 @@ class TestKFromEta:
 
     @pytest.mark.parametrize("eta,lam,sign,match", [
         (-0.1, 0.1, "-", "eta must be >= 0"),
+        (np.nan, 0.1, "-", "eta must be >= 0 and finite"),
+        (np.inf, 0.1, "-", "eta must be >= 0 and finite"),
         (0.1, 0.0, "-", "requires lam > 0"),
         (0.1, 0.1, "x", "sign must be"),
-    ], ids=["eta-negative", "lam-zero", "sign"])
+    ], ids=["eta-negative", "eta-nan", "eta-inf", "lam-zero", "sign"])
     def test_rejects_bad_input(self, eta, lam, sign, match):
         with pytest.raises(ValueError, match=match):
             rt.k_from_eta(eta, lam, MU5, SIGMA5, sign)
@@ -254,6 +256,26 @@ class TestKFromEta:
         k = rt.k_from_eta(eta, lam, MU5, SIGMA5, "-")
         back = rt.divergence_gaussian_equal_cov(MU5, k * MU5, SIGMA5, lam)
         assert back == pytest.approx(eta, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda lam: rt.scalar_G(2.0, lam),
+    lambda lam: rt.divergence_mc(np.zeros((5, 1)), lambda x: np.ones(5), lam),
+    lambda lam: rt.divergence_gaussian(np.zeros(2), np.eye(2), np.ones(2), np.eye(2), lam),
+    lambda lam: rt.divergence_gaussian_equal_cov(np.zeros(2), np.ones(2), np.eye(2), lam),
+    lambda lam: rt.k_from_eta(0.1, lam, MU5, SIGMA5),
+    lambda lam: rt.eta_from_ratio_mc(market_model("gaussian"),
+                                     market_model("gaussian").with_mean_scaled(2.0), lam,
+                                     n=10, seed=0),
+    lambda lam: rt.DivergenceBall(lam, 0.1),
+], ids=["scalar_G", "divergence_mc", "divergence_gaussian", "divergence_gaussian_equal_cov",
+        "k_from_eta", "eta_from_ratio_mc", "DivergenceBall"])
+def test_lam_that_is_not_finite_is_named(call, lam):
+    # NaN passes a plain lam >= 0 or lam <= 0 test, so each function checks
+    # finiteness too, rather than return NaN or warn
+    with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+        call(lam)
 
 
 class TestEtaFromRatioMC:

@@ -136,11 +136,12 @@ class TestDrawScenarios:
                 assert got.B.tobytes() == ref.B.tobytes(), (seed, tracked)
 
     def test_no_gathered_copy(self, gaussian5, composition5):
-        # 6.4 arrays of n floats: the set's four columns and B, and one block
-        # each of normals and of draws (8,193 rows of 5, 0.63 each), plus
-        # numpy's buffers; 10.0 while the set was read from the n x d draws
-        # (the sampler's five columns and their normal deviates), and 15.5
-        # while the tracked columns were gathered and then copied
+        # 6.4 arrays of n floats: the set's four columns and B, one block of
+        # draws and numpy's copy of it for the in-place product (8,193 rows
+        # of 5, 0.63 each), plus numpy's buffers; 10.0 while the set was read
+        # from the n x d draws (the sampler's five columns and their normal
+        # deviates), and 15.5 while the tracked columns were gathered and
+        # then copied
         n = 2 ** 16
         assert peak_arrays(lambda: draw_scenarios(
             gaussian5, composition5, [0, 1, 2, 3], n, 3), n) <= 6.4

@@ -119,7 +119,8 @@ class TestSampleBlocks:
             assert (rt.sample_model(model, n, seed).tobytes()
                     == frozen_sample_model(model, n, seed).tobytes()), seed
 
-    @pytest.mark.parametrize("n", DRAW_SIZES)
+    # 2 * 2^18 + 1 ends in a lone row after a second chunk
+    @pytest.mark.parametrize("n", DRAW_SIZES + [2 * _CHUNK + 1])
     @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
     def test_blocks_of_more_than_one_row(self, kind, n):
         # numpy multiplies a single row by another BLAS routine, so only a
@@ -134,12 +135,22 @@ class TestSampleBlocks:
         assert all(start % _BLOCK == 0 for start in starts)
         assert n == 1 or min(sizes) > 1
 
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_no_rows_no_block(self, kind):
+        assert list(_sample_blocks(market_model(kind), 0, 5)) == []
+
+    def test_blocks_tile_chunks(self):
+        # a chunk starts on a block start, so a block is split only where a
+        # chunk starts at a lone last row
+        assert _CHUNK % _BLOCK == 0
+
     @pytest.mark.parametrize("kind,chunk_scales", [("gaussian", 0.0), ("student_t", 1.0)])
     def test_peak_is_the_output_and_one_block(self, kind, chunk_scales):
-        # the output's 5 columns, one block of normals (a one-row tail joins
-        # the last block, so 8,193 rows) and, for t(10), the chunk's 2^18
-        # scales, plus 0.05 for numpy's buffers; the frozen sampler read
-        # 9.37, with the chunk's normals beside the output
+        # the output's 5 columns, numpy's copy of one block for the in-place
+        # product (a lone last row joins the last block, so 8,193 rows) and,
+        # for t(10), the chunk's 2^18 scales, plus 0.05 for numpy's buffers;
+        # the frozen sampler read 9.37, with the chunk's normals beside the
+        # output
         n = 300_001
         bound = 5 + (5 * (_BLOCK + 1) + chunk_scales * _CHUNK) / n + 0.05
         assert peak_arrays(lambda: rt.sample_model(market_model(kind), n, 1), n) <= bound
@@ -276,6 +287,12 @@ class TestLoadPricesCsv:
     def test_rejects_bad_input(self, tmp_path, text, match):
         with pytest.raises(rt.DataError, match=match):
             rt.load_prices_csv(self._write(tmp_path, text))
+
+    def test_byte_order_mark(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one; headerless here
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf100,50\n110,55\n")
+        assert np.allclose(rt.load_prices_csv(path).returns, [[0.1, 0.1]])
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
