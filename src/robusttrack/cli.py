@@ -4,14 +4,17 @@
 
 Commands: divergence, solve, simulate, backtest.  The config file defines
 the experiment; --seed and --out only choose the replicate and the output
-directory.  Every run writes a manifest.json with the resolved
+directory.  Every completed run writes a manifest.json with the resolved
 configuration, seeds and package version so outputs can be reproduced byte
 for byte.  Exit codes: 0 success, 2 config error, 3 solver
 non-convergence, 4 data error.
 
 Each block is read once, by ``_read``, before any scenario is drawn; the
 domain types check its values, and a rejection or a ``null`` block is a
-config error that names the block.
+config error that names the block.  A command computes, prints and returns
+its exit code with a writer per output file; then ``_write_outputs`` makes
+the output directory and writes the outputs and the manifest, so a run that
+fails leaves no directory.
 """
 
 from __future__ import annotations
@@ -186,25 +189,23 @@ def apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = _read(cfg, "io", dict, {"out_dir": Path}, optional=True, out_dir=Path("."))["out_dir"]
+def _write_outputs(cfg: dict, command: str, out: Path, writers: dict) -> None:
+    """Make ``out``, call each writer on ``out / name``, then write the manifest."""
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except OSError as exc:      # found after the run, which wrote nothing
         raise ConfigError("io", str(exc))
-    return out
-
-
-def write_manifest(cfg: dict, command: str, outputs: list, out_dir: Path) -> None:
+    for name, write in writers.items():
+        write(out / name)
     write_json({"command": command, "config": cfg, "version": __version__,
-                "outputs": sorted(str(o) for o in outputs)}, out_dir / "manifest.json")
+                "outputs": sorted(str(out / name) for name in writers)}, out / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_divergence(cfg: dict) -> int:
+def cmd_divergence(cfg: dict) -> tuple:
     model = _read(cfg, "model", _model, _MODEL, need=("kind",))
     exp = _experiment(cfg)
     lam, rows = _read(cfg, "ball", _divergence_rows, _BALL, need=("lambda",), nominal=model)
@@ -212,7 +213,6 @@ def cmd_divergence(cfg: dict) -> int:
               else None)
     if actual is not None and actual.dim != model.dim:
         raise ConfigError("actual", f"dimension {actual.dim} is not the model's {model.dim}")
-    out = _out_dir(cfg)
     records = []
 
     if actual is not None:
@@ -237,10 +237,7 @@ def cmd_divergence(cfg: dict) -> int:
         records.append({"lam": lam, "eta": eta, "sign": sign, "k": k, "round_trip": back})
         print(f"{eta:>8} {k:>12.4f} {back:>14.10f}")
 
-    path = out / "divergence_report.json"
-    write_json(records, path)
-    write_manifest(cfg, "divergence", [path], out)
-    return EXIT_OK
+    return EXIT_OK, {"divergence_report.json": lambda path: write_json(records, path)}
 
 
 def _columns(indices, ncols: int, path: str) -> list:
@@ -274,27 +271,25 @@ def _csv_returns(cfg: dict):
     ``data`` block; the index is one of its columns or synthesized from
     fixed weights over all of them (then the tracked list is required)."""
     data = _read(cfg, "data", dict, _DATA, need=("csv",), index="column", index_col=0)
+    if data["index"] not in ("column", "synthesize"):
+        raise ConfigError("data.index", "must be 'column' or 'synthesize'")
     returns = load_prices_csv(data["csv"]).returns
     ncols = returns.shape[1]
     if data["index"] == "column":
         idx_col = _columns([data["index_col"]], ncols, "data.index_col")[0]
-        index_returns = returns[:, idx_col]
-        tracked = data.get("tracked", [j for j in range(ncols) if j != idx_col])
-    elif data["index"] == "synthesize":
-        if "weights" not in data:
-            raise ConfigError("data.weights", "missing required field")
-        try:
-            index_returns = synthesize_index(returns, IndexComposition(data["weights"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("data.weights", str(exc))
-        tracked = data.get("tracked")       # required: _columns rejects None
-    else:
-        raise ConfigError("data.index", "must be 'column' or 'synthesize'")
-    tracked = _columns(tracked, ncols, "data.tracked")
-    if data["index"] == "column" and idx_col in tracked:
-        # the index would track itself exactly: the robust fit's alpha collapses
-        raise ConfigError("data.tracked", f"column {idx_col} is the index column")
-    return returns[:, tracked], index_returns
+        tracked = _columns(data.get("tracked", [j for j in range(ncols) if j != idx_col]),
+                           ncols, "data.tracked")
+        if idx_col in tracked:
+            # the index would track itself exactly: the robust fit's alpha collapses
+            raise ConfigError("data.tracked", f"column {idx_col} is the index column")
+        return returns[:, tracked], returns[:, idx_col]
+    if "weights" not in data:
+        raise ConfigError("data.weights", "missing required field")
+    try:
+        index_returns = synthesize_index(returns, IndexComposition(data["weights"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("data.weights", str(exc))
+    return returns[:, _columns(data.get("tracked"), ncols, "data.tracked")], index_returns
 
 
 def _composition(weights, dim: int) -> IndexComposition:
@@ -317,17 +312,20 @@ def _market(cfg: dict, n: int):
     return model, comp, tracked
 
 
-def cmd_solve(cfg: dict) -> int:
+def cmd_solve(cfg: dict) -> tuple:
     exp = _experiment(cfg)
     spec = _read(cfg, "loss", _loss, _LOSS, optional=True)
     ball = _read(cfg, "ball", _ball, _BALL, need=("lambda", "eta"))
     solver_cfg = _read(cfg, "solver", SolverConfig, _SOLVER, optional=True)
-    out = _out_dir(cfg)
     scen = (scenarios_from(*_csv_returns(cfg)) if "data" in cfg
             else draw_scenarios(*_market(cfg, exp["n"]), exp["n"], exp["seed"]))
 
-    u_non = solve_nonrobust(scen, spec)
-    sol = solve_robust(scen, ball, spec, solver_cfg)
+    try:
+        u_non, sol = solve_nonrobust(scen, spec), solve_robust(scen, ball, spec, solver_cfg)
+    except ValueError as exc:
+        if "data" in cfg:       # a price CSV with too few rows for the solves
+            raise ConfigError("data", str(exc))
+        raise
     max_eig = hessian_diagnostic(sol, scen, ball, spec)
 
     print(f"{'asset':>6} {'robust':>12} {'nonrobust':>12}")
@@ -348,13 +346,10 @@ def cmd_solve(cfg: dict) -> int:
         "estar_min": float(sol.estar.min()),
         "lam": ball.lam, "eta": ball.eta,
     }
-    path = out / "solution.json"
-    write_json(payload, path)
-    write_manifest(cfg, "solve", [path], out)
-    return EXIT_OK
+    return EXIT_OK, {"solution.json": lambda path: write_json(payload, path)}
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: dict) -> tuple:
     exp = _experiment(cfg)
     spec = _read(cfg, "loss", _loss, _LOSS, optional=True)
     solver_cfg = _read(cfg, "solver", SolverConfig, _SOLVER, optional=True)
@@ -362,13 +357,8 @@ def cmd_simulate(cfg: dict) -> int:
     grid = _read(cfg, "ball", _grid, _BALL, need=("lambda",))
     if not grid:
         raise ConfigError("ball", "one of eta, eta_grid or k_grid is required")
-    out = _out_dir(cfg)
     rows = run_table(model, comp, tracked, grid, spec, n=exp["n"], seed=exp["seed"],
                      n_ratio=exp["n_ratio"], solver_config=solver_cfg)
-    csv_path = out / "table.csv"
-    json_path = out / "table.json"
-    write_table_csv(rows, csv_path)
-    write_table_json(rows, json_path)
     for row in rows:
         if row.report is None:
             print(f"eta={row.eta:.4g} k={row.k:.4f}: solver failed: {row.solver_message}")
@@ -377,17 +367,17 @@ def cmd_simulate(cfg: dict) -> int:
                   f"BT={row.report.bt_percent:.2f}% "
                   f"BT_excl={row.report.bt_percent_excl_ties:.2f}% "
                   f"ete_diff={row.report.ete_diff * 1e4:+.4f}e-4")
-    write_manifest(cfg, "simulate", [csv_path, json_path], out)
-    return EXIT_SOLVER if any(not r.converged for r in rows) else EXIT_OK
+    return (EXIT_SOLVER if any(not r.converged for r in rows) else EXIT_OK,
+            {"table.csv": lambda path: write_table_csv(rows, path),
+             "table.json": lambda path: write_table_json(rows, path)})
 
 
-def cmd_backtest(cfg: dict) -> int:
+def cmd_backtest(cfg: dict) -> tuple:
     bcfg = _read(cfg, "backtest", BacktestConfig, {"window": _int, "out_of_sample": _int},
                  optional=True, ball=_read(cfg, "ball", _ball, _BALL, need=("lambda", "eta")),
                  loss=_read(cfg, "loss", _loss, _LOSS, optional=True),
                  solver=_read(cfg, "solver", SolverConfig, _SOLVER, optional=True))
     asset_returns, index_returns = _csv_returns(cfg)
-    out = _out_dir(cfg)
     try:
         result = backtest_sliding(asset_returns, index_returns, bcfg)
     except DataError:
@@ -404,12 +394,8 @@ def cmd_backtest(cfg: dict) -> int:
     if result.flagged_steps:
         print(f"flagged steps: {len(result.flagged_steps)}")
 
-    json_path = out / "backtest.json"
-    plot_path = out / "plot_data.csv"
-    write_backtest_json(result, json_path)
-    write_plot_csv(result, plot_path)
-    write_manifest(cfg, "backtest", [json_path, plot_path], out)
-    return EXIT_OK
+    return EXIT_OK, {"backtest.json": lambda path: write_backtest_json(result, path),
+                     "plot_data.csv": lambda path: write_plot_csv(result, path)}
 
 
 _COMMANDS = {"divergence": cmd_divergence, "solve": cmd_solve,
@@ -436,7 +422,10 @@ def main(argv=None) -> int:
         if declared is not None and declared != args.command:
             raise ConfigError("command",
                               f"config declares {declared!r} but {args.command!r} was invoked")
-        return _COMMANDS[args.command](cfg)
+        out = _read(cfg, "io", dict, {"out_dir": Path}, optional=True, out_dir=Path())["out_dir"]
+        code, writers = _COMMANDS[args.command](cfg)
+        _write_outputs(cfg, args.command, out, writers)
+        return code
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -271,35 +271,28 @@ def load_prices_csv(path) -> LoadedPrices:
     row, after an optional UTF-8 byte-order mark.  Rows must be rectangular;
     missing or non-numeric cells are rejected rather than imputed.
     """
-    rows = []
-    header_width = None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for line_no, rec in enumerate(csv.reader(fh), start=1):
-            if not rec:
-                continue
-            try:                       # a row of numbers, converted whole
-                rows.append(list(map(float, rec)))
-                continue
-            except ValueError:         # a blank row, a header or a bad cell
-                pass
-            if all(cell.strip() == "" for cell in rec):
-                continue
-            # only a fully non-numeric first row counts as a header
-            if header_width is None and not rows and all(_number(c) is None for c in rec):
-                header_width = len(rec)
-            else:
-                raise DataError(f"{path}: non-numeric cell on line {line_no}")
+        records = [(line_no, rec) for line_no, rec in enumerate(csv.reader(fh), start=1)
+                   if "".join(rec).strip()]       # blank records dropped
+    header = None
+    if records and all(_number(c) is None for c in records[0][1]):
+        header = records.pop(0)[1]      # only a first record without any number
+    rows = []
+    for line_no, rec in records:
+        try:
+            rows.append(list(map(float, rec)))
+        except ValueError:
+            raise DataError(f"{path}: non-numeric cell on line {line_no}") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 price rows, got {len(rows)}")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DataError(f"{path}: ragged rows (expected {width} columns)")
-    if header_width not in (None, width):
+    if header is not None and len(header) != width:
         raise DataError(f"{path}: header width does not match data width")
     prices = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(prices)):
         raise DataError(f"{path}: prices contain NaN or infinite entries")
     if np.any(prices <= 0):
         raise DataError(f"{path}: prices must be strictly positive")
-    returns = prices[1:] / prices[:-1] - 1.0
-    return LoadedPrices(returns=returns)
+    return LoadedPrices(returns=prices[1:] / prices[:-1] - 1.0)

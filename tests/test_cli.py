@@ -412,6 +412,18 @@ class TestConfigErrors:
         assert main([command, "--config", cfg]) == 2
         assert path in capsys.readouterr().err
 
+    def test_unknown_index_mode_before_the_csv(self, tmp_path, capsys):
+        # the mode is checked before the file is opened, so a missing CSV
+        # does not hide it behind a data error
+        cfg = write_config(tmp_path, {
+            "data": {"csv": str(tmp_path / "missing.csv"), "index": "weighted"},
+            "ball": {"lambda": 0.1, "eta": 0.05},
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main(["solve", "--config", cfg]) == 2
+        assert ("config error at data.index: must be 'column' or 'synthesize'"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command,tracked", [
         ("simulate", [0, 5]), ("simulate", [-1, 2]), ("solve", [0, 5]), ("solve", [-1]),
         ("simulate", [0, 0, 1]),
@@ -501,6 +513,45 @@ class TestSolve:
                                   experiment={"n": 4000, "seed": 2})
         assert main(["solve", "--config", cfg]) == 3
         assert "largest divergence 3999 of 4000 scenarios" in capsys.readouterr().err
+
+    def test_non_positive_definite_cov_leaves_no_directory(self, tmp_path, capsys, no_draws):
+        cov = SIGMA5.copy()
+        cov[3, 3] = -1e-4
+        cfg = small_market_config(tmp_path, tmp_path / "out", ball={"lambda": 0.1, "eta": 0.2},
+                                  model={"kind": "gaussian", "mean": MU5.tolist(),
+                                         "cov": cov.tolist()})
+        assert main(["solve", "--config", cfg]) == 2
+        assert "config error at model: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_robust_fit_leaves_no_directory(self, tmp_path, capsys):
+        # the tracked stocks replicate the index: the robust fit raises
+        # once the CSV is read and the non-robust fit has run
+        cfg = write_config(tmp_path, {
+            "data": {"csv": write_price_csv(tmp_path, synthetic_prices()),
+                     "index": "column", "index_col": 0},
+            "ball": {"lambda": 0.1, "eta": 0.05},
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main(["solve", "--config", cfg]) == 3
+        assert "solver error: alpha collapse" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("periods,message", [
+        (5, "config error at data: need at least d+3=6 scenarios, got 4"),
+        (3, "config error at data: need at least d=3 scenarios, got 2"),
+    ], ids=["robust", "nonrobust"])
+    def test_csv_too_short_for_the_solves(self, tmp_path, capsys, periods, message):
+        # found by the solves once the CSV is read, and named at its block
+        cfg = write_config(tmp_path, {
+            "data": {"csv": write_price_csv(tmp_path, independent_prices(periods, 4)),
+                     "index": "column", "index_col": 0},
+            "ball": {"lambda": 0.1, "eta": 0.05},
+            "io": {"out_dir": str(tmp_path / "out")},
+        })
+        assert main(["solve", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_synthesized_index(self, tmp_path, monkeypatch):
         prices = independent_prices()
@@ -694,6 +745,7 @@ class TestBacktestCommand:
         })
         assert main(["backtest", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_numeric_csv_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -283,6 +283,10 @@ class TestLoadPricesCsv:
         ("idx,a\nx,y\n100,50\n110,55\n", "non-numeric cell on line 2"),
         ("100,50\nidx,a\n110,55\n", "non-numeric cell on line 2"),
         ("idx\n100,50\n110,55\n", "header width"),
+        # blank records are dropped before the header is looked for, and a
+        # bad row after them names its own line
+        ("\n , \nidx\n100,50\n110,55\n", "header width"),
+        ("idx,a\n100,50\n\n , \n110,x\n", "non-numeric cell on line 5"),
     ])
     def test_rejects_bad_input(self, tmp_path, text, match):
         with pytest.raises(rt.DataError, match=match):
