@@ -124,8 +124,14 @@ def _run(threads, tmp_path):
 def test_outputs_match_the_recorded_digests(tmp_path):
     recorded = json.loads(DIGESTS.read_text())
     runs = {threads: _run(threads, tmp_path) for threads in (1, 2)}
-    for threads, run in runs.items():
-        stdout, _ = run.communicate(timeout=60)
+    try:
+        outputs = {threads: run.communicate(timeout=60)[0] for threads, run in runs.items()}
+    finally:        # both runs end and close their pipes before any assert
+        for run in runs.values():
+            with run:
+                run.kill()
+    for threads, stdout in outputs.items():
+        run = runs[threads]
         assert run.returncode == 0, f"{threads} thread(s): exit {run.returncode}"
         got = json.loads(stdout)
         for key, version in recorded["builds"].items():
