@@ -9,12 +9,12 @@ configuration, seeds and package version so outputs can be reproduced byte
 for byte.  Exit codes: 0 success, 2 config error, 3 solver
 non-convergence, 4 data error.
 
-Each block is read once, by ``_read``, before any scenario is drawn; the
-domain types check its values, and a rejection or a ``null`` block is a
-config error that names the block.  A command computes, prints and returns
-its exit code with a writer per output file; then ``_write_outputs`` makes
-the output directory and writes the outputs and the manifest, so a run that
-fails leaves no directory.
+Each block is read once, by ``_read``, before any scenario is drawn.  A
+``null`` block and a rejection of its values, by a domain type or a
+computation, are config errors that name the block (``_at``).  A command
+computes, prints and returns its exit code with a writer per output file;
+then ``_write_outputs`` makes the output directory and writes the outputs
+and the manifest, so a run that fails leaves no directory.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,17 @@ class ConfigError(Exception):
         super().__init__(f"config error at {path}: {message}")
 
 
+@contextmanager
+def _at(path: str):
+    """A TypeError or ValueError raised inside, a DataError aside, is a ConfigError at ``path``."""
+    try:
+        yield
+    except DataError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc))
+
+
 def _read(cfg: dict, key: str, make, types=None, need=(), optional=False, **fixed):
     """The one config reader: ``make`` applied to the entry ``key``.
 
@@ -67,14 +79,12 @@ def _read(cfg: dict, key: str, make, types=None, need=(), optional=False, **fixe
     for name in need:
         if name not in entry:
             raise ConfigError(f"{key}.{name}", "missing required field")
-    try:
+    with _at(key):
         if types is None:
             return make(entry)
         given = {name: entry[name] if convert is None else convert(entry[name])
                  for name, convert in types.items() if name in entry}
         return make(**{**fixed, **given})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, str(exc))
 
 
 def load_config(path) -> dict:
@@ -118,15 +128,20 @@ def _int(value) -> int:
     return int(value)
 
 
-_LOSS = {"kind": None, "epsilon": float}
-_SOLVER = {"residual_tol": float}
+def _float(value) -> float:
+    """A real config value: a JSON number; a bool or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _floats(values) -> list:
-    return [float(v) for v in values]
+    return [_float(v) for v in values]
 
 
-_BALL = {"lambda": float, "eta": float, "eta_grid": _floats, "k_grid": _floats, "sign": None}
+_LOSS = {"kind": None, "epsilon": _float}
+_SOLVER = {"residual_tol": _float}
+_BALL = {"lambda": _float, "eta": _float, "eta_grid": _floats, "k_grid": _floats, "sign": None}
 
 
 def _grid(sign="-", **ball) -> list:
@@ -170,8 +185,8 @@ def _divergence_rows(nominal, **ball):
 
 def _draws(n, n_ratio, seed) -> dict:
     """The experiment block's draw counts and seed, which only the CLI reads."""
-    if n < 1 or (n_ratio is not None and n_ratio < 2) or seed < 0:
-        raise ValueError(f"n must be >= 1, n_ratio >= 2 and seed >= 0, "
+    if n < 2 or (n_ratio is not None and n_ratio < 2) or seed < 0:
+        raise ValueError(f"n must be >= 2, n_ratio >= 2 and seed >= 0, "
                          f"got n={n}, n_ratio={n_ratio}, seed={seed}")
     return {"n": n, "n_ratio": n_ratio, "seed": seed}
 
@@ -223,7 +238,8 @@ def cmd_divergence(cfg: dict) -> tuple:
                                              actual.mean, actual.scale, lam)
             except ValueError:
                 pass            # outside the closed form's validity region
-        mc = eta_from_ratio_mc(model, actual, lam, exp["n"], exp["seed"])
+        with _at("ball"):       # a density ratio that overflows at this lam
+            mc = eta_from_ratio_mc(model, actual, lam, exp["n"], exp["seed"])
         records.append({"lam": lam, "closed_form": closed,
                         "mc_estimate": mc.estimate, "mc_std_error": mc.std_error})
         line = f"lam={lam}: MC divergence = {mc.estimate:.6g} +/- {mc.std_error:.2g}"
@@ -250,10 +266,8 @@ def _columns(indices, ncols: int, path: str) -> list:
     if not isinstance(indices, list) or not indices:
         raise ConfigError(path, f"expected a non-empty list of column indices, "
                                 f"got {indices!r}")
-    try:
+    with _at(path):
         indices = [_int(j) for j in indices]
-    except ValueError as exc:
-        raise ConfigError(path, str(exc))
     for j in indices:
         if not 0 <= j < ncols:
             raise ConfigError(path, f"column index {j!r} is outside 0..{ncols - 1}")
@@ -285,17 +299,9 @@ def _csv_returns(cfg: dict):
         return returns[:, tracked], returns[:, idx_col]
     if "weights" not in data:
         raise ConfigError("data.weights", "missing required field")
-    try:
+    with _at("data.weights"):
         index_returns = synthesize_index(returns, IndexComposition(data["weights"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("data.weights", str(exc))
     return returns[:, _columns(data.get("tracked"), ncols, "data.tracked")], index_returns
-
-
-def _composition(weights, dim: int) -> IndexComposition:
-    comp = IndexComposition(weights)
-    synthesize_index(np.empty((0, dim)), comp)     # its size check, before any draw
-    return comp
 
 
 def _market(cfg: dict, n: int):
@@ -303,7 +309,9 @@ def _market(cfg: dict, n: int):
     tracked list is required, since tracking every asset replicates the index,
     and the robust solve of d tracked assets needs n >= d + 3 scenarios."""
     model = _read(cfg, "model", _model, _MODEL, need=("kind",))
-    comp = _read(cfg, "composition", lambda w: _composition(w, model.dim))
+    comp = _read(cfg, "composition", IndexComposition)
+    with _at("composition"):
+        synthesize_index(np.empty((0, model.dim)), comp)    # its size check, before any draw
     tracked = _read(cfg, "tracked_assets",
                     lambda t: _columns(t, model.dim, "tracked_assets"))
     if n < len(tracked) + 3:
@@ -320,12 +328,8 @@ def cmd_solve(cfg: dict) -> tuple:
     scen = (scenarios_from(*_csv_returns(cfg)) if "data" in cfg
             else draw_scenarios(*_market(cfg, exp["n"]), exp["n"], exp["seed"]))
 
-    try:
+    with _at("data" if "data" in cfg else "experiment"):   # too few rows for the solves
         u_non, sol = solve_nonrobust(scen, spec), solve_robust(scen, ball, spec, solver_cfg)
-    except ValueError as exc:
-        if "data" in cfg:       # a price CSV with too few rows for the solves
-            raise ConfigError("data", str(exc))
-        raise
     max_eig = hessian_diagnostic(sol, scen, ball, spec)
 
     print(f"{'asset':>6} {'robust':>12} {'nonrobust':>12}")
@@ -357,8 +361,9 @@ def cmd_simulate(cfg: dict) -> tuple:
     grid = _read(cfg, "ball", _grid, _BALL, need=("lambda",))
     if not grid:
         raise ConfigError("ball", "one of eta, eta_grid or k_grid is required")
-    rows = run_table(model, comp, tracked, grid, spec, n=exp["n"], seed=exp["seed"],
-                     n_ratio=exp["n_ratio"], solver_config=solver_cfg)
+    with _at("ball"):           # a row's radius or k that its model cannot resolve
+        rows = run_table(model, comp, tracked, grid, spec, n=exp["n"], seed=exp["seed"],
+                         n_ratio=exp["n_ratio"], solver_config=solver_cfg)
     for row in rows:
         if row.report is None:
             print(f"eta={row.eta:.4g} k={row.k:.4f}: solver failed: {row.solver_message}")
@@ -378,12 +383,8 @@ def cmd_backtest(cfg: dict) -> tuple:
                  loss=_read(cfg, "loss", _loss, _LOSS, optional=True),
                  solver=_read(cfg, "solver", SolverConfig, _SOLVER, optional=True))
     asset_returns, index_returns = _csv_returns(cfg)
-    try:
+    with _at("backtest"):       # the window or step count does not fit the CSV
         result = backtest_sliding(asset_returns, index_returns, bcfg)
-    except DataError:
-        raise
-    except ValueError as exc:   # the window or step count does not fit the CSV
-        raise ConfigError("backtest", str(exc))
 
     print(f"out-of-sample BT: {result.bt_wins}/{result.bt_steps} "
           f"({result.bt_percent:.2f}%)")
@@ -436,7 +437,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
-        # a rejection raised inside a library call, e.g. an overflowing density ratio
+        # a rejection that no block's reader or computation foresaw
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -174,10 +174,9 @@ def draw_scenarios(model: NominalModel, composition: IndexComposition,
     R = np.empty((n, len(tracked)), order="F")
     B = np.empty(n)
     for rows, x in _sample_blocks(model, n, seed):
-        B[rows] = synthesize_index(x, composition)
+        np.add(1.0, synthesize_index(x, composition), out=B[rows])
         for j, col in enumerate(tracked):
             np.add(1.0, x[:, col], out=R[rows, j])
-    B += 1.0
     return ScenarioSet(R=R, B=B)
 
 

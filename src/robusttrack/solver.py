@@ -51,13 +51,12 @@ to working precision; where the test found a lower bound on D_min above
 eta, the message gives it, as alpha > 0 at the optimum there.  Repeated
 solves at a fixed BLAS thread count are bitwise identical.
 
-Each N-point array lives only until its last read, the passes over the
-losses work in place, and every Newton solve's weighted Gram matrix is
-summed over blocks of rows (_gram), so no d x N product is formed (only
-solve_nonrobust's start scales one copy of R.T, see there), and _kkt forms
-its Gram weights one block at a time.  A robust solve then peaks at 6
-arrays of N floats, reached in _kkt (one scratch array beside its five
-inputs), in a trial's inner root and in its worst-case pass.  R is stored
+Each N-point array lives only until its last read, the passes over the losses
+work in place, and every Gram matrix of a solve, solve_nonrobust's start
+included, is summed over blocks of rows (_gram), so no d x N product is
+formed; _kkt forms its Gram weights one block at a time.  A robust solve then
+peaks at 6 arrays of N floats, reached in _kkt (one scratch array beside its
+five inputs), in a trial's inner root and in its worst-case pass.  R is stored
 column-major (see ScenarioSet), and the scalar entries of J read one set of
 moments of the pass, mean E* and mk = mean(E*^(1-lam) s^k) for k = 0, 1, 2.
 
@@ -571,9 +570,7 @@ def solve_nonrobust(scenarios: ScenarioSet, spec: LossSpec) -> np.ndarray:
     if N < d:
         raise ValueError(f"need at least d={d} scenarios, got {N}")
 
-    # R.T @ R alone would be numpy's syrk, whose sums differ in the last
-    # bits from the gemm of the scaled copy 2 R.T, so that copy is formed
-    u = _bordered(2.0 * R.T @ R / N, 2.0 * (R.T @ B) / N, 1.0,
+    u = _bordered(_gram(R, lambda rows: 2.0) / N, 2.0 * (R.T @ B) / N, 1.0,
                   "singular tracking KKT system")
 
     def at(u):                         # the point u, with l' and l'', and its mean loss

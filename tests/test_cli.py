@@ -137,7 +137,7 @@ class TestSimulateHeavyTail:
             "io": {"out_dir": str(tmp_path / "out")},
         })
         assert main(["simulate", "--config", cfg]) == 2
-        assert "config error: density ratio overflows" in capsys.readouterr().err
+        assert "config error at ball: density ratio overflows" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -252,6 +252,17 @@ class TestConfigErrors:
         ("simulate", "ball", {"k_grid": []}, "ball"),
         ("solve", "ball", {"eta_grid": [0.1]}, "ball.eta_grid"),
         ("backtest", "ball", {"k_grid": [1.0]}, "ball.k_grid"),
+        # a real value is a JSON number: a bool or a string is not read as one
+        ("solve", "ball", {"lambda": True}, "ball"),
+        ("solve", "ball", {"lambda": "0.1"}, "ball"),
+        ("solve", "ball", {"eta": True}, "ball"),
+        ("solve", "ball", {"eta": "0.5"}, "ball"),
+        ("simulate", "ball", {"eta_grid": [True]}, "ball"),
+        ("simulate", "ball", {"eta_grid": ["0.5"]}, "ball"),
+        ("solve", "loss", {"kind": "l1", "epsilon": True}, "loss"),
+        ("solve", "loss", {"kind": "l1", "epsilon": "0.01"}, "loss"),
+        ("solve", "solver", {"residual_tol": True}, "solver"),
+        ("solve", "solver", {"residual_tol": "1e-8"}, "solver"),
     ], ids=["n-null", "seed-list", "lambda-null", "lambda-string", "k_grid-null",
             "eta-null", "window-list", "loss-kind-list",
             "simulate-lambda-nan", "solve-lambda-nan", "n-zero", "csv-null",
@@ -259,7 +270,9 @@ class TestConfigErrors:
             "window-fraction", "seed-true",
             "n-fraction", "k_grid-nan", "n_ratio-one",
             "simulate-n-below-d3", "solve-n-below-d3", "eta_grid-empty", "k_grid-empty",
-            "solve-eta_grid", "backtest-k_grid"])
+            "solve-eta_grid", "backtest-k_grid", "lambda-true", "lambda-quoted",
+            "eta-true", "eta-quoted", "eta_grid-true", "eta_grid-quoted", "epsilon-true",
+            "epsilon-quoted", "residual_tol-true", "residual_tol-quoted"])
     def test_wrongly_typed_value(self, tmp_path, capsys, no_draws,
                                  command, block, entry, path):
         # a value of the wrong type or outside its domain is a config error
@@ -273,6 +286,28 @@ class TestConfigErrors:
         cfg = small_market_config(tmp_path, tmp_path / "out", **blocks)
         assert main([command, "--config", cfg]) == 2
         assert f"config error at {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,extra,message", [
+        ("simulate", {"model": {"kind": "student_t", "mean": MU5.tolist(),
+                                "scale": SIGMA5.tolist(), "dof": 10}},
+         "config error at ball: eta-only rows require a gaussian nominal model"),
+        ("simulate", {"model": {"kind": "gaussian", "mean": [0.0] * 5,
+                                "cov": SIGMA5.tolist()}},
+         "config error at ball: mu1' Sigma1^{-1} mu1 must be positive"),
+        ("divergence", {"actual": {"kind": "gaussian", "mean": (2 * MU5).tolist(),
+                                   "cov": SIGMA5.tolist()},
+                        "experiment": {"n": 1, "seed": 3}},
+         "config error at experiment: n must be >= 2"),
+    ], ids=["simulate-student-t-eta-rows", "simulate-zero-mean-eta-rows",
+            "divergence-one-draw"])
+    def test_rejected_by_a_computation(self, tmp_path, capsys, no_draws,
+                                       command, extra, message):
+        # a value that only a row's radius, k or draw count can reject is
+        # still named at its block, before any scenario is drawn
+        cfg = small_market_config(tmp_path, tmp_path / "out", **extra)
+        assert main([command, "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_is_an_int(self):
         # JSON writes 2e5 as a float; a value without a fraction is read as it
@@ -644,7 +679,7 @@ class TestDivergenceCommand:
             "io": {"out_dir": str(tmp_path / "out")},
         })
         assert main(["divergence", "--config", cfg]) == 2
-        assert "config error: density ratio overflows" in capsys.readouterr().err
+        assert "config error at ball: density ratio overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [2, 3, 4, 5])
     def test_square_overflow_is_a_config_error(self, tmp_path, capsys, seed):
@@ -659,7 +694,7 @@ class TestDivergenceCommand:
             "io": {"out_dir": str(tmp_path / "out")},
         })
         assert main(["divergence", "--config", cfg]) == 2
-        assert "config error: density ratio overflows" in capsys.readouterr().err
+        assert "config error at ball: density ratio overflows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,ball,path", [
         ("gaussian", {"eta_grid": [0.1, -1.0]}, "ball: eta must be finite and > 0"),

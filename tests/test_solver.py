@@ -299,9 +299,10 @@ class TestSolveNonrobust:
     @pytest.mark.parametrize("spec", [QUAD, L1, L2], ids=["quad", "l1", "l2"])
     def test_start_has_the_bits_of_the_scaled_copy(self, spec, n, monkeypatch):
         # the start scales R.T @ B after the product, where it once scaled a
-        # d x N copy of R.T: scaling by 2 is exact, so the bits are the same
-        # (R.T @ R keeps the copy: numpy's syrk would sum it in another
-        # order, and at n = 4000 the bits would differ)
+        # d x N copy of R.T: scaling by 2 is exact, so the bits are the same.
+        # Its Gram matrix sums (2 R.T) @ R over _gram's row blocks, so no
+        # copy is formed; at n <= _BLOCK that is the scaled copy's gemm, bit
+        # for bit (R.T @ R alone would be numpy's syrk, summed in another order)
         scen = make_scenarios(n=n, seed=2)
         starts = []
         bordered = solver._bordered
@@ -312,7 +313,13 @@ class TestSolveNonrobust:
         monkeypatch.setattr(solver, "_bordered", first)
         rt.solve_nonrobust(scen, spec)
         R, B, N = scen.R, scen.B, scen.n
-        assert starts[0][0].tobytes() == (2.0 * R.T @ R / N).tobytes()
+        blocks = [R[i:i + solver._BLOCK] for i in range(0, N, solver._BLOCK)]
+        M = 2.0 * blocks[0].T @ blocks[0]
+        for block in blocks[1:]:
+            M += 2.0 * block.T @ block
+        assert starts[0][0].tobytes() == (M / N).tobytes()
+        if N <= solver._BLOCK:
+            assert starts[0][0].tobytes() == (2.0 * R.T @ R / N).tobytes()
         assert starts[0][1].tobytes() == (2.0 * R.T @ B / N).tobytes()
 
     def test_singular_system_raises(self):
